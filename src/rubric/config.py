@@ -21,30 +21,6 @@ class ConfigError(ValueError):
     """Unknown key, bad value, or unusable combination."""
 
 
-# model.vocab_size is always derived from the training data
-_MODEL_KEYS = {
-    f.name: f.type
-    for f in dataclasses.fields(ModelSpec)
-    if f.name != "vocab_size"
-}
-_TRAIN_KEYS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-
-_EXTRA_KEYS = {
-    "data.train_csv": "str?",
-    "data.valid_csv": "str?",
-    "data.input_csv": "str?",
-    "data.valid_fraction": "float",
-    "data.min_count": "int",
-    "cv.k": "int",
-    "ablate.seeds": "int_list",
-    "ablate.full_grid": "bool",
-    "predict.checkpoint": "str?",
-    "predict.round": "bool",
-    "synth.n": "int",
-    "synth.seed": "int",
-    "out.dir": "str?",
-}
-
 ENV_OUT_ROOT = "RUBRIC_OUT_ROOT"
 
 
@@ -76,44 +52,74 @@ class RunConfig:
         return os.path.join(root, command)
 
 
-def _parse_typed(key: str, kind: str, raw: str):
-    raw = raw.strip()
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "str":
-            return raw
-        if kind == "str?":
-            return None if raw.lower() in ("", "none") else raw
-        if kind == "float?":
-            return None if raw.lower() in ("", "none") else float(raw)
-        if kind == "int_list":
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {exc}") from None
-    raise ConfigError(f"unhandled value kind {kind!r} for {key}")
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _field_kind(annotation: str) -> str:
-    text = str(annotation)
-    if "int" in text:
-        return "int"
-    if "float | None" in text or "Optional[float]" in text:
-        return "float?"
-    if "float" in text:
-        return "float"
-    if "bool" in text:
-        return "bool"
-    return "str"
+def _optional(parse):
+    return lambda raw: None if raw.lower() in ("", "none") else parse(raw)
+
+
+def _parse_int_list(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.split(",") if part.strip())
+
+
+def _render(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+# value parser per field annotation (annotations are strings here)
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "float | None": _optional(float),
+    "bool": _parse_bool,
+    "str": str,
+    "str | None": _optional(str),
+    "tuple[int, ...]": _parse_int_list,
+}
+
+# key -> (section, attribute, annotation). "model" keys fill RunConfig.model
+# (model.vocab_size is always derived from the training data), "train" keys
+# build the TrainConfig, "run" keys are RunConfig attributes.
+_RUN_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+KEYS: dict[str, tuple[str, str, str]] = {
+    **{
+        f"model.{f.name}": ("model", f.name, f.type)
+        for f in dataclasses.fields(ModelSpec)
+        if f.name != "vocab_size"
+    },
+    **{f"train.{f.name}": ("train", f.name, f.type) for f in dataclasses.fields(TrainConfig)},
+    **{
+        key: ("run", attr, _RUN_FIELDS[attr])
+        for key, attr in {
+            "data.train_csv": "train_csv",
+            "data.valid_csv": "valid_csv",
+            "data.input_csv": "input_csv",
+            "data.valid_fraction": "valid_fraction",
+            "data.min_count": "min_count",
+            "cv.k": "cv_k",
+            "ablate.seeds": "ablate_seeds",
+            "ablate.full_grid": "ablate_full_grid",
+            "predict.checkpoint": "predict_checkpoint",
+            "predict.round": "predict_round",
+            "synth.n": "synth_n",
+            "synth.seed": "synth_seed",
+            "out.dir": "out_dir",
+        }.items()
+    },
+}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -135,39 +141,18 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 def resolve_config(pairs: dict[str, str]) -> RunConfig:
     """Turn raw key/value strings into a validated RunConfig."""
-    cfg = RunConfig()
-    train_kwargs: dict = {}
+    values: dict[str, dict] = {"model": {}, "train": {}, "run": {}}
     for key, raw in pairs.items():
-        section, _, name = key.partition(".")
-        if section == "model" and name in _MODEL_KEYS:
-            cfg.model[name] = _parse_typed(key, _field_kind(_MODEL_KEYS[name]), raw)
-        elif section == "train" and name in _TRAIN_KEYS:
-            kind = _field_kind(_TRAIN_KEYS[name])
-            if name in ("loss_kind", "adv_scope"):
-                kind = "str"
-            train_kwargs[name] = _parse_typed(key, kind, raw)
-        elif key in _EXTRA_KEYS:
-            value = _parse_typed(key, _EXTRA_KEYS[key], raw)
-            attr = {
-                "data.train_csv": "train_csv",
-                "data.valid_csv": "valid_csv",
-                "data.input_csv": "input_csv",
-                "data.valid_fraction": "valid_fraction",
-                "data.min_count": "min_count",
-                "cv.k": "cv_k",
-                "ablate.seeds": "ablate_seeds",
-                "ablate.full_grid": "ablate_full_grid",
-                "predict.checkpoint": "predict_checkpoint",
-                "predict.round": "predict_round",
-                "synth.n": "synth_n",
-                "synth.seed": "synth_seed",
-                "out.dir": "out_dir",
-            }[key]
-            setattr(cfg, attr, value)
-        else:
+        if key not in KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
+        section, attr, annotation = KEYS[key]
+        try:
+            values[section][attr] = _PARSERS[annotation](raw.strip())
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {exc}") from None
     try:
-        cfg.train = TrainConfig(**train_kwargs)
+        cfg = RunConfig(model=values["model"], train=TrainConfig(**values["train"]),
+                        **values["run"])
         ModelSpec(vocab_size=2, **cfg.model)  # validate model fields early
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
@@ -176,40 +161,11 @@ def resolve_config(pairs: dict[str, str]) -> RunConfig:
 
 def render_config(cfg: RunConfig) -> str:
     """Echo every resolved key (defaults included) in sorted order."""
-    pairs: dict[str, object] = {}
-    spec_defaults = ModelSpec(vocab_size=2)
-    for name in _MODEL_KEYS:
-        pairs[f"model.{name}"] = cfg.model.get(name, getattr(spec_defaults, name))
-    for name in _TRAIN_KEYS:
-        pairs[f"train.{name}"] = getattr(cfg.train, name)
-    pairs.update(
-        {
-            "data.train_csv": cfg.train_csv,
-            "data.valid_csv": cfg.valid_csv,
-            "data.input_csv": cfg.input_csv,
-            "data.valid_fraction": cfg.valid_fraction,
-            "data.min_count": cfg.min_count,
-            "cv.k": cfg.cv_k,
-            "ablate.seeds": ",".join(str(s) for s in cfg.ablate_seeds),
-            "ablate.full_grid": cfg.ablate_full_grid,
-            "predict.checkpoint": cfg.predict_checkpoint,
-            "predict.round": cfg.predict_round,
-            "synth.n": cfg.synth_n,
-            "synth.seed": cfg.synth_seed,
-            "out.dir": cfg.out_dir,
-        }
+    sources = {"model": ModelSpec(vocab_size=2, **cfg.model), "train": cfg.train, "run": cfg}
+    return "".join(
+        f"{key} = {_render(getattr(sources[section], attr))}\n"
+        for key, (section, attr, _) in sorted(KEYS.items())
     )
-    lines = []
-    for key in sorted(pairs):
-        value = pairs[key]
-        if value is None:
-            rendered = "none"
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
-        else:
-            rendered = str(value)
-        lines.append(f"{key} = {rendered}")
-    return "\n".join(lines) + "\n"
 
 
 def load_run_config(config_path: str | None, overrides: list[str]) -> RunConfig:

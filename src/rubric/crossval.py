@@ -38,9 +38,6 @@ class FoldPlan:
     fold_target_means: list[list[float]]  # [fold][target]
     lattice_counts: list[dict[str, dict[str, int]]]  # [fold][target][score]
 
-    def fold_ids(self, fold: int) -> list[str]:
-        return [tid for tid, f in self.assignment.items() if f == fold]
-
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,

@@ -97,9 +97,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single element, got shape {self.shape}")
         return float(self.data.item())
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -442,10 +439,3 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
         return (g * keep,)
 
     return _from_op(data, (x,), vjp)
-
-
-def zero_grads(params) -> None:
-    """Clear gradients on an iterable (or mapping) of tensors."""
-    values = params.values() if hasattr(params, "values") else params
-    for p in values:
-        p.grad = None
