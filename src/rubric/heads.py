@@ -41,18 +41,18 @@ class AttentionPoolHead:
 class HeadBank:
     """The full set of regression heads for the six targets.
 
-    six_metric_attention: six independent heads, target j uses heads[j].
-    single_attention:     one head whose out_w is (d_model, 6).
-    mean:                 one scorer-less head, pooled by masked mean.
+    Six heads (six_metric_attention): target j pools with heads[j], whose
+    out_w is (d_model, 1). One head (single_attention, or mean with no
+    scorer): its out_w is (d_model, 6) and feeds every target.
     """
 
-    mode: str
     heads: list[AttentionPoolHead]
     target_order: tuple[str, ...] = TARGETS
 
     def named_parameters(self) -> dict[str, Tensor]:
+        names = self.target_order if len(self.heads) > 1 else ("shared",)
         params: dict[str, Tensor] = {}
-        for name, head in zip(self._head_names(), self.heads):
+        for name, head in zip(names, self.heads):
             if head.score_w is not None:
                 params[f"head.{name}.score_w"] = head.score_w
                 params[f"head.{name}.score_b"] = head.score_b
@@ -60,91 +60,85 @@ class HeadBank:
             params[f"head.{name}.out_b"] = head.out_b
         return params
 
-    def _head_names(self) -> list[str]:
-        if self.mode == "six_metric_attention":
-            return list(self.target_order)
-        return ["shared"]
-
 
 def init_head_bank(spec: ModelSpec, seed) -> HeadBank:
     """Build heads for the spec's pooling mode; deterministic per seed."""
     rng = np.random.default_rng(seed)
     d = spec.d_model
-
-    def scorer():
-        return (
-            Tensor(rng.normal(0.0, 0.02, size=(d, 1)), requires_grad=True),
-            Tensor(np.zeros(1), requires_grad=True),
-        )
-
-    def output(n_out):
-        return (
-            Tensor(rng.normal(0.0, 0.02, size=(d, n_out)), requires_grad=True),
-            Tensor(np.full(n_out, OUT_BIAS_INIT), requires_grad=True),
-        )
-
-    if spec.pooling_mode == "six_metric_attention":
-        heads = []
-        for _ in TARGETS:
-            sw, sb = scorer()
-            ow, ob = output(1)
-            heads.append(AttentionPoolHead(sw, sb, ow, ob))
-    elif spec.pooling_mode == "single_attention":
-        sw, sb = scorer()
-        ow, ob = output(len(TARGETS))
-        heads = [AttentionPoolHead(sw, sb, ow, ob)]
-    else:  # mean
-        ow, ob = output(len(TARGETS))
-        heads = [AttentionPoolHead(None, None, ow, ob)]
-    return HeadBank(mode=spec.pooling_mode, heads=heads)
+    per_target = spec.pooling_mode == "six_metric_attention"
+    scored = spec.pooling_mode != "mean"
+    n_out = 1 if per_target else len(TARGETS)
+    heads = []
+    for _ in range(len(TARGETS) if per_target else 1):
+        # draw order per head: scorer weights, then output weights
+        score_w = score_b = None
+        if scored:
+            score_w = Tensor(rng.normal(0.0, 0.02, size=(d, 1)), requires_grad=True)
+            score_b = Tensor(np.zeros(1), requires_grad=True)
+        out_w = Tensor(rng.normal(0.0, 0.02, size=(d, n_out)), requires_grad=True)
+        out_b = Tensor(np.full(n_out, OUT_BIAS_INIT), requires_grad=True)
+        heads.append(AttentionPoolHead(score_w, score_b, out_w, out_b))
+    return HeadBank(heads=heads)
 
 
-def _check_mask(mask) -> np.ndarray:
+def _weights(score_w: Tensor | None, score_b: Tensor | None, hidden: Tensor, mask) -> Tensor:
+    """Pooling weights over tokens, one column per scorer: shape (seq_len, H).
+
+    Each column is a softmax of ``hidden @ score_w + score_b`` over the
+    unmasked positions. Without a scorer the single column is the uniform
+    masked mean, which is exactly what a zero scorer's softmax gives.
+    """
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("pooling needs at least one unmasked position")
-    return mask
-
-
-def pooling_weights(head: AttentionPoolHead, hidden: Tensor, mask) -> Tensor:
-    """Softmax pooling weights, shape (seq_len, 1); zero on masked positions."""
-    mask = _check_mask(mask)
-    scores = hidden @ head.score_w + head.score_b
+    if score_w is None:
+        return Tensor(np.where(mask, 1.0 / mask.sum(), 0.0).reshape(-1, 1))
+    scores = hidden @ score_w + score_b
     scores = scores + Tensor(np.where(mask, 0.0, MASK_NEG).reshape(-1, 1))
     return scores.softmax(axis=0)
 
 
+def _pool(alpha: Tensor, hidden: Tensor) -> Tensor:
+    """Weighted sums of token states, one row per weight column: (H, d_model)."""
+    return alpha.transpose((1, 0)) @ hidden
+
+
+def pooling_weights(head: AttentionPoolHead, hidden: Tensor, mask) -> Tensor:
+    """Softmax pooling weights, shape (seq_len, 1); zero on masked positions."""
+    return _weights(head.score_w, head.score_b, hidden, mask)
+
+
 def attention_pool(head: AttentionPoolHead, hidden: Tensor, mask) -> Tensor:
     """Convex combination of token states, shape (1, d_model)."""
-    alpha = pooling_weights(head, hidden, mask)
-    return alpha.transpose((1, 0)) @ hidden
+    return _pool(pooling_weights(head, hidden, mask), hidden)
 
 
 def masked_mean_pool(hidden: Tensor, mask) -> Tensor:
     """Uniform convex combination over unmasked tokens, shape (1, d_model).
 
-    Implemented with the same weighted-matmul path as attention pooling so
-    that a zero-scorer attention pool reproduces it bit for bit.
+    Uses the same weight kernel and pooling matmul as attention pooling, so
+    a zero-scorer attention pool reproduces it bit for bit.
     """
-    mask = _check_mask(mask)
-    weights = np.where(mask, 1.0 / mask.sum(), 0.0).reshape(1, -1)
-    return Tensor(weights) @ hidden
+    return _pool(_weights(None, None, hidden, mask), hidden)
 
 
 def predict_scores(bank: HeadBank, hidden: Tensor, mask) -> Tensor:
-    """Raw regression outputs for all six targets, shape (6,)."""
-    if bank.mode == "six_metric_attention":
-        outs = []
-        for head in bank.heads:
-            pooled = attention_pool(head, hidden, mask)
-            outs.append((pooled @ head.out_w + head.out_b).reshape((1,)))
-        return concat(outs, axis=0)
-    head = bank.heads[0]
-    if bank.mode == "single_attention":
-        pooled = attention_pool(head, hidden, mask)
-    else:
-        pooled = masked_mean_pool(hidden, mask)
-    return (pooled @ head.out_w + head.out_b).reshape((len(TARGETS),))
+    """Raw regression outputs for all six targets, shape (6,).
+
+    The heads' scorers are stacked into one (d_model, H) matrix, so one
+    masked softmax and one matmul pool all H heads at once. Row j of the
+    pooled (H, d_model) matrix meets output column j; with one head its
+    single row broadcasts over all six output columns.
+    """
+    heads = bank.heads
+    score_w = score_b = None
+    if heads[0].score_w is not None:
+        score_w = concat([h.score_w for h in heads], axis=1)
+        score_b = concat([h.score_b for h in heads], axis=0)
+    pooled = _pool(_weights(score_w, score_b, hidden, mask), hidden)
+    out_w = concat([h.out_w for h in heads], axis=1)
+    out_b = concat([h.out_b for h in heads], axis=0)
+    return (pooled * out_w.transpose((1, 0))).sum(axis=1) + out_b
 
 
 def clamp_to_score_lattice(raw, round_to_lattice: bool = False) -> np.ndarray:

@@ -4,6 +4,8 @@ import pytest
 from rubric.data import TARGETS
 from rubric.encoder import ModelSpec
 from rubric.heads import (
+    AttentionPoolHead,
+    HeadBank,
     attention_pool,
     clamp_to_score_lattice,
     init_head_bank,
@@ -195,6 +197,67 @@ class TestPredictScores:
             for t in (head.score_w, head.score_b, head.out_w, head.out_b):
                 assert id(t) not in seen
                 seen.add(id(t))
+
+
+MODES = ("six_metric_attention", "single_attention", "mean")
+
+
+def randomized_bank(mode, rng):
+    """A bank whose every parameter is redrawn at unit scale."""
+    bank = bank_for(mode)
+    for p in bank.named_parameters().values():
+        p.data = rng.normal(size=p.shape)
+    return bank
+
+
+def reference_scores(bank, hidden, mask):
+    """Loop over the heads, pooling each with its own pooling_weights."""
+    outs = []
+    for head in bank.heads:
+        alpha = pooling_weights(head, hidden, mask).data[:, 0]
+        pooled = np.zeros(hidden.shape[1])
+        for weight, row in zip(alpha, hidden.data):
+            pooled += weight * row
+        outs.extend(pooled @ head.out_w.data + head.out_b.data)
+    return np.array(outs)
+
+
+class TestOnePath:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_per_head_reference_on_mixed_lengths(self, mode):
+        rng = np.random.default_rng(sum(map(ord, mode)))
+        bank = randomized_bank(mode, rng)
+        for seq_len in (1, 2, 3, 5, 8, 17, 64, 100, 255, 256):
+            hidden = Tensor(rng.normal(size=(seq_len, D)) * 2)
+            mask = rng.random(seq_len) < 0.6
+            mask[rng.integers(seq_len)] = True
+            got = predict_scores(bank, hidden, mask).data
+            assert got.shape == (6,)
+            np.testing.assert_allclose(
+                got, reference_scores(bank, hidden, mask), rtol=1e-12, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_gradient_matches_finite_differences(self, mode):
+        rng = np.random.default_rng(21)
+        template = randomized_bank(mode, rng)
+        mask = [True, False, True, True, False]
+        probe = Tensor(rng.normal(size=6))
+
+        def build(ts):
+            hidden, rest = ts[0], iter(ts[1:])
+            heads = [
+                AttentionPoolHead(
+                    *(None if t is None else next(rest)
+                      for t in (h.score_w, h.score_b, h.out_w, h.out_b))
+                )
+                for h in template.heads
+            ]
+            return (predict_scores(HeadBank(heads=heads), hidden, mask) * probe).sum()
+
+        leaves = [rng.normal(size=(len(mask), D))]
+        leaves += [p.data for p in template.named_parameters().values()]
+        check_gradients(build, leaves)
 
 
 class TestLattice:
