@@ -72,43 +72,67 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 
 def load_checkpoint(path: str) -> Model:
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != FORMAT_VERSION:
-            raise CheckpointError(f"{path}: unsupported format version {version}")
-        (hdr_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-        header = json.loads(_read_exact(fh, hdr_len, "header").decode("utf-8"))
+    """Rebuild a model; malformed contents raise CheckpointError naming ``path``."""
+    try:
+        with open(path, "rb") as fh:
+            return _read_model(fh)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
 
+
+def _model_from_header(raw: bytes) -> Model:
+    """A freshly built model matching the header's spec and vocabulary."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointError(f"header is not UTF-8 JSON: {exc}") from None
+    if not isinstance(header, dict) or not isinstance(header.get("model_spec"), dict):
+        raise CheckpointError("header has no model_spec object")
+    try:
         spec = ModelSpec(**header["model_spec"])
         tokens = header.get("vocab_tokens")
         vocab = Vocabulary(tokens) if tokens is not None else None
-        model = Model.build(spec, seed=0, vocab=vocab)
-        params = model.named_parameters()
+        return Model.build(spec, seed=0, vocab=vocab)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"invalid model_spec or vocabulary in header: {exc}") from None
 
-        (n_params,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
-        seen = set()
-        for _ in range(n_params):
-            (path_len,) = struct.unpack("<H", _read_exact(fh, 2, "path length"))
-            name = _read_exact(fh, path_len, "path").decode("utf-8")
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "ndim"))
-            shape = tuple(
-                struct.unpack("<I", _read_exact(fh, 4, "dim"))[0] for _ in range(ndim)
+
+def _read_model(fh) -> Model:
+    if _read_exact(fh, 4, "magic") != MAGIC:
+        raise CheckpointError("not a checkpoint file (bad magic)")
+    (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"unsupported format version {version}")
+    (hdr_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
+    model = _model_from_header(_read_exact(fh, hdr_len, "header"))
+    params = model.named_parameters()
+
+    (n_params,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
+    seen = set()
+    for _ in range(n_params):
+        (path_len,) = struct.unpack("<H", _read_exact(fh, 2, "path length"))
+        name = _read_exact(fh, path_len, "path").decode("utf-8", errors="replace")
+        (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "ndim"))
+        shape = tuple(
+            struct.unpack("<I", _read_exact(fh, 4, "dim"))[0] for _ in range(ndim)
+        )
+        if name not in params:
+            raise CheckpointError(f"unknown parameter {name!r}")
+        if name in seen:
+            raise CheckpointError(f"duplicate parameter {name!r}")
+        if params[name].data.shape != shape:
+            raise CheckpointError(
+                f"parameter {name!r} has shape {shape}, "
+                f"model expects {params[name].data.shape}"
             )
-            count = int(np.prod(shape)) if shape else 1
-            payload = _read_exact(fh, count * 8, f"payload of {name}")
-            if name not in params:
-                raise CheckpointError(f"{path}: unknown parameter {name!r}")
-            if params[name].data.shape != shape:
-                raise CheckpointError(
-                    f"{path}: parameter {name!r} has shape {shape}, "
-                    f"model expects {params[name].data.shape}"
-                )
-            arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
-            params[name].data = np.ascontiguousarray(arr, dtype=np.float64)
-            seen.add(name)
-        missing = set(params) - seen
-        if missing:
-            raise CheckpointError(f"{path}: missing parameters {sorted(missing)[:3]}")
+        # shape is checked first, so a corrupt header never sizes this read
+        payload = _read_exact(fh, params[name].data.size * 8, f"payload of {name}")
+        arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
+        params[name].data = np.ascontiguousarray(arr, dtype=np.float64)
+        seen.add(name)
+    missing = set(params) - seen
+    if missing:
+        raise CheckpointError(f"missing parameters {sorted(missing)[:3]}")
+    if fh.read(1):
+        raise CheckpointError("trailing bytes after the last parameter")
     return model

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -148,6 +149,13 @@ def _load_labeled(path: str | None, what: str):
     return records
 
 
+def _check_folds(cfg: RunConfig, records) -> None:
+    if cfg.cv_k > len(records):
+        raise ConfigError(
+            f"cv.k={cfg.cv_k} exceeds the number of training records ({len(records)})"
+        )
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -199,6 +207,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_cv(cfg: RunConfig) -> int:
     out_dir = _prepare_out_dir(cfg, "cv")
     records = _load_labeled(cfg.train_csv, "training")
+    _check_folds(cfg, records)
     result = run_cv(
         records,
         cfg.model_spec(vocab_size=2),  # per-fold vocab replaces this
@@ -235,6 +244,7 @@ def cmd_cv(cfg: RunConfig) -> int:
 def cmd_ablate(cfg: RunConfig) -> int:
     out_dir = _prepare_out_dir(cfg, "ablate")
     records = _load_labeled(cfg.train_csv, "training")
+    _check_folds(cfg, records)
     if cfg.ablate_full_grid:
         variants = default_variants()
     else:
@@ -285,6 +295,9 @@ def cmd_predict(cfg: RunConfig) -> int:
 def cmd_score(cfg: RunConfig, truth_path: str, pred_path: str) -> int:
     truth_records = _load_labeled(truth_path, "truth")
     pred_ids, preds = load_predictions(pred_path)
+    repeated = [i for i, n in Counter(pred_ids).items() if n > 1]
+    if repeated:
+        raise DataError(f"{pred_path}: text_id {repeated[0]!r} appears more than once")
     by_id = {r.text_id: r for r in truth_records}
     missing = [i for i in pred_ids if i not in by_id]
     if missing:

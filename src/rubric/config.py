@@ -10,6 +10,7 @@ configuration is echoed into every output directory.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -61,6 +62,13 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {raw!r}")
+    return value
+
+
 def _optional(parse):
     return lambda raw: None if raw.lower() in ("", "none") else parse(raw)
 
@@ -82,8 +90,8 @@ def _render(value) -> str:
 # value parser per field annotation (annotations are strings here)
 _PARSERS = {
     "int": int,
-    "float": float,
-    "float | None": _optional(float),
+    "float": _parse_float,
+    "float | None": _optional(_parse_float),
     "bool": _parse_bool,
     "str": str,
     "str | None": _optional(str),
@@ -156,6 +164,14 @@ def resolve_config(pairs: dict[str, str]) -> RunConfig:
         ModelSpec(vocab_size=2, **cfg.model)  # validate model fields early
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
+    if not 0.0 < cfg.valid_fraction < 1.0:
+        raise ConfigError(f"data.valid_fraction must be in (0, 1), got {cfg.valid_fraction}")
+    if cfg.cv_k < 2:
+        raise ConfigError(f"cv.k must be >= 2, got {cfg.cv_k}")
+    if not cfg.ablate_seeds or min(cfg.ablate_seeds) < 0:
+        raise ConfigError(
+            f"ablate.seeds must list one or more nonnegative integers, got {cfg.ablate_seeds}"
+        )
     return cfg
 
 

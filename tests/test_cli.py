@@ -1,12 +1,24 @@
+import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from rubric.cli import main
-from rubric.config import load_run_config, parse_config_file, render_config, resolve_config
+from rubric.config import (
+    KEYS,
+    ConfigError,
+    RunConfig,
+    load_run_config,
+    parse_config_file,
+    render_config,
+    resolve_config,
+)
 from rubric.data import load_csv, load_predictions, on_lattice, synth_corpus, write_csv
+from rubric.encoder import ModelSpec
+from rubric.training import TrainConfig
 
 
 FAST = [
@@ -16,6 +28,22 @@ FAST = [
     "--set", "train.epochs=2", "--set", "train.batch_size=4",
     "--set", "train.learning_rate=1e-3",
 ]
+
+# a valid value other than the default for every key; model.n_targets has a
+# single legal value, so it keeps its default
+NON_DEFAULT = {
+    "model.max_seq_len": "128", "model.d_model": "48", "model.n_layers": "3",
+    "model.n_heads": "8", "model.d_ff": "96", "model.dropout_p": "0.25",
+    "model.pooling_mode": "mean",
+    "train.epochs": "4", "train.batch_size": "3", "train.learning_rate": "0.001",
+    "train.weight_decay": "0.01", "train.adv_lr": "0.5", "train.adv_eps": "0.02",
+    "train.awp_start_epoch": "3", "train.adv_steps": "2", "train.adv_scope": "heads",
+    "train.seed": "9", "train.loss_kind": "mse", "train.grad_clip_norm": "1.5",
+    "data.train_csv": "a.csv", "data.valid_csv": "b.csv", "data.input_csv": "c.csv",
+    "data.valid_fraction": "0.3", "data.min_count": "2", "cv.k": "3",
+    "ablate.seeds": "7,8", "ablate.full_grid": "false", "predict.checkpoint": "m.bin",
+    "predict.round": "true", "synth.n": "20", "synth.seed": "4", "out.dir": "runs/x",
+}
 
 
 @pytest.fixture()
@@ -68,6 +96,48 @@ class TestConfig:
 
         with pytest.raises(ConfigError):
             resolve_config({"train.loss_kind": "hinge"})
+
+    @pytest.mark.parametrize("key, raw", [
+        ("train.learning_rate", "nan"),
+        ("train.adv_eps", "inf"),
+        ("train.grad_clip_norm", "-inf"),
+        ("model.dropout_p", "nan"),
+        ("data.valid_fraction", "1.5"),
+        ("data.valid_fraction", "0"),
+        ("cv.k", "1"),
+        ("ablate.seeds", ","),
+        ("ablate.seeds", "0,-1"),
+    ])
+    def test_out_of_range_value_names_the_key(self, key, raw):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            resolve_config({key: raw})
+
+    def test_out_of_range_values_exit_one(self, corpus_csv, tmp_path, capsys):
+        code = run(["train", "--data", corpus_csv, "--out", tmp_path / "t",
+                    "--set", "train.learning_rate=nan"])
+        assert code == 1
+        assert "train.learning_rate" in capsys.readouterr().err
+        # 14 records cannot fill 15 folds
+        assert run(["cv", "--data", corpus_csv, "--out", tmp_path / "c", "--folds", 15]) == 1
+        assert "cv.k" in capsys.readouterr().err
+
+    def test_one_key_per_field(self):
+        fields = [("model", f.name) for f in dataclasses.fields(ModelSpec)
+                  if f.name != "vocab_size"]
+        fields += [("train", f.name) for f in dataclasses.fields(TrainConfig)]
+        fields += [("run", f.name) for f in dataclasses.fields(RunConfig)
+                   if f.name not in ("model", "train")]
+        assert sorted((section, attr) for section, attr, _ in KEYS.values()) == sorted(fields)
+
+    def test_every_key_set_renders_to_a_fixed_point(self, tmp_path):
+        assert set(NON_DEFAULT) == set(KEYS) - {"model.n_targets"}
+        text = render_config(resolve_config(NON_DEFAULT))
+        defaults = set(render_config(RunConfig()).splitlines())
+        changed = {line.split(" = ")[0] for line in set(text.splitlines()) - defaults}
+        assert changed == set(NON_DEFAULT)
+        path = tmp_path / "echo.cfg"
+        path.write_text(text)
+        assert render_config(resolve_config(parse_config_file(str(path)))) == text
 
 
 class TestTrainCommand:
@@ -180,6 +250,17 @@ class TestPredictScoreCommands:
         write_predictions(str(pred_path), ["ghost"], np.full((1, 6), 3.0))
         assert run(["score", corpus_csv, pred_path]) == 1
         assert "ghost" in capsys.readouterr().err
+
+    def test_score_repeated_id_rejected(self, corpus_csv, tmp_path, capsys):
+        from rubric.data import write_predictions
+
+        # right row count, every id known, but the last record is never scored
+        ids = [r.text_id for r in load_csv(corpus_csv)]
+        ids[-1] = ids[0]
+        pred_path = tmp_path / "repeated.csv"
+        write_predictions(str(pred_path), ids, np.full((len(ids), 6), 3.0))
+        assert run(["score", corpus_csv, pred_path]) == 1
+        assert repr(ids[0]) in capsys.readouterr().err
 
 
 class TestCvCommand:

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -214,6 +217,68 @@ class TestCheckpoint:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(path))
+
+    @staticmethod
+    def _split(data):
+        """(header dict, parameter records) of a saved checkpoint's bytes."""
+        (hdr_len,) = struct.unpack("<I", data[8:12])
+        header = json.loads(data[12 : 12 + hdr_len])
+        body = data[12 + hdr_len + 4 :]
+        records, pos = [], 0
+        while pos < len(body):
+            start = pos
+            (path_len,) = struct.unpack("<H", body[pos : pos + 2])
+            pos += 2 + path_len
+            ndim = body[pos]
+            dims = struct.unpack(f"<{ndim}I", body[pos + 1 : pos + 1 + 4 * ndim])
+            pos += 1 + 4 * ndim + 8 * int(np.prod(dims))
+            records.append(body[start:pos])
+        return header, records
+
+    @staticmethod
+    def _join(header_bytes, records):
+        return (b"RBRC" + struct.pack("<I", 1) + struct.pack("<I", len(header_bytes))
+                + header_bytes + struct.pack("<I", len(records)) + b"".join(records))
+
+    def _corrupted(self, tmp_path, case):
+        path = tmp_path / "model.bin"
+        save_checkpoint(str(path), self._model())
+        data = path.read_bytes()
+        header, records = self._split(data)
+        assert self._join(json.dumps(header, sort_keys=True).encode(), records) == data
+        if case == "trailing":
+            data += b"\x00"
+        elif case == "duplicate":
+            data = self._join(json.dumps(header, sort_keys=True).encode(),
+                              records + records[:1])
+        elif case == "not-json":
+            data = self._join(b"{not json", records)
+        else:
+            edit = {
+                "unknown-key": {"width": 3},
+                "bad-value": {"d_model": -8},
+                "vocab-size": {"vocab_size": 99},
+            }[case]
+            header["model_spec"].update(edit)
+            data = self._join(json.dumps(header).encode(), records)
+        path.write_bytes(data)
+        return path
+
+    MALFORMED = {
+        "not-json": "not UTF-8 JSON",
+        "unknown-key": "width",
+        "bad-value": "d_model must be positive",
+        "vocab-size": "vocab size",
+        "trailing": "trailing bytes",
+        "duplicate": "duplicate parameter 'enc.tok_emb'",
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_content_rejected_naming_the_file(self, tmp_path, case):
+        path = self._corrupted(tmp_path, case)
+        with pytest.raises(CheckpointError, match=self.MALFORMED[case]) as info:
+            load_checkpoint(str(path))
+        assert str(path) in str(info.value)
 
     def test_head_paths_present_per_target(self, tmp_path):
         model = self._model()
