@@ -98,35 +98,39 @@ _PARSERS = {
     "tuple[int, ...]": _parse_int_list,
 }
 
-# key -> (section, attribute, annotation). "model" keys fill RunConfig.model
+# the RunConfig attribute behind each key outside model.* and train.*
+_RUN_KEYS = {
+    "data.train_csv": "train_csv",
+    "data.valid_csv": "valid_csv",
+    "data.input_csv": "input_csv",
+    "data.valid_fraction": "valid_fraction",
+    "data.min_count": "min_count",
+    "cv.k": "cv_k",
+    "ablate.seeds": "ablate_seeds",
+    "ablate.full_grid": "ablate_full_grid",
+    "predict.checkpoint": "predict_checkpoint",
+    "predict.round": "predict_round",
+    "synth.n": "synth_n",
+    "synth.seed": "synth_seed",
+    "out.dir": "out_dir",
+}
+_RUN_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+# key -> (section, attribute, parser). "model" keys fill RunConfig.model
 # (model.vocab_size is always derived from the training data), "train" keys
-# build the TrainConfig, "run" keys are RunConfig attributes.
-_RUN_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-KEYS: dict[str, tuple[str, str, str]] = {
+# build the TrainConfig, "run" keys are RunConfig attributes. A field whose
+# annotation has no parser fails here, at import.
+KEYS: dict[str, tuple] = {
     **{
-        f"model.{f.name}": ("model", f.name, f.type)
+        f"model.{f.name}": ("model", f.name, _PARSERS[f.type])
         for f in dataclasses.fields(ModelSpec)
         if f.name != "vocab_size"
     },
-    **{f"train.{f.name}": ("train", f.name, f.type) for f in dataclasses.fields(TrainConfig)},
     **{
-        key: ("run", attr, _RUN_FIELDS[attr])
-        for key, attr in {
-            "data.train_csv": "train_csv",
-            "data.valid_csv": "valid_csv",
-            "data.input_csv": "input_csv",
-            "data.valid_fraction": "valid_fraction",
-            "data.min_count": "min_count",
-            "cv.k": "cv_k",
-            "ablate.seeds": "ablate_seeds",
-            "ablate.full_grid": "ablate_full_grid",
-            "predict.checkpoint": "predict_checkpoint",
-            "predict.round": "predict_round",
-            "synth.n": "synth_n",
-            "synth.seed": "synth_seed",
-            "out.dir": "out_dir",
-        }.items()
+        f"train.{f.name}": ("train", f.name, _PARSERS[f.type])
+        for f in dataclasses.fields(TrainConfig)
     },
+    **{key: ("run", attr, _PARSERS[_RUN_TYPES[attr]]) for key, attr in _RUN_KEYS.items()},
 }
 
 
@@ -153,9 +157,9 @@ def resolve_config(pairs: dict[str, str]) -> RunConfig:
     for key, raw in pairs.items():
         if key not in KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
-        section, attr, annotation = KEYS[key]
+        section, attr, parse = KEYS[key]
         try:
-            values[section][attr] = _PARSERS[annotation](raw.strip())
+            values[section][attr] = parse(raw.strip())
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from None
     try:
