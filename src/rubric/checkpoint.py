@@ -125,7 +125,7 @@ def _read_model(fh) -> Model:
                 f"parameter {name!r} has shape {shape}, "
                 f"model expects {params[name].data.shape}"
             )
-        # shape is checked first, so a corrupt header never sizes this read
+        # shape is checked first, so corrupt dims never size this read
         payload = _read_exact(fh, params[name].data.size * 8, f"payload of {name}")
         arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
         params[name].data = np.ascontiguousarray(arr, dtype=np.float64)
