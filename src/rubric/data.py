@@ -143,7 +143,8 @@ def load_csv(path: str) -> list[EssayRecord]:
     """Read an essay CSV (RFC-4180 quoting; essays may span lines).
 
     The header must contain ``text_id`` and ``full_text``; the six score
-    columns are either all present (in any order) or all absent.
+    columns are either all present (in any order) or all absent. Each
+    ``text_id`` may appear only once.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -162,12 +163,19 @@ def load_csv(path: str) -> list[EssayRecord]:
         labeled = bool(present)
 
         records = []
+        first_row: dict[str, int] = {}
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataError(
                     f"{path}: row {lineno} has {len(row)} fields, header has {len(header)}"
                 )
             text_id = row[col["text_id"]]
+            if text_id in first_row:
+                raise DataError(
+                    f"{path}: row {lineno} repeats text_id {text_id!r} "
+                    f"of row {first_row[text_id]}"
+                )
+            first_row[text_id] = lineno
             scores = None
             if labeled:
                 values = []

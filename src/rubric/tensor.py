@@ -63,9 +63,9 @@ class Tensor:
     """N-dimensional float64 array participating in a gradient graph.
 
     ``data`` is always a C-contiguous float64 ndarray. ``grad`` has the same
-    shape as ``data`` once populated; tensors with ``requires_grad=False``
-    never accumulate gradient. Gradients add up across ``backward()`` calls
-    until cleared.
+    shape as ``data`` once populated. Only leaf tensors with
+    ``requires_grad=True`` accumulate gradient; op outputs keep ``grad`` at
+    None. Gradients add up across ``backward()`` calls until cleared.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
@@ -105,11 +105,13 @@ class Tensor:
     # backward
 
     def backward(self) -> None:
-        """Populate grads of every reachable requires_grad tensor.
+        """Populate grads of every reachable requires_grad leaf tensor.
 
         The loss must be a scalar connected to at least one tracked tensor.
-        Each call propagates one unit of adjoint, so repeated calls without
-        zeroing accumulate.
+        Only leaves (tensors not produced by an op, such as parameters) get
+        ``.grad``; interior adjoints are dropped as soon as they have been
+        passed on. Each call propagates one unit of adjoint, so repeated
+        calls without zeroing accumulate.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -137,10 +139,10 @@ class Tensor:
             out_grad = adjoint.pop(id(node), None)
             if out_grad is None:
                 continue
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += out_grad
             if node._vjp is None:
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.data)
+                node.grad += out_grad
                 continue
             for parent, pg in zip(node._parents, node._vjp(out_grad)):
                 if pg is None or not parent.requires_grad:
@@ -290,7 +292,7 @@ class Tensor:
         a = self
         x = self.data
         c = math.sqrt(2.0 / math.pi)
-        inner = c * (x + 0.044715 * x**3)
+        inner = c * (x + 0.044715 * (x * x * x))
         t = np.tanh(inner)
         data = 0.5 * x * (1.0 + t)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EssayRecord
+from .data import DataError, EssayRecord
 from .metrics import MetricsReport, mcrmse
 from .model import Model
 from .optim import AdamW, clip_grad_norm
@@ -217,6 +217,17 @@ class Trainer:
             total = loss if total is None else total + loss
         return total / len(batch)
 
+    def _backward_pass(
+        self, batch: list[tuple[list[int], np.ndarray]], pass_idx: int, what: str
+    ) -> float:
+        # the loss graph is local, so it is freed on return, before the next pass
+        loss = self._batch_loss(batch, pass_idx)
+        value = loss.item()
+        if not np.isfinite(value):
+            raise NumericError(f"non-finite {what}")
+        loss.backward()
+        return value
+
     def train_step(self, batch: list[tuple[list[int], np.ndarray]], epoch: int) -> float:
         """One optimization step over a prepared batch; returns the clean loss."""
         if not batch:
@@ -228,11 +239,7 @@ class Trainer:
         self.opt.zero_grad()
 
         try:
-            loss = self._batch_loss(batch, pass_idx=0)
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                raise NumericError("non-finite training loss")
-            loss.backward()
+            loss_value = self._backward_pass(batch, 0, "training loss")
         except NumericError as exc:
             raise NumericError(self._diagnose(str(exc), epoch)) from None
 
@@ -241,10 +248,7 @@ class Trainer:
             try:
                 for adv_pass in range(cfg.adv_steps):
                     perturb(self.params, cfg.adv_lr, cfg.adv_eps, cfg.adv_scope, snapshot)
-                    adv_loss = self._batch_loss(batch, pass_idx=1 + adv_pass)
-                    if not np.isfinite(adv_loss.item()):
-                        raise NumericError("non-finite adversarial loss")
-                    adv_loss.backward()
+                    self._backward_pass(batch, 1 + adv_pass, "adversarial loss")
             except NumericError as exc:
                 restore(self.params, snapshot)
                 raise NumericError(self._diagnose(str(exc), epoch)) from None
@@ -305,10 +309,11 @@ def fit(
     """
     if not train_records or not valid_records:
         raise ValueError("fit needs nonempty train and validation sets")
-    train_ids = {r.text_id for r in train_records}
-    overlap = train_ids & {r.text_id for r in valid_records}
+    overlap = sorted({r.text_id for r in train_records} & {r.text_id for r in valid_records})
     if overlap:
-        raise ValueError(f"train/validation sets overlap: {sorted(overlap)[:3]}")
+        raise DataError(
+            f"train/validation sets overlap in {len(overlap)} text_ids, e.g. {overlap[:5]}"
+        )
     for r in train_records + valid_records:
         if not r.labeled:
             raise ValueError(f"record {r.text_id!r} has no scores; fit needs labels")

@@ -53,6 +53,15 @@ def corpus_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def repeated_id_csv(tmp_path):
+    # 15 rows: the last repeats the first essay's text_id
+    records = synth_corpus(14, seed=17)
+    path = tmp_path / "repeated.csv"
+    write_csv(records + records[:1], str(path))
+    return str(path), records[0].text_id
+
+
 def run(args):
     return main([str(a) for a in args])
 
@@ -174,6 +183,26 @@ class TestTrainCommand:
             first["report.csv"].decode()
         )
 
+    def test_repeated_text_id_exits_one(self, repeated_id_csv, tmp_path, capsys):
+        path, text_id = repeated_id_csv
+        assert run(["train", "--data", path, "--out", tmp_path / "o"] + FAST) == 1
+        err = capsys.readouterr().err
+        assert repr(text_id) in err and "row 16" in err and "row 2" in err
+        assert not (tmp_path / "o" / "checkpoint.bin").exists()
+
+    def test_validation_sharing_training_ids_exits_one(self, tmp_path, capsys):
+        records = synth_corpus(14, seed=17)
+        train_csv, valid_csv = tmp_path / "train.csv", tmp_path / "valid.csv"
+        write_csv(records[:10], str(train_csv))
+        write_csv(records[5:], str(valid_csv))
+        code = run(["train", "--data", train_csv, "--valid", valid_csv,
+                    "--out", tmp_path / "o"] + FAST)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "5 text_ids" in err
+        for r in records[5:10]:
+            assert repr(r.text_id) in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_divergence_exits_two(self, corpus_csv, tmp_path, capsys):
         code = run(
@@ -276,6 +305,13 @@ class TestCvCommand:
         assert len(metrics["folds"]) == 2
         ids, _ = load_predictions(str(out / "oof.csv"))
         assert sorted(ids) == sorted(r.text_id for r in load_csv(corpus_csv))
+
+
+    def test_repeated_text_id_exits_one(self, repeated_id_csv, tmp_path, capsys):
+        path, text_id = repeated_id_csv
+        code = run(["cv", "--data", path, "--out", tmp_path / "cv", "--folds", 2] + FAST)
+        assert code == 1
+        assert repr(text_id) in capsys.readouterr().err
 
 
 class TestAblateCommand:

@@ -94,6 +94,12 @@ class TestCsv:
         with pytest.raises(DataError, match="row 3"):
             load_csv(str(path))
 
+    def test_repeated_text_id_names_both_rows(self, tmp_path):
+        path = tmp_path / "repeat.csv"
+        path.write_text("text_id,full_text\na,one\nb,two\na,three\n")
+        with pytest.raises(DataError, match=r"row 4 repeats text_id 'a' of row 2"):
+            load_csv(str(path))
+
     def test_quoted_multiline_text_round_trips(self, tmp_path):
         record = EssayRecord("m1", 'line one\nline "two", with comma\n\nline three',
                              (3.0, 3.5, 2.0, 4.0, 1.5, 5.0))

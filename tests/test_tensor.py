@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,20 @@ class TestBackward:
         (y + y).sum().backward()
         np.testing.assert_allclose(w.grad, [6.0])
 
+    def test_only_leaves_get_grad(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        h = a * b
+        s = h + a
+        sq = s * s
+        loss = sq.sum()
+        loss.backward()
+        for interior in (h, s, sq, loss):
+            assert interior.grad is None
+        # d/da = 2s * (b + 1), d/db = 2s * a with s = [4, 10]
+        np.testing.assert_array_equal(a.grad, [32.0, 100.0])
+        np.testing.assert_array_equal(b.grad, [8.0, 40.0])
+
     def test_non_scalar_loss_rejected(self):
         w = Tensor([2.0, 3.0], requires_grad=True)
         with pytest.raises(ShapeError):
@@ -219,6 +235,32 @@ class TestGradChecks:
                 return dropout(ts[0], 0.4, mask_rng).sum()
 
             check_gradients(build, [x])
+
+
+class TestGelu:
+    def test_matches_pow_closed_form(self):
+        # the tanh-approximation formula written with x**3, forward and
+        # backward; the cube is taken by multiplication, which can differ by
+        # an ulp, and where 1 + tanh cancels (x below about -3) or gelu' is
+        # near zero (x near -0.75) an ulp is not small relative to the value,
+        # so the bound is 1e-14 * max(|value|, 1)
+        c = math.sqrt(2.0 / math.pi)
+        x = np.concatenate(
+            [np.linspace(-1e3, 1e3, 20_001), np.linspace(-8.0, 8.0, 16_001),
+             [0.0, 1e-300, -1e-300]]
+        )
+        t = np.tanh(c * (x + 0.044715 * x**3))
+        want = 0.5 * x * (1.0 + t)
+        want_grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (
+            1.0 + 3.0 * 0.044715 * x**2
+        )
+        xt = Tensor(x, requires_grad=True)
+        out = xt.gelu()
+        out.sum().backward()
+        np.testing.assert_allclose(out.data, want, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(xt.grad, want_grad, rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(out.data[-3:], want[-3:])
+        np.testing.assert_array_equal(xt.grad[-3:], want_grad[-3:])
 
 
 class TestMiscOps:

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,34 @@ class TestTrainStep:
         restore(params, snapshot)
         for name, p in params.items():
             assert p.data.tobytes() == before[name].tobytes(), name
+
+    def test_clean_graph_freed_before_adversarial_pass(self):
+        model, records = tiny_model(dropout=0.0)
+        cfg = TrainConfig(batch_size=5, adv_lr=1.0, adv_eps=0.01, awp_start_epoch=1, seed=3)
+        trainer = Trainer(model, cfg)
+        batch_loss = trainer._batch_loss
+        clean_refs = []
+        live_at_adv = []
+
+        def wrapped(batch, pass_idx):
+            if pass_idx == 1:
+                live_at_adv.append(sum(r() is not None for r in clean_refs))
+            loss = batch_loss(batch, pass_idx)
+            if pass_idx == 0:
+                # Tensor has no __weakref__ slot; every interior node's data
+                # array is owned by the graph alone
+                stack = [loss]
+                while stack:
+                    node = stack.pop()
+                    if node._vjp is not None:
+                        clean_refs.append(weakref.ref(node.data))
+                        stack.extend(node._parents)
+            return loss
+
+        trainer._batch_loss = wrapped
+        trainer.train_step(self._examples(model, records)[:5], epoch=1)
+        assert len(clean_refs) > 100
+        assert live_at_adv == [0]
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
         model, records = tiny_model(dropout=0.0)
