@@ -3,9 +3,9 @@
 Layout (all integers little-endian):
 
     magic     4 bytes  b"RBRC"
-    version   u32      currently 1
+    version   u32      currently 2
     hdr_len   u32      length of the UTF-8 JSON header
-    header    bytes    {"format_version", "model_spec", "target_order",
+    header    bytes    {"model_spec", "target_order",
                         "vocab_tokens" (id order, ids start at 2) or null}
     n_params  u32
     then per parameter:
@@ -26,12 +26,12 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .data import Vocabulary
+from .data import TARGETS, Vocabulary
 from .encoder import ModelSpec
 from .model import Model
 
 MAGIC = b"RBRC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -40,9 +40,8 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(path: str, model: Model) -> None:
     header = {
-        "format_version": FORMAT_VERSION,
         "model_spec": asdict(model.spec),
-        "target_order": list(model.bank.target_order),
+        "target_order": list(TARGETS),
         "vocab_tokens": list(model.vocab.tokens) if model.vocab is not None else None,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")

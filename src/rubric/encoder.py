@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TARGETS
 from .tensor import Tensor, dropout, embedding, layer_norm
 
 POOLING_MODES = ("six_metric_attention", "single_attention", "mean")
@@ -33,7 +32,6 @@ class ModelSpec:
     d_ff: int = 128
     dropout_p: float = 0.1
     pooling_mode: str = "six_metric_attention"
-    n_targets: int = 6
 
     def __post_init__(self):
         for name in ("vocab_size", "max_seq_len", "d_model", "n_layers", "n_heads", "d_ff"):
@@ -48,10 +46,6 @@ class ModelSpec:
         if self.pooling_mode not in POOLING_MODES:
             raise ValueError(
                 f"unknown pooling_mode {self.pooling_mode!r}, expected one of {POOLING_MODES}"
-            )
-        if self.n_targets != len(TARGETS):
-            raise ValueError(
-                f"n_targets is fixed at {len(TARGETS)} for this task, got {self.n_targets}"
             )
 
     @property
@@ -68,7 +62,6 @@ class LayerState:
     wv: Tensor
     wo: Tensor
     bq: Tensor
-    bk: Tensor
     bv: Tensor
     bo: Tensor
     ln1_g: Tensor
@@ -100,7 +93,7 @@ class EncoderState:
         for i, layer in enumerate(self.layers):
             prefix = f"enc.layer{i}"
             for name in (
-                "wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo",
+                "wq", "wk", "wv", "wo", "bq", "bv", "bo",
                 "ln1_g", "ln1_b", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2",
             ):
                 params[f"{prefix}.{name}"] = getattr(layer, name)
@@ -138,7 +131,7 @@ def init_parameters(spec: ModelSpec, seed) -> EncoderState:
         layers.append(
             LayerState(
                 wq=matrix(d, d), wk=matrix(d, d), wv=matrix(d, d), wo=matrix(d, d),
-                bq=zeros(d), bk=zeros(d), bv=zeros(d), bo=zeros(d),
+                bq=zeros(d), bv=zeros(d), bo=zeros(d),
                 ln1_g=ones(d), ln1_b=zeros(d), ln2_g=ones(d), ln2_b=zeros(d),
                 w1=matrix(d, f), b1=zeros(f), w2=matrix(f, d), b2=zeros(d),
             )
@@ -206,7 +199,8 @@ def encode(
     for layer in state.layers:
         h = layer_norm(x, layer.ln1_g, layer.ln1_b)
         q = _split_heads(h @ layer.wq + layer.bq, spec, seq_len)
-        k = _split_heads(h @ layer.wk + layer.bk, spec, seq_len)
+        # no key bias: q . bk is the same for every key, so the softmax ignores it
+        k = _split_heads(h @ layer.wk, spec, seq_len)
         v = _split_heads(h @ layer.wv + layer.bv, spec, seq_len)
         scores = (q @ k.transpose((0, 2, 1))) * scale + key_bias
         probs = scores.softmax(axis=-1)

@@ -26,13 +26,13 @@ OUT_BIAS_INIT = 3.0  # midpoint of the score range; speeds up regression
 class AttentionPoolHead:
     """Token scorer plus output projection.
 
-    ``score_w``/``score_b`` map each token state to one importance score;
+    ``score_w`` maps each token state to one importance score; it has no
+    bias, because the softmax over tokens ignores a constant shift.
     ``out_w``/``out_b`` map the pooled vector to one or more predictions.
     The scorer is absent in mean-pooling mode.
     """
 
     score_w: Tensor | None  # (d_model, 1)
-    score_b: Tensor | None  # (1,)
     out_w: Tensor  # (d_model, n_out)
     out_b: Tensor  # (n_out,)
 
@@ -47,15 +47,13 @@ class HeadBank:
     """
 
     heads: list[AttentionPoolHead]
-    target_order: tuple[str, ...] = TARGETS
 
     def named_parameters(self) -> dict[str, Tensor]:
-        names = self.target_order if len(self.heads) > 1 else ("shared",)
+        names = TARGETS if len(self.heads) > 1 else ("shared",)
         params: dict[str, Tensor] = {}
         for name, head in zip(names, self.heads):
             if head.score_w is not None:
                 params[f"head.{name}.score_w"] = head.score_w
-                params[f"head.{name}.score_b"] = head.score_b
             params[f"head.{name}.out_w"] = head.out_w
             params[f"head.{name}.out_b"] = head.out_b
         return params
@@ -71,30 +69,28 @@ def init_head_bank(spec: ModelSpec, seed) -> HeadBank:
     heads = []
     for _ in range(len(TARGETS) if per_target else 1):
         # draw order per head: scorer weights, then output weights
-        score_w = score_b = None
+        score_w = None
         if scored:
             score_w = Tensor(rng.normal(0.0, 0.02, size=(d, 1)), requires_grad=True)
-            score_b = Tensor(np.zeros(1), requires_grad=True)
         out_w = Tensor(rng.normal(0.0, 0.02, size=(d, n_out)), requires_grad=True)
         out_b = Tensor(np.full(n_out, OUT_BIAS_INIT), requires_grad=True)
-        heads.append(AttentionPoolHead(score_w, score_b, out_w, out_b))
+        heads.append(AttentionPoolHead(score_w, out_w, out_b))
     return HeadBank(heads=heads)
 
 
-def _weights(score_w: Tensor | None, score_b: Tensor | None, hidden: Tensor, mask) -> Tensor:
+def _weights(score_w: Tensor | None, hidden: Tensor, mask) -> Tensor:
     """Pooling weights over tokens, one column per scorer: shape (seq_len, H).
 
-    Each column is a softmax of ``hidden @ score_w + score_b`` over the
-    unmasked positions. Without a scorer the single column is the uniform
-    masked mean, which is exactly what a zero scorer's softmax gives.
+    Each column is a softmax of ``hidden @ score_w`` over the unmasked
+    positions. Without a scorer the single column is the uniform masked
+    mean, which is exactly what a zero scorer's softmax gives.
     """
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("pooling needs at least one unmasked position")
     if score_w is None:
         return Tensor(np.where(mask, 1.0 / mask.sum(), 0.0).reshape(-1, 1))
-    scores = hidden @ score_w + score_b
-    scores = scores + Tensor(np.where(mask, 0.0, MASK_NEG).reshape(-1, 1))
+    scores = hidden @ score_w + Tensor(np.where(mask, 0.0, MASK_NEG).reshape(-1, 1))
     return scores.softmax(axis=0)
 
 
@@ -105,7 +101,7 @@ def _pool(alpha: Tensor, hidden: Tensor) -> Tensor:
 
 def pooling_weights(head: AttentionPoolHead, hidden: Tensor, mask) -> Tensor:
     """Softmax pooling weights, shape (seq_len, 1); zero on masked positions."""
-    return _weights(head.score_w, head.score_b, hidden, mask)
+    return _weights(head.score_w, hidden, mask)
 
 
 def attention_pool(head: AttentionPoolHead, hidden: Tensor, mask) -> Tensor:
@@ -119,7 +115,7 @@ def masked_mean_pool(hidden: Tensor, mask) -> Tensor:
     Uses the same weight kernel and pooling matmul as attention pooling, so
     a zero-scorer attention pool reproduces it bit for bit.
     """
-    return _pool(_weights(None, None, hidden, mask), hidden)
+    return _pool(_weights(None, hidden, mask), hidden)
 
 
 def predict_scores(bank: HeadBank, hidden: Tensor, mask) -> Tensor:
@@ -131,11 +127,10 @@ def predict_scores(bank: HeadBank, hidden: Tensor, mask) -> Tensor:
     single row broadcasts over all six output columns.
     """
     heads = bank.heads
-    score_w = score_b = None
+    score_w = None
     if heads[0].score_w is not None:
         score_w = concat([h.score_w for h in heads], axis=1)
-        score_b = concat([h.score_b for h in heads], axis=0)
-    pooled = _pool(_weights(score_w, score_b, hidden, mask), hidden)
+    pooled = _pool(_weights(score_w, hidden, mask), hidden)
     out_w = concat([h.out_w for h in heads], axis=1)
     out_b = concat([h.out_b for h in heads], axis=0)
     return (pooled * out_w.transpose((1, 0))).sum(axis=1) + out_b

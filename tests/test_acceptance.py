@@ -20,6 +20,7 @@ from rubric.crossval import (
     stratified_kfold,
 )
 from rubric.data import (
+    TARGETS,
     DataError,
     EssayRecord,
     build_vocab,
@@ -203,7 +204,6 @@ def replace_scorer_with_zeros(head):
 
     return AttentionPoolHead(
         score_w=Tensor(np.zeros_like(head.score_w.data)),
-        score_b=Tensor(np.zeros_like(head.score_b.data)),
         out_w=head.out_w,
         out_b=head.out_b,
     )
@@ -216,7 +216,7 @@ def test_criterion_03_head_isolation():
                      d_ff=16, dropout_p=0.0, pooling_mode="six_metric_attention")
     model = Model.build(spec, seed=5)
     params = model.named_parameters()
-    targets = list(model.bank.target_order)
+    targets = list(TARGETS)
     ids = [2, 5, 7, 9]
     pairs_checked = 0
     for j in range(6):
@@ -228,7 +228,7 @@ def test_criterion_03_head_isolation():
         for k in range(6):
             if k == j:
                 continue
-            for suffix in ("score_w", "score_b", "out_w", "out_b"):
+            for suffix in ("score_w", "out_w", "out_b"):
                 grad = params[f"head.{targets[k]}.{suffix}"].grad
                 assert grad is None or not np.any(grad), (
                     f"gradient of target {j} leaked into head {k} ({suffix})"

@@ -29,8 +29,7 @@ FAST = [
     "--set", "train.learning_rate=1e-3",
 ]
 
-# a valid value other than the default for every key; model.n_targets has a
-# single legal value, so it keeps its default
+# a valid value other than the default for every key
 NON_DEFAULT = {
     "model.max_seq_len": "128", "model.d_model": "48", "model.n_layers": "3",
     "model.n_heads": "8", "model.d_ff": "96", "model.dropout_p": "0.25",
@@ -86,6 +85,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown"):
             resolve_config({"model.width": "3"})
 
+    def test_n_targets_is_an_unknown_key(self, corpus_csv, tmp_path, capsys):
+        code = run(["train", "--data", corpus_csv, "--out", tmp_path / "o",
+                    "--set", "model.n_targets=6"])
+        assert code == 1
+        assert "unknown configuration key 'model.n_targets'" in capsys.readouterr().err
+
     def test_bad_value_rejected(self):
         from rubric.config import ConfigError
 
@@ -139,7 +144,7 @@ class TestConfig:
         assert sorted((section, attr) for section, attr, _ in KEYS.values()) == sorted(fields)
 
     def test_every_key_set_renders_to_a_fixed_point(self, tmp_path):
-        assert set(NON_DEFAULT) == set(KEYS) - {"model.n_targets"}
+        assert set(NON_DEFAULT) == set(KEYS)
         text = render_config(resolve_config(NON_DEFAULT))
         defaults = set(render_config(RunConfig()).splitlines())
         changed = {line.split(" = ")[0] for line in set(text.splitlines()) - defaults}

@@ -40,7 +40,6 @@ class TestAttentionPool:
         bank = bank_for()
         head = bank.heads[0]
         head.score_w.data = np.zeros((D, 1))
-        head.score_b.data = np.zeros(1)
         for trial in range(20):
             hidden = hidden_like(np.random.default_rng(trial), seq_len=3 + trial % 4)
             mask = np.ones(hidden.shape[0], dtype=bool)
@@ -68,7 +67,6 @@ class TestAttentionPool:
                                    np.full(D, np.log(3.0))]) / D)
         # scorer = sum of coordinates -> token scores ln1, ln2, ln3
         head.score_w.data = np.ones((D, 1))
-        head.score_b.data = np.zeros(1)
         mask = [True, True, True]
         alpha = pooling_weights(head, hidden, mask)
         np.testing.assert_allclose(alpha.data[:, 0], [1 / 6, 2 / 6, 3 / 6], atol=1e-12)
@@ -179,22 +177,23 @@ class TestPredictScores:
             for k, target_k in enumerate(TARGETS):
                 if k == j:
                     continue
-                for suffix in ("score_w", "score_b", "out_w", "out_b"):
+                for suffix in ("score_w", "out_w", "out_b"):
                     grad = params[f"head.{target_k}.{suffix}"].grad
                     assert grad is None or not np.any(grad), (
                         f"target {target_j} leaked gradient into head.{target_k}.{suffix}"
                     )
 
     def test_target_order(self):
-        assert bank_for().target_order == (
+        names = [n.split(".")[1] for n in bank_for().named_parameters()]
+        assert list(dict.fromkeys(names)) == [
             "cohesion", "syntax", "vocabulary", "phraseology", "grammar", "conventions"
-        )
+        ]
 
     def test_six_metric_heads_share_no_parameters(self):
         bank = bank_for()
         seen = set()
         for head in bank.heads:
-            for t in (head.score_w, head.score_b, head.out_w, head.out_b):
+            for t in (head.score_w, head.out_w, head.out_b):
                 assert id(t) not in seen
                 seen.add(id(t))
 
@@ -249,7 +248,7 @@ class TestOnePath:
             heads = [
                 AttentionPoolHead(
                     *(None if t is None else next(rest)
-                      for t in (h.score_w, h.score_b, h.out_w, h.out_b))
+                      for t in (h.score_w, h.out_w, h.out_b))
                 )
                 for h in template.heads
             ]
