@@ -5,13 +5,14 @@ Layout (all integers little-endian):
     magic     4 bytes  b"RBRC"
     version   u32      currently 2
     hdr_len   u32      length of the UTF-8 JSON header
-    header    bytes    {"model_spec", "target_order",
+    header    bytes    {"model_spec", "target_order" (always TARGETS),
                         "vocab_tokens" (id order, ids start at 2) or null}
     n_params  u32
     then per parameter:
       path_len u16, path utf-8,
       ndim     u8,  dims u32 * ndim,
       payload  float64 little-endian, C order
+    crc32     u32      zlib CRC32 of every preceding byte
 
 Parameter paths are "enc.*" for the encoder and "head.<name>.*" for the
 pooling heads (per-target names in six_metric_attention mode, "shared"
@@ -20,8 +21,10 @@ otherwise).
 
 from __future__ import annotations
 
+import io
 import json
 import struct
+import zlib
 from dataclasses import asdict
 
 import numpy as np
@@ -46,21 +49,17 @@ def save_checkpoint(path: str, model: Model) -> None:
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     params = model.named_parameters()
+    parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(header_bytes)), header_bytes,
+             struct.pack("<I", len(params))]
+    for name, tensor in params.items():
+        encoded = name.encode("utf-8")
+        arr = np.ascontiguousarray(tensor.data, dtype="<f8")
+        parts += [struct.pack("<H", len(encoded)), encoded,
+                  struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes(order="C")]
+    body = b"".join(parts)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(struct.pack("<I", len(params)))
-        for name, tensor in params.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            arr = np.ascontiguousarray(tensor.data, dtype="<f8")
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(arr.tobytes(order="C"))
+        fh.write(body)
+        fh.write(struct.pack("<I", zlib.crc32(body)))
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -72,9 +71,10 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 def load_checkpoint(path: str) -> Model:
     """Rebuild a model; malformed contents raise CheckpointError naming ``path``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "rb") as fh:
-            return _read_model(fh)
+        return _read_model(data)
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
 
@@ -87,6 +87,10 @@ def _model_from_header(raw: bytes) -> Model:
         raise CheckpointError(f"header is not UTF-8 JSON: {exc}") from None
     if not isinstance(header, dict) or not isinstance(header.get("model_spec"), dict):
         raise CheckpointError("header has no model_spec object")
+    if header.get("target_order") != list(TARGETS):
+        raise CheckpointError(
+            f"header target_order {header.get('target_order')!r} is not {list(TARGETS)}"
+        )
     try:
         spec = ModelSpec(**header["model_spec"])
         tokens = header.get("vocab_tokens")
@@ -96,12 +100,16 @@ def _model_from_header(raw: bytes) -> Model:
         raise CheckpointError(f"invalid model_spec or vocabulary in header: {exc}") from None
 
 
-def _read_model(fh) -> Model:
+def _read_model(data: bytes) -> Model:
+    fh = io.BytesIO(data)
     if _read_exact(fh, 4, "magic") != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
     (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format version {version}")
+    if len(data) < 12 or zlib.crc32(data[:-4]) != struct.unpack("<I", data[-4:])[0]:
+        raise CheckpointError("CRC32 mismatch: the file is truncated or corrupted")
+    fh = io.BytesIO(data[8:-4])
     (hdr_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
     model = _model_from_header(_read_exact(fh, hdr_len, "header"))
     params = model.named_parameters()

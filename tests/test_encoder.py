@@ -1,8 +1,11 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rubric.checkpoint import (
     FORMAT_VERSION,
@@ -225,7 +228,7 @@ class TestCheckpoint:
         """(header dict, parameter records) of a saved checkpoint's bytes."""
         (hdr_len,) = struct.unpack("<I", data[8:12])
         header = json.loads(data[12 : 12 + hdr_len])
-        body = data[12 + hdr_len + 4 :]
+        body = data[12 + hdr_len + 4 : -4]
         records, pos = [], 0
         while pos < len(body):
             start = pos
@@ -238,10 +241,11 @@ class TestCheckpoint:
         return header, records
 
     @staticmethod
-    def _join(header_bytes, records, version=FORMAT_VERSION):
-        return (b"RBRC" + struct.pack("<I", version)
-                + struct.pack("<I", len(header_bytes))
-                + header_bytes + struct.pack("<I", len(records)) + b"".join(records))
+    def _join(header_bytes, records, tail=b""):
+        """Checkpoint bytes around ``records``, with ``tail`` before a valid CRC32."""
+        body = (b"RBRC" + struct.pack("<II", FORMAT_VERSION, len(header_bytes))
+                + header_bytes + struct.pack("<I", len(records)) + b"".join(records) + tail)
+        return body + struct.pack("<I", zlib.crc32(body))
 
     def _corrupted(self, tmp_path, case):
         path = tmp_path / "model.bin"
@@ -250,12 +254,16 @@ class TestCheckpoint:
         header, records = self._split(data)
         assert self._join(json.dumps(header, sort_keys=True).encode(), records) == data
         if case == "trailing":
-            data += b"\x00"
+            data = self._join(json.dumps(header, sort_keys=True).encode(), records,
+                              tail=b"\x00")
         elif case == "duplicate":
             data = self._join(json.dumps(header, sort_keys=True).encode(),
                               records + records[:1])
         elif case == "not-json":
             data = self._join(b"{not json", records)
+        elif case == "target-order":
+            header["target_order"].reverse()
+            data = self._join(json.dumps(header).encode(), records)
         else:
             edit = {
                 "unknown-key": {"width": 3},
@@ -274,6 +282,7 @@ class TestCheckpoint:
         "vocab-size": "vocab size",
         "trailing": "trailing bytes",
         "duplicate": "duplicate parameter 'enc.tok_emb'",
+        "target-order": "target_order",
     }
 
     @pytest.mark.parametrize("case", MALFORMED)
@@ -287,9 +296,39 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         save_checkpoint(str(path), self._model())
         header, records = self._split(path.read_bytes())
-        header["format_version"] = 1  # version 1 kept a copy in its header
-        path.write_bytes(self._join(json.dumps(header).encode(), records, version=1))
+        header["format_version"] = 1  # version 1 kept a copy in its header...
+        header_bytes = json.dumps(header).encode()
+        path.write_bytes(  # ...and had no CRC32 trailer
+            b"RBRC" + struct.pack("<II", 1, len(header_bytes)) + header_bytes
+            + struct.pack("<I", len(records)) + b"".join(records)
+        )
         with pytest.raises(CheckpointError, match="unsupported format version 1"):
+            load_checkpoint(str(path))
+
+    def test_one_header_byte_changed_rejected(self, tmp_path):
+        # "n_heads": 2 -> 1 is still a valid spec; only the CRC32 catches it
+        path = tmp_path / "model.bin"
+        save_checkpoint(str(path), self._model())
+        data = path.read_bytes()
+        assert data.count(b'"n_heads": 2') == 1
+        path.write_bytes(data.replace(b'"n_heads": 2', b'"n_heads": 1'))
+        with pytest.raises(CheckpointError, match="CRC32"):
+            load_checkpoint(str(path))
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_truncation_or_byte_change_rejected(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.bin"
+        save_checkpoint(str(path), self._model())
+        valid = path.read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            fuzzed = valid[: data.draw(st.integers(0, len(valid) - 1), label="length")]
+        else:
+            pos = data.draw(st.integers(0, len(valid) - 1), label="position")
+            flip = data.draw(st.integers(1, 255), label="xor")
+            fuzzed = valid[:pos] + bytes([valid[pos] ^ flip]) + valid[pos + 1:]
+        path.write_bytes(fuzzed)
+        with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
 
     def test_head_paths_present_per_target(self, tmp_path):
