@@ -172,6 +172,10 @@ def cmd_train(cfg: RunConfig) -> int:
     if cfg.valid_csv:
         train_recs, valid_recs = records, _load_labeled(cfg.valid_csv, "validation")
     else:
+        if len(records) < 2:
+            raise DataError(
+                f"{cfg.train_csv}: one record cannot be split into training and validation"
+            )
         train_recs, valid_recs = train_valid_split(
             records, cfg.valid_fraction, cfg.train.seed
         )
@@ -348,7 +352,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return cmd_synth(cfg, args.output)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, DataError, CheckpointError, FileNotFoundError) as exc:
+    except (ConfigError, DataError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as exc:

@@ -10,10 +10,12 @@ configuration is echoed into every output directory.
 from __future__ import annotations
 
 import dataclasses
+import io
 import math
 import os
 from dataclasses import dataclass, field
 
+from .data import DataError, read_text
 from .encoder import ModelSpec
 from .training import TrainConfig
 
@@ -135,19 +137,21 @@ KEYS: dict[str, tuple] = {
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    pairs: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = stripped.partition("=")
-                pairs[key.strip()] = value.strip()
+        text = read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
+    pairs: dict[str, str] = {}
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        pairs[key.strip()] = value.strip()
     return pairs
 
 

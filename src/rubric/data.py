@@ -10,6 +10,8 @@ without any external dataset.
 from __future__ import annotations
 
 import csv
+import io
+import math
 import re
 import unicodedata
 from collections import Counter
@@ -139,6 +141,39 @@ def build_vocab(records: Sequence[EssayRecord], min_count: int = 1) -> Vocabular
 # CSV input and output
 
 
+def read_text(path: str) -> str:
+    """A UTF-8 file's text; invalid UTF-8 raises DataError naming the file and line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: line {line} is not valid UTF-8 (byte {exc.start})") from None
+
+
+def _csv_rows(path: str):
+    """Yield (row number, fields) of a CSV file; the header is row 1.
+
+    A row the csv module rejects, such as one with a field over its size
+    limit, raises DataError naming the file and row.
+    """
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    rowno = 0
+    try:
+        for rowno, row in enumerate(reader, start=1):
+            yield rowno, row
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {rowno + 1}: {exc}") from None
+
+
+def _header(rows, path: str) -> list[str]:
+    try:
+        return next(rows)[1]
+    except StopIteration:
+        raise DataError(f"{path}: empty file, expected a header row") from None
+
+
 def load_csv(path: str) -> list[EssayRecord]:
     """Read an essay CSV (RFC-4180 quoting; essays may span lines).
 
@@ -146,52 +181,48 @@ def load_csv(path: str) -> list[EssayRecord]:
     columns are either all present (in any order) or all absent. Each
     ``text_id`` may appear only once.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        col = {name: i for i, name in enumerate(header)}
-        for required in ("text_id", "full_text"):
-            if required not in col:
-                raise DataError(f"{path}: missing required column {required!r}")
-        present = [t for t in TARGETS if t in col]
-        if present and len(present) != len(TARGETS):
-            missing = [t for t in TARGETS if t not in col]
-            raise DataError(f"{path}: incomplete score columns, missing {missing}")
-        labeled = bool(present)
+    rows = _csv_rows(path)
+    header = _header(rows, path)
+    col = {name: i for i, name in enumerate(header)}
+    for required in ("text_id", "full_text"):
+        if required not in col:
+            raise DataError(f"{path}: missing required column {required!r}")
+    present = [t for t in TARGETS if t in col]
+    if present and len(present) != len(TARGETS):
+        missing = [t for t in TARGETS if t not in col]
+        raise DataError(f"{path}: incomplete score columns, missing {missing}")
+    labeled = bool(present)
 
-        records = []
-        first_row: dict[str, int] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {lineno} has {len(row)} fields, header has {len(header)}"
-                )
-            text_id = row[col["text_id"]]
-            if text_id in first_row:
-                raise DataError(
-                    f"{path}: row {lineno} repeats text_id {text_id!r} "
-                    f"of row {first_row[text_id]}"
-                )
-            first_row[text_id] = lineno
-            scores = None
-            if labeled:
-                values = []
-                for t in TARGETS:
-                    raw = row[col[t]]
-                    try:
-                        values.append(float(raw))
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {lineno} ({text_id!r}): bad {t} value {raw!r}"
-                        ) from None
-                scores = tuple(values)
-            try:
-                records.append(EssayRecord(text_id, row[col["full_text"]], scores))
-            except DataError as exc:
-                raise DataError(f"{path}: row {lineno}: {exc}") from None
+    records = []
+    first_row: dict[str, int] = {}
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: row {lineno} has {len(row)} fields, header has {len(header)}"
+            )
+        text_id = row[col["text_id"]]
+        if text_id in first_row:
+            raise DataError(
+                f"{path}: row {lineno} repeats text_id {text_id!r} "
+                f"of row {first_row[text_id]}"
+            )
+        first_row[text_id] = lineno
+        scores = None
+        if labeled:
+            values = []
+            for t in TARGETS:
+                raw = row[col[t]]
+                try:
+                    values.append(float(raw))
+                except ValueError:
+                    raise DataError(
+                        f"{path}: row {lineno} ({text_id!r}): bad {t} value {raw!r}"
+                    ) from None
+            scores = tuple(values)
+        try:
+            records.append(EssayRecord(text_id, row[col["full_text"]], scores))
+        except DataError as exc:
+            raise DataError(f"{path}: row {lineno}: {exc}") from None
     return records
 
 
@@ -226,29 +257,28 @@ def write_predictions(path: str, text_ids: Sequence[str], preds) -> None:
 
 
 def load_predictions(path: str) -> tuple[list[str], np.ndarray]:
-    """Read a prediction CSV; values are not lattice-checked."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    """Read a prediction CSV; values must be finite but are not lattice-checked."""
+    rows = _csv_rows(path)
+    header = _header(rows, path)
+    col = {name: i for i, name in enumerate(header)}
+    for required in ("text_id",) + TARGETS:
+        if required not in col:
+            raise DataError(f"{path}: missing required column {required!r}")
+    ids, values = [], []
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: row {lineno} has {len(row)} fields, header has {len(header)}"
+            )
+        ids.append(row[col["text_id"]])
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        col = {name: i for i, name in enumerate(header)}
-        for required in ("text_id",) + TARGETS:
-            if required not in col:
-                raise DataError(f"{path}: missing required column {required!r}")
-        ids, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {lineno} has {len(row)} fields, header has {len(header)}"
-                )
-            ids.append(row[col["text_id"]])
-            try:
-                rows.append([float(row[col[t]]) for t in TARGETS])
-            except ValueError as exc:
-                raise DataError(f"{path}: row {lineno}: {exc}") from None
-    return ids, np.asarray(rows, dtype=np.float64).reshape(len(ids), len(TARGETS))
+            values.append([float(row[col[t]]) for t in TARGETS])
+        except ValueError as exc:
+            raise DataError(f"{path}: row {lineno}: {exc}") from None
+        for t, v in zip(TARGETS, values[-1]):
+            if not math.isfinite(v):
+                raise DataError(f"{path}: row {lineno}: {t} value {row[col[t]]!r} is not finite")
+    return ids, np.asarray(values, dtype=np.float64).reshape(len(ids), len(TARGETS))
 
 
 # ----------------------------------------------------------------------

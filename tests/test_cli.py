@@ -5,7 +5,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from rubric.checkpoint import save_checkpoint
 from rubric.cli import main
 from rubric.config import (
     KEYS,
@@ -16,9 +18,20 @@ from rubric.config import (
     render_config,
     resolve_config,
 )
-from rubric.data import load_csv, load_predictions, on_lattice, synth_corpus, write_csv
+from rubric.data import (
+    build_vocab,
+    load_csv,
+    load_predictions,
+    on_lattice,
+    synth_corpus,
+    write_csv,
+    write_predictions,
+)
 from rubric.encoder import ModelSpec
+from rubric.model import Model
 from rubric.training import TrainConfig
+
+from _fuzz import csv_bytes
 
 
 FAST = [
@@ -347,3 +360,72 @@ class TestSynthCommand:
 
     def test_usage_error_exits_one(self, capsys):
         assert run(["train", "--bogus-flag"]) == 1
+
+
+class TestBadInputFiles:
+    """Each bad file ends in exit 1 with a message naming it, never a traceback."""
+
+    @pytest.fixture()
+    def files(self, corpus_csv, tmp_path):
+        ids = [r.text_id for r in load_csv(corpus_csv)]
+        pred = tmp_path / "pred.csv"
+        write_predictions(str(pred), ids, np.full((len(ids), 6), 3.0))
+        lines = pred.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace("3.0", "nan", 1)
+        (tmp_path / "nan.csv").write_text("".join(lines))
+        raw = open(corpus_csv, "rb").read()
+        (tmp_path / "latin1.csv").write_bytes(raw.replace(b"\n", b"\n\xe9", 1))
+        (tmp_path / "latin1_pred.csv").write_bytes(pred.read_bytes() + b"x\xe9,1,1,1,1,1,1\n")
+        (tmp_path / "latin1.cfg").write_bytes(b"model.d_model = 16\n# caf\xe9\n")
+        (tmp_path / "huge.csv").write_text("text_id,full_text\na,b\nc," + "x" * 140_000 + "\n")
+        (tmp_path / "adir.csv").mkdir()
+        return tmp_path
+
+    CASES = {
+        "nan-prediction": ("score {corpus} {d}/nan.csv", "nan.csv: row 4: cohesion"),
+        "utf8-data": ("train --data {d}/latin1.csv", "latin1.csv: line 2"),
+        "utf8-prediction": ("score {corpus} {d}/latin1_pred.csv", "latin1_pred.csv: line"),
+        "utf8-config": ("synth --config {d}/latin1.cfg {d}/s.csv", "latin1.cfg: line 2"),
+        "oversized-field": ("train --data {d}/huge.csv", "huge.csv: row 3"),
+        "directory": ("train --data {d}/adir.csv", "adir.csv"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_one_naming_the_file(self, files, corpus_csv, case, capsys):
+        argv, expected = self.CASES[case]
+        argv = argv.format(d=files, corpus=corpus_csv).split()
+        assert run(argv + ["--out", files / "out"]) == 1
+        assert expected in capsys.readouterr().err
+
+    def test_one_record_training_csv_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        write_csv(synth_corpus(1, seed=17), str(path))
+        assert run(["train", "--data", path, "--out", tmp_path / "o"] + FAST) == 1
+        assert "one.csv: one record" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def fuzz_env(self, tmp_path_factory):
+        """A truth CSV, predictions covering it, and an untrained checkpoint."""
+        root = tmp_path_factory.mktemp("fuzz")
+        records = synth_corpus(4, seed=3)
+        write_csv(records, str(root / "truth.csv"))
+        write_predictions(str(root / "pred.csv"), [r.text_id for r in records],
+                          np.full((4, 6), 3.0))
+        vocab = build_vocab(records)
+        spec = ModelSpec(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16)
+        save_checkpoint(str(root / "model.bin"), Model.build(spec, seed=0, vocab=vocab))
+        return root
+
+    @given(raw=csv_bytes)
+    @settings(max_examples=100)
+    def test_arbitrary_csv_bytes_exit_zero_or_one(self, fuzz_env, raw):
+        fuzz = fuzz_env / "fuzz.csv"
+        fuzz.write_bytes(raw)
+        out = fuzz_env / "out"
+        for argv in (
+            ["train", "--data", fuzz] + FAST[:-6] + ["--set", "train.epochs=1"],
+            ["predict", "--checkpoint", fuzz_env / "model.bin", "--input", fuzz],
+            ["score", fuzz, fuzz_env / "pred.csv"],
+            ["score", fuzz_env / "truth.csv", fuzz],
+        ):
+            assert run(argv + ["--out", out]) in (0, 1), argv

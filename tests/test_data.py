@@ -19,6 +19,8 @@ from rubric.data import (
     write_predictions,
 )
 
+from _fuzz import csv_bytes
+
 
 class TestTokenizer:
     def test_lowercases_and_splits_punctuation(self):
@@ -135,6 +137,38 @@ class TestCsv:
         ]
         with pytest.raises(DataError, match="mix"):
             write_csv(records, str(tmp_path / "mixed.csv"))
+
+    @given(raw=csv_bytes)
+    @settings(max_examples=300)
+    def test_arbitrary_bytes_give_data_error_or_valid_records(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_bytes(raw)
+        try:
+            records = load_csv(str(path))
+        except DataError:
+            return
+        assert all(isinstance(r, EssayRecord) and r.full_text for r in records)
+        assert len({r.text_id for r in records}) == len(records)
+        assert len({r.labeled for r in records}) <= 1
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"text_id,full_text\na,one\nb,caf\xe9\n")
+        with pytest.raises(DataError, match=r"latin1.csv: line 3 is not valid UTF-8"):
+            load_csv(str(path))
+
+    def test_oversized_field_names_file_and_row(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("text_id,full_text\na,one\nb," + "x" * 140_000 + "\n")
+        with pytest.raises(DataError, match=r"huge.csv: row 3: field larger"):
+            load_csv(str(path))
+
+    def test_non_finite_prediction_names_row_and_column(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        write_predictions(str(path), ["a", "b"], np.full((2, 6), 3.0))
+        path.write_text(path.read_text().replace("3.0\n", "inf\n", 2))
+        with pytest.raises(DataError, match=r"preds.csv: row 2: conventions value 'inf'"):
+            load_predictions(str(path))
 
     def test_predictions_round_trip(self, tmp_path):
         ids = ["a", "b"]
