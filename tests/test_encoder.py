@@ -316,7 +316,7 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     @given(data=st.data())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_any_truncation_or_byte_change_rejected(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "fuzzed.bin"
         save_checkpoint(str(path), self._model())
