@@ -8,12 +8,11 @@ are handled by accumulating per-sequence losses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, dropout, embedding, layer_norm
+from .tensor import Tensor, attention, dropout, embedding, layer_norm
 
 POOLING_MODES = ("six_metric_attention", "single_attention", "mean")
 
@@ -189,8 +188,7 @@ def encode(
     if p > 0.0 and rng is None:
         raise ValueError("training-mode encode with dropout needs an rng")
 
-    key_bias = Tensor(np.where(mask, 0.0, MASK_NEG).reshape(1, 1, seq_len))
-    scale = 1.0 / math.sqrt(spec.d_head)
+    key_bias = np.where(mask, 0.0, MASK_NEG)
     if capture is not None:
         capture.setdefault("attention", [])
 
@@ -198,15 +196,11 @@ def encode(
     x = dropout(x, p, rng)
     for layer in state.layers:
         h = layer_norm(x, layer.ln1_g, layer.ln1_b)
-        q = _split_heads(h @ layer.wq + layer.bq, spec, seq_len)
         # no key bias: q . bk is the same for every key, so the softmax ignores it
-        k = _split_heads(h @ layer.wk, spec, seq_len)
-        v = _split_heads(h @ layer.wv + layer.bv, spec, seq_len)
-        scores = (q @ k.transpose((0, 2, 1))) * scale + key_bias
-        probs = scores.softmax(axis=-1)
+        ctx, probs = attention(h @ layer.wq + layer.bq, h @ layer.wk, h @ layer.wv + layer.bv,
+                               key_bias, spec.n_heads)
         if capture is not None:
-            capture["attention"].append(probs.data)
-        ctx = (probs @ v).transpose((1, 0, 2)).reshape((seq_len, spec.d_model))
+            capture["attention"].append(probs)
         x = x + dropout(ctx @ layer.wo + layer.bo, p, rng)
 
         h2 = layer_norm(x, layer.ln2_g, layer.ln2_b)
@@ -214,7 +208,3 @@ def encode(
         x = x + dropout(ff, p, rng)
     return layer_norm(x, state.lnf_g, state.lnf_b)
 
-
-def _split_heads(x: Tensor, spec: ModelSpec, seq_len: int) -> Tensor:
-    # (T, D) -> (n_heads, T, d_head)
-    return x.reshape((seq_len, spec.n_heads, spec.d_head)).transpose((1, 0, 2))

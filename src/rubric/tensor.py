@@ -163,7 +163,8 @@ class Tensor:
         a, b = self, other
 
         def vjp(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+            return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                    _unbroadcast(g, b.shape) if b.requires_grad else None)
 
         return _from_op(data, (a, b), vjp)
 
@@ -175,7 +176,8 @@ class Tensor:
         a, b = self, other
 
         def vjp(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+            return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                    _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
         return _from_op(data, (a, b), vjp)
 
@@ -188,7 +190,8 @@ class Tensor:
         a, b = self, other
 
         def vjp(g):
-            return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+            return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                    _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
         return _from_op(data, (a, b), vjp)
 
@@ -322,15 +325,24 @@ class Tensor:
         x = self.data
         if not np.isfinite(x).all():
             raise NumericError("softmax input contains non-finite values")
-        shifted = x - x.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        data = e / e.sum(axis=axis, keepdims=True)
+        data = _softmax(x, axis, out=np.empty_like(x))
 
         def vjp(g):
             dot = (g * data).sum(axis=axis, keepdims=True)
             return (data * (g - dot),)
 
         return _from_op(data, (a,), vjp)
+
+
+def _softmax(x: Array, axis: int, out: Array) -> Array:
+    """Stable softmax of ``x`` along ``axis`` written into ``out``.
+
+    ``out`` may be ``x`` itself; no other array the size of ``x`` is made.
+    """
+    np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def _spread(grad: Array, shape: tuple, axis, keepdims: bool) -> Array:
@@ -405,20 +417,21 @@ def embedding(table: Tensor, ids) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / n is what ndarray.mean computes, without its Python-level wrapper
+    n = x.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) / n
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     data = xhat * gain.data + bias.data
-    n = x.shape[-1]
 
     def vjp(g):
         gg = g * gain.data
         gx = inv * (
             gg
-            - gg.mean(axis=-1, keepdims=True)
-            - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
+            - gg.sum(axis=-1, keepdims=True) / n
+            - xhat * ((gg * xhat).sum(axis=-1, keepdims=True) / n)
         )
         lead = tuple(range(g.ndim - 1))
         ggain = (g * xhat).sum(axis=lead) if lead else g * xhat
@@ -426,6 +439,59 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         return gx, ggain, gbias
 
     return _from_op(data, (x, gain, bias), vjp)
+
+
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, key_bias: Array, n_heads: int
+) -> tuple[Tensor, Array]:
+    """Multi-head scaled dot-product attention as one graph node.
+
+    ``q``, ``k`` and ``v`` are (T, D); each splits its columns into
+    ``n_heads`` heads of D // n_heads. ``key_bias`` (T,) is added to every
+    query's scores, so a large negative entry masks that key. Returns the
+    context (T, D), heads merged back in column order, and the
+    (n_heads, T, T) attention probabilities as a plain array.
+
+    The scores are the only (n_heads, T, T) array the forward pass makes:
+    scaling, the key bias and the softmax run in place on it, and it is
+    returned as the probabilities. Backward reads them and never writes
+    to them.
+    """
+    if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
+        raise ShapeError(
+            f"attention needs equal (T, D) q, k, v, got {q.shape}, {k.shape}, {v.shape}"
+        )
+    seq_len, width = q.shape
+    if n_heads < 1 or width % n_heads:
+        raise ShapeError(f"attention width {width} is not divisible by {n_heads} heads")
+    d_head = width // n_heads
+    scale = 1.0 / math.sqrt(d_head)
+
+    def split(x):  # (T, D) -> (n_heads, T, d_head), a view
+        return x.reshape(seq_len, n_heads, d_head).transpose(1, 0, 2)
+
+    def merge(x):  # (n_heads, T, d_head) -> (T, D), a contiguous copy
+        return x.transpose(1, 0, 2).reshape(seq_len, width)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    probs = qh @ kh.transpose(0, 2, 1)
+    probs *= scale
+    probs += key_bias
+    if not np.isfinite(probs).all():
+        raise NumericError("softmax input contains non-finite values")
+    _softmax(probs, -1, out=probs)
+    ctx = merge(probs @ vh)
+
+    def vjp(g):
+        gh = split(g)
+        dv = probs.transpose(0, 2, 1) @ gh
+        ds = gh @ vh.transpose(0, 2, 1)  # dP, turned into dS in place
+        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds *= probs
+        ds *= scale
+        return merge(ds @ kh), merge(ds.transpose(0, 2, 1) @ qh), merge(dv)
+
+    return _from_op(ctx, (q, k, v), vjp), probs
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

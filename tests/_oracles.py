@@ -1,8 +1,8 @@
-"""Independent oracles shared by the test suite.
+"""Independent oracles and random cases shared by the test suite.
 
-These deliberately avoid the library's own computation paths: the gradient
-checker uses central finite differences on plain arrays, and the metric
-oracle is a double loop.
+The oracles deliberately avoid the library's own computation paths: the
+gradient checker uses central finite differences on plain arrays, and the
+metric oracle is a double loop.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from rubric.encoder import MASK_NEG
 from rubric.tensor import Tensor
 
 FD_STEP = 1e-5
@@ -87,3 +88,16 @@ def max_fold_mean_deviation(records, plan) -> float:
         fold_mean = scores[rows].mean(axis=0)
         worst = max(worst, float(np.max(np.abs(fold_mean - global_mean))))
     return worst
+
+
+def attention_case(rng):
+    """Random inputs for ``rubric.tensor.attention``: four (T, D) arrays (q,
+    k, v and output weights), a key bias that masks some keys but always
+    keeps one, and the head count. n_heads is 1, 2 or 4 and T runs 1 to 9."""
+    n_heads = int(rng.choice([1, 2, 4]))
+    seq_len = int(rng.integers(1, 10))
+    width = n_heads * int(rng.integers(1, 4))
+    keep = rng.random(seq_len) < 0.7
+    keep[rng.integers(seq_len)] = True
+    arrays = [rng.normal(size=(seq_len, width)) for _ in range(4)]
+    return arrays, np.where(keep, 0.0, MASK_NEG), n_heads

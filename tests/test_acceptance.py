@@ -33,10 +33,15 @@ from rubric.heads import attention_pool, masked_mean_pool, pooling_weights
 from rubric.metrics import mcrmse
 from rubric.model import Model
 from rubric.optim import AdamW
-from rubric.tensor import Tensor, concat, dropout, embedding, layer_norm
+from rubric.tensor import Tensor, attention, concat, dropout, embedding, layer_norm
 from rubric.training import TrainConfig, Trainer, evaluate_model, fit, perturb, restore
 
-from _oracles import brute_force_mcrmse, check_gradients, max_fold_mean_deviation
+from _oracles import (
+    attention_case,
+    brute_force_mcrmse,
+    check_gradients,
+    max_fold_mean_deviation,
+)
 
 
 def report(number: int, name: str, detail: str) -> None:
@@ -44,6 +49,17 @@ def report(number: int, name: str, detail: str) -> None:
 
 
 # ----------------------------------------------------------------------
+
+
+def attention_op_case(r):
+    """Fused attention weighted by a fourth input, on ``attention_case``."""
+    arrays, key_bias, n_heads = attention_case(r)
+
+    def build(ts):
+        ctx, _ = attention(ts[0], ts[1], ts[2], key_bias, n_heads)
+        return (ctx * ts[3]).sum()
+
+    return build, arrays
 
 
 def test_criterion_01_gradient_correctness():
@@ -103,6 +119,7 @@ def test_criterion_01_gradient_correctness():
             ),
             [r.normal(size=(3, 4))],
         ),
+        "attention": attention_op_case,
     }
 
     for name, make in op_builders.items():

@@ -109,6 +109,21 @@ class TestEncode:
             assert (probs[:, :, 3] == 0.0).all()
             assert (probs >= 0.0).all()
 
+    def test_captured_attention_survives_backward(self):
+        spec = tiny_spec(n_heads=4)
+        model = Model.build(spec, seed=2)
+        mask = np.array([True, False, True, True, False, True])
+        capture = {}
+        pred = model.forward([3, 4, 5, 6, 7, 8], mask, capture=capture)
+        before = [probs.tobytes() for probs in capture["attention"]]
+        (pred * pred).sum().backward()
+        assert [probs.tobytes() for probs in capture["attention"]] == before
+        for probs in capture["attention"]:
+            assert probs.shape == (4, 6, 6)
+            np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
+            assert (probs[:, :, ~mask] == 0.0).all()
+            assert (probs[:, :, mask] > 0.0).all()
+
     def test_gradient_reaches_every_parameter(self):
         spec = tiny_spec()
         model = Model.build(spec, seed=3)

@@ -7,6 +7,7 @@ from rubric.tensor import (
     NumericError,
     ShapeError,
     Tensor,
+    attention,
     concat,
     dropout,
     embedding,
@@ -14,7 +15,7 @@ from rubric.tensor import (
     no_grad,
 )
 
-from _oracles import check_gradients
+from _oracles import attention_case, check_gradients
 
 
 class TestMatmul:
@@ -142,6 +143,96 @@ class TestBackward:
         with no_grad():
             out = (w * w).sum()
         assert not out.requires_grad
+
+
+class TestUntrackedOperands:
+    """Binary ops hand back no gradient for an operand that tracks none."""
+
+    OPS = {
+        "add": lambda x, y: x + y,
+        "sub": lambda x, y: x - y,
+        "mul": lambda x, y: x * y,
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_vjp_yields_none_for_untracked_operand(self, name):
+        op = self.OPS[name]
+        rng = np.random.default_rng(0)
+        tracked = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        const = Tensor(rng.normal(size=(3,)))
+        for out, which in ((op(tracked, const), 1), (op(const, tracked), 0)):
+            grads = out._vjp(np.ones(out.shape))
+            assert grads[which] is None
+            assert grads[1 - which].shape == tracked.shape
+
+    def test_leaf_gradients_unchanged(self):
+        rng = np.random.default_rng(1)
+        a_data, c_data = rng.normal(size=(2, 3)), rng.normal(size=(3,))
+
+        def grads(track_c):
+            a = Tensor(a_data, requires_grad=True)
+            c = Tensor(c_data, requires_grad=track_c)
+            (((a + c) * c - c) * a - 2.0 * a).sum().backward()
+            return a.grad, c.grad
+
+        a_untracked, c_grad = grads(False)
+        a_tracked, _ = grads(True)
+        assert c_grad is None
+        assert a_untracked.tobytes() == a_tracked.tobytes()
+        # d/da of ((a + c) c - c) a - 2a = (a + c) c - c + a c - 2
+        np.testing.assert_allclose(a_untracked, (a_data + c_data) * c_data - c_data
+                                   + a_data * c_data - 2.0, rtol=1e-12)
+
+
+def composed_attention(q, k, v, key_bias, n_heads):
+    """Multi-head attention from primitive Tensor ops: the fused op's oracle."""
+    seq_len, width = q.shape
+    d_head = width // n_heads
+
+    def split(x):
+        return x.reshape((seq_len, n_heads, d_head)).transpose((1, 0, 2))
+
+    bias = Tensor(np.asarray(key_bias).reshape(1, 1, seq_len))
+    scores = (split(q) @ split(k).transpose((0, 2, 1))) * (1.0 / math.sqrt(d_head)) + bias
+    probs = scores.softmax(axis=-1)
+    ctx = (probs @ split(v)).transpose((1, 0, 2)).reshape((seq_len, width))
+    return ctx, probs.data
+
+
+def assert_rel_close(got, want, rtol):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert np.max(np.abs(got - want)) <= rtol * scale
+
+
+class TestAttention:
+    def test_matches_composed_ops_forward_and_gradients(self):
+        for trial in range(200):
+            arrays, key_bias, n_heads = attention_case(np.random.default_rng(3000 + trial))
+            results = []
+            for op in (attention, composed_attention):
+                q, k, v = (Tensor(a, requires_grad=True) for a in arrays[:3])
+                ctx, probs = op(q, k, v, key_bias, n_heads)
+                (ctx * Tensor(arrays[3])).sum().backward()
+                results.append([ctx.data, probs, q.grad, k.grad, v.grad])
+            for got, want in zip(*results):
+                assert_rel_close(got, want, rtol=1e-12)
+
+    def test_non_finite_input_rejected(self):
+        arrays, key_bias, n_heads = attention_case(np.random.default_rng(1))
+        for bad in (np.inf, np.nan):
+            q = arrays[0].copy()
+            q[0, 0] = bad
+            with pytest.raises(NumericError):
+                attention(Tensor(q), Tensor(arrays[1]), Tensor(arrays[2]), key_bias, n_heads)
+
+    def test_shape_errors(self):
+        x = Tensor(np.zeros((3, 4)))
+        with pytest.raises(ShapeError, match="divisible"):
+            attention(x, x, x, np.zeros(3), 3)
+        with pytest.raises(ShapeError, match="divisible"):
+            attention(x, x, x, np.zeros(3), 0)
+        with pytest.raises(ShapeError, match="equal"):
+            attention(x, Tensor(np.zeros((2, 4))), x, np.zeros(3), 2)
 
 
 class TestGradChecks:
