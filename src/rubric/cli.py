@@ -190,20 +190,22 @@ def cmd_train(cfg: RunConfig) -> int:
     )
     report.to_csv(os.path.join(out_dir, "report.csv"))
     train_metrics = evaluate_model(model, train_recs)
-    valid_metrics = evaluate_model(model, valid_recs)
+    # fit evaluated these parameters on the validation set at the best epoch,
+    # and left the last epoch's (row -1) in place when no epoch was best
+    best = report.rows[report.best_epoch - 1]
     _write_json(
         os.path.join(out_dir, "metrics.json"),
         {
             "best_epoch": report.best_epoch,
             "train_mcrmse": train_metrics.mcrmse,
             "train_per_target_rmse": list(train_metrics.per_target_rmse),
-            "valid_mcrmse": valid_metrics.mcrmse,
-            "valid_per_target_rmse": list(valid_metrics.per_target_rmse),
+            "valid_mcrmse": best.valid_mcrmse,
+            "valid_per_target_rmse": list(best.per_target_rmse),
             "n_train": len(train_recs),
             "n_valid": len(valid_recs),
         },
     )
-    print(f"train: best epoch {report.best_epoch}, valid MCRMSE {valid_metrics.mcrmse:.6f}")
+    print(f"train: best epoch {report.best_epoch}, valid MCRMSE {best.valid_mcrmse:.6f}")
     print(f"train: artifacts in {out_dir}")
     return EXIT_OK
 

@@ -79,22 +79,17 @@ def _check_split_inputs(records: list[EssayRecord], k: int, seed: int) -> None:
 
 
 def _audit(records: list[EssayRecord], assignment: dict[str, int], k: int):
-    by_fold: list[list[EssayRecord]] = [[] for _ in range(k)]
-    for r in records:
-        by_fold[assignment[r.text_id]].append(r)
-    sizes = [len(fold) for fold in by_fold]
-    means = []
-    counts = []
-    for fold in by_fold:
-        scores = np.array([r.scores for r in fold], dtype=np.float64)
-        means.append([float(v) for v in scores.mean(axis=0)])
+    scores = np.array([r.scores for r in records], dtype=np.float64)
+    fold_of = np.array([assignment[r.text_id] for r in records])
+    sizes, means, counts = [], [], []
+    for f in range(k):
+        fold = scores[fold_of == f]  # record order, which fixes the means' rounding
+        sizes.append(len(fold))
+        means.append([float(v) for v in fold.mean(axis=0)])
         fold_counts: dict[str, dict[str, int]] = {}
         for j, name in enumerate(TARGETS):
-            col: dict[str, int] = {}
-            for v in scores[:, j]:
-                key = repr(float(v))
-                col[key] = col.get(key, 0) + 1
-            fold_counts[name] = col
+            values, tallies = np.unique(fold[:, j], return_counts=True)
+            fold_counts[name] = dict(zip(map(repr, values.tolist()), tallies.tolist()))
         counts.append(fold_counts)
     return sizes, means, counts
 
@@ -105,10 +100,9 @@ def stratified_kfold(records: list[EssayRecord], k: int = 5, seed: int = 0) -> F
     n = len(records)
     rng = np.random.default_rng(np.random.SeedSequence((seed, _KFOLD_TAG)))
 
-    # each record carries exactly one indicator per target
-    rec_indicators = [
-        tuple((j, int(round(2 * s))) for j, s in enumerate(r.scores)) for r in records
-    ]
+    # each record carries exactly one indicator per target: (j, 2 * score)
+    doubled = np.rint(2.0 * np.array([r.scores for r in records], dtype=np.float64))
+    rec_indicators = [tuple(enumerate(row)) for row in doubled.astype(int).tolist()]
     capacity = [n // k + (1 if f < n % k else 0) for f in range(k)]
 
     remaining: dict[tuple, int] = {}
@@ -119,7 +113,11 @@ def stratified_kfold(records: list[EssayRecord], k: int = 5, seed: int = 0) -> F
         {ind: total * capacity[f] / n for ind, total in remaining.items()} for f in range(k)
     ]
 
-    order = rng.permutation(n)  # seeded processing order inside each group
+    order = rng.permutation(n).tolist()  # seeded processing order inside each group
+    holders: dict[tuple, list[int]] = {ind: [] for ind in remaining}  # each in `order`
+    for i in order:
+        for ind in rec_indicators[i]:
+            holders[ind].append(i)
     unassigned = set(range(n))
     assignment: dict[str, int] = {}
 
@@ -128,7 +126,7 @@ def stratified_kfold(records: list[EssayRecord], k: int = 5, seed: int = 0) -> F
             (ind for ind, cnt in remaining.items() if cnt > 0),
             key=lambda ind: (remaining[ind], ind),
         )
-        members = [i for i in order if i in unassigned and ind_star in rec_indicators[i]]
+        members = [i for i in holders[ind_star] if i in unassigned]
         for i in members:
             candidates = [f for f in range(k) if capacity[f] > 0]
             best_demand = max(desired[f][ind_star] for f in candidates)
@@ -162,6 +160,11 @@ def _refine_mean_balance(
     Repeatedly applies the single cross-fold record swap that most reduces
     sum over (fold, target) of (fold mean - global mean)^2, until no swap
     improves it. Fold sizes are preserved; the procedure is deterministic.
+
+    Each fold pair's best swap is kept between passes: a swap between folds
+    a and b changes only the members, sums and deviations of a and b, so
+    only the pairs containing a or b are recomputed. The pairs are scanned
+    in a fixed order with a strict comparison, so ties go to the first.
     """
     scores = np.array([r.scores for r in records], dtype=np.float64)
     n, _ = scores.shape
@@ -170,31 +173,46 @@ def _refine_mean_balance(
     sums = np.stack([scores[idx].sum(axis=0) for idx in idx_by_fold])
     sizes = np.array([len(idx) for idx in idx_by_fold], dtype=np.float64)
     global_mean = scores.mean(axis=0)
+    deviation = sums / sizes[:, None] - global_mean
+    largest = max(len(idx) for idx in idx_by_fold)
+    buf_dist, buf_delta = np.empty(largest * largest), np.empty(largest * largest)
 
+    def best_swap_between(a: int, b: int) -> tuple[float, int, int]:
+        sa = scores[idx_by_fold[a]]
+        sb = scores[idx_by_fold[b]]
+        rows, cols = len(sa), len(sb)
+        dist2 = buf_dist[: rows * cols].reshape(rows, cols)
+        delta = buf_delta[: rows * cols].reshape(rows, cols)
+        direction = deviation[a] / sizes[a] - deviation[b] / sizes[b]
+        curvature = 1.0 / sizes[a] ** 2 + 1.0 / sizes[b] ** 2
+        # swapping i (fold a) with j (fold b) moves the objective by
+        # 2 d.direction + |d|^2 curvature, where d = s_j - s_i. The steps
+        # compute 2 dot + ((|s_i|^2 + |s_j|^2) - 2 s_i.s_j) curvature in this
+        # order, one IEEE operation each, so the bits do not depend on the
+        # buffers. Doubling is exact, so it is done on the small operands, and
+        # x - y is x + (-y). Copying a column and adding a row in place is
+        # faster in numpy than a ufunc that broadcasts a column operand.
+        np.matmul(2.0 * sa, sb.T, out=dist2)
+        np.copyto(delta, (sa * sa).sum(axis=1)[:, None])
+        delta += (sb * sb).sum(axis=1)
+        np.subtract(delta, dist2, out=dist2)
+        dist2 *= curvature
+        np.copyto(delta, (-2.0 * (sa @ direction))[:, None])
+        delta += 2.0 * (sb @ direction)
+        delta += dist2
+        flat = int(np.argmin(delta))
+        return float(delta.flat[flat]), *divmod(flat, cols)
+
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    best = {pair: best_swap_between(*pair) for pair in pairs}
     for _ in range(4 * n):  # each swap strictly improves, so this terminates early
-        deviation = sums / sizes[:, None] - global_mean
         best_gain = -tol
         best_swap = None
-        for a in range(k):
-            for b in range(a + 1, k):
-                sa = scores[idx_by_fold[a]]
-                sb = scores[idx_by_fold[b]]
-                direction = deviation[a] / sizes[a] - deviation[b] / sizes[b]
-                curvature = 1.0 / sizes[a] ** 2 + 1.0 / sizes[b] ** 2
-                # swapping i (fold a) with j (fold b) moves the objective by
-                # 2 d.direction + |d|^2 curvature, where d = s_j - s_i
-                dot = sb @ direction - (sa @ direction)[:, None]
-                dist2 = (
-                    (sa * sa).sum(axis=1)[:, None]
-                    + (sb * sb).sum(axis=1)[None, :]
-                    - 2.0 * (sa @ sb.T)
-                )
-                delta = 2.0 * dot + dist2 * curvature
-                candidate = float(delta.min())
-                if candidate < best_gain:
-                    best_gain = candidate
-                    p, q = np.unravel_index(int(np.argmin(delta)), delta.shape)
-                    best_swap = (a, b, int(p), int(q))
+        for pair in pairs:
+            gain, p, q = best[pair]
+            if gain < best_gain:
+                best_gain = gain
+                best_swap = (*pair, p, q)
         if best_swap is None:
             break
         a, b, p, q = best_swap
@@ -205,6 +223,10 @@ def _refine_mean_balance(
         sums[b] -= move
         assignment[records[i].text_id] = b
         assignment[records[j].text_id] = a
+        deviation = sums / sizes[:, None] - global_mean
+        for pair in pairs:
+            if a in pair or b in pair:
+                best[pair] = best_swap_between(*pair)
 
 
 def random_kfold(records: list[EssayRecord], k: int = 5, seed: int = 0) -> FoldPlan:

@@ -40,7 +40,7 @@ def on_lattice(value: float, tol: float = LATTICE_TOL) -> bool:
     v = float(value)
     if not (SCORE_MIN - tol <= v <= SCORE_MAX + tol):
         return False
-    return abs(v - float(nearest_half(v))) <= tol
+    return abs(v - round(v * 2.0) / 2.0) <= tol  # round() ties to even, like np.rint
 
 
 @dataclass(frozen=True)

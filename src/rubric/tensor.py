@@ -476,7 +476,8 @@ def attention(
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     probs = qh @ kh.transpose(0, 2, 1)
     probs *= scale
-    probs += key_bias
+    if key_bias.any():  # adding zeros only turns -0.0 into 0.0, which softmaxes alike
+        probs += key_bias
     if not np.isfinite(probs).all():
         raise NumericError("softmax input contains non-finite values")
     _softmax(probs, -1, out=probs)

@@ -101,3 +101,111 @@ def attention_case(rng):
     keep[rng.integers(seq_len)] = True
     arrays = [rng.normal(size=(seq_len, width)) for _ in range(4)]
     return arrays, np.where(keep, 0.0, MASK_NEG), n_heads
+
+
+def reference_stratified_kfold(records, k: int = 5, seed: int = 0):
+    """Frozen copy of the splitter before incremental refinement.
+
+    It rescans every record per stratification round, rebuilds every fold
+    pair's swap matrix on every refinement pass and tallies the audit with
+    a dict per value; ``rubric.crossval.stratified_kfold`` must return the
+    same plan for every input.
+    """
+    from rubric.crossval import _KFOLD_TAG, FoldPlan, _check_split_inputs
+    from rubric.data import TARGETS
+
+    _check_split_inputs(records, k, seed)
+    n = len(records)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, _KFOLD_TAG)))
+    rec_indicators = [
+        tuple((j, int(round(2 * s))) for j, s in enumerate(r.scores)) for r in records
+    ]
+    capacity = [n // k + (1 if f < n % k else 0) for f in range(k)]
+    remaining: dict[tuple, int] = {}
+    for inds in rec_indicators:
+        for ind in inds:
+            remaining[ind] = remaining.get(ind, 0) + 1
+    desired = [
+        {ind: total * capacity[f] / n for ind, total in remaining.items()} for f in range(k)
+    ]
+    order = rng.permutation(n)
+    unassigned = set(range(n))
+    assignment: dict[str, int] = {}
+    while unassigned:
+        ind_star = min(
+            (ind for ind, cnt in remaining.items() if cnt > 0),
+            key=lambda ind: (remaining[ind], ind),
+        )
+        members = [i for i in order if i in unassigned and ind_star in rec_indicators[i]]
+        for i in members:
+            candidates = [f for f in range(k) if capacity[f] > 0]
+            best_demand = max(desired[f][ind_star] for f in candidates)
+            candidates = [f for f in candidates if desired[f][ind_star] == best_demand]
+            if len(candidates) > 1:
+                most_room = max(capacity[f] for f in candidates)
+                candidates = [f for f in candidates if capacity[f] == most_room]
+            fold = candidates[int(rng.integers(len(candidates)))] if len(candidates) > 1 \
+                else candidates[0]
+            assignment[records[i].text_id] = fold
+            capacity[fold] -= 1
+            unassigned.remove(i)
+            for ind in rec_indicators[i]:
+                desired[fold][ind] -= 1
+                remaining[ind] -= 1
+
+    # best-improvement swaps, every fold pair rebuilt on every pass
+    scores = np.array([r.scores for r in records], dtype=np.float64)
+    fold_of = np.array([assignment[r.text_id] for r in records])
+    idx_by_fold = [np.flatnonzero(fold_of == f) for f in range(k)]
+    sums = np.stack([scores[idx].sum(axis=0) for idx in idx_by_fold])
+    sizes = np.array([len(idx) for idx in idx_by_fold], dtype=np.float64)
+    global_mean = scores.mean(axis=0)
+    for _ in range(4 * n):
+        deviation = sums / sizes[:, None] - global_mean
+        best_gain = -1e-10
+        best_swap = None
+        for a in range(k):
+            for b in range(a + 1, k):
+                sa = scores[idx_by_fold[a]]
+                sb = scores[idx_by_fold[b]]
+                direction = deviation[a] / sizes[a] - deviation[b] / sizes[b]
+                curvature = 1.0 / sizes[a] ** 2 + 1.0 / sizes[b] ** 2
+                dot = sb @ direction - (sa @ direction)[:, None]
+                dist2 = (
+                    (sa * sa).sum(axis=1)[:, None]
+                    + (sb * sb).sum(axis=1)[None, :]
+                    - 2.0 * (sa @ sb.T)
+                )
+                delta = 2.0 * dot + dist2 * curvature
+                candidate = float(delta.min())
+                if candidate < best_gain:
+                    best_gain = candidate
+                    p, q = np.unravel_index(int(np.argmin(delta)), delta.shape)
+                    best_swap = (a, b, int(p), int(q))
+        if best_swap is None:
+            break
+        a, b, p, q = best_swap
+        i, j = int(idx_by_fold[a][p]), int(idx_by_fold[b][q])
+        idx_by_fold[a][p], idx_by_fold[b][q] = j, i
+        move = scores[j] - scores[i]
+        sums[a] += move
+        sums[b] -= move
+        assignment[records[i].text_id] = b
+        assignment[records[j].text_id] = a
+
+    by_fold = [[] for _ in range(k)]
+    for r in records:
+        by_fold[assignment[r.text_id]].append(r)
+    means, counts = [], []
+    for fold in by_fold:
+        fold_scores = np.array([r.scores for r in fold], dtype=np.float64)
+        means.append([float(v) for v in fold_scores.mean(axis=0)])
+        fold_counts = {}
+        for j, name in enumerate(TARGETS):
+            col: dict[str, int] = {}
+            for v in fold_scores[:, j]:
+                key = repr(float(v))
+                col[key] = col.get(key, 0) + 1
+            fold_counts[name] = col
+        counts.append(fold_counts)
+    return FoldPlan(k, assignment, [len(fold) for fold in by_fold], means, counts)

@@ -12,11 +12,11 @@ from rubric.crossval import (
     run_cv,
     stratified_kfold,
 )
-from rubric.data import EssayRecord, build_vocab, synth_corpus
+from rubric.data import LATTICE_TOL, EssayRecord, build_vocab, synth_corpus
 from rubric.encoder import ModelSpec
 from rubric.training import TrainConfig
 
-from _oracles import max_fold_mean_deviation
+from _oracles import max_fold_mean_deviation, reference_stratified_kfold
 
 
 def distinct_records(n):
@@ -104,6 +104,50 @@ class TestStratifiedKfold:
         loaded = FoldPlan.from_json_dict(json.loads(path.read_text()))
         assert loaded.assignment == plan.assignment
         assert loaded.fold_sizes == plan.fold_sizes
+
+
+def lattice_records(n, seed):
+    """n records with seeded half-point scores bunched around 3, so the
+    extreme lattice values are rare indicators."""
+    rng = np.random.default_rng(seed)
+    scores = np.clip(np.rint(rng.normal(3.0, 0.7, size=(n, 6)) * 2.0) / 2.0, 1.0, 5.0)
+    return [
+        EssayRecord(f"l{i}", f"essay {i}", tuple(row)) for i, row in enumerate(scores.tolist())
+    ]
+
+
+@pytest.fixture(scope="module")
+def synth300():
+    return synth_corpus(300, seed=21)
+
+
+class TestMatchesReference:
+    """The splitter returns the frozen reference's plan, field for field."""
+
+    @staticmethod
+    def assert_same_plan(records, k, seed):
+        got = stratified_kfold(records, k, seed).to_json_dict()
+        assert got == reference_stratified_kfold(records, k, seed).to_json_dict()
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 10])
+    def test_same_plan_as_reference(self, k, synth300):
+        for n in sorted({k, 7, 40, 300}):
+            if n < k:
+                continue
+            for seed in (0, 1):
+                self.assert_same_plan(synth300[:n], k, seed)
+                self.assert_same_plan(distinct_records(n), k, seed)
+        self.assert_same_plan(lattice_records(1000, seed=k), k, 3)
+
+    def test_same_plan_off_lattice(self, synth300):
+        rng = np.random.default_rng(4)
+        moved = [
+            EssayRecord(r.text_id, r.full_text,
+                        tuple(s + rng.uniform(-0.9, 0.9) * LATTICE_TOL for s in r.scores))
+            for r in synth300
+        ]
+        for k, seed in ((3, 0), (5, 1), (10, 2)):
+            self.assert_same_plan(moved, k, seed)
 
 
 class TestBaseline:

@@ -5,12 +5,16 @@ from hypothesis import strategies as st
 
 from rubric.data import (
     DataError,
+    LATTICE_TOL,
+    SCORE_MAX,
+    SCORE_MIN,
     EssayRecord,
     TARGETS,
     Vocabulary,
     build_vocab,
     load_csv,
     load_predictions,
+    nearest_half,
     on_lattice,
     synth_corpus,
     text_statistics,
@@ -55,6 +59,24 @@ class TestRecords:
     def test_quarter_point_rejected_half_point_accepted(self):
         assert on_lattice(3.5) and on_lattice(1.0) and on_lattice(5.0)
         assert not on_lattice(3.25) and not on_lattice(5.5) and not on_lattice(0.5)
+
+    def test_on_lattice_matches_nearest_half_formula(self):
+        def reference(v, tol=LATTICE_TOL):
+            if not (SCORE_MIN - tol <= v <= SCORE_MAX + tol):
+                return False
+            return abs(v - float(nearest_half(v))) <= tol
+
+        rng = np.random.default_rng(8)
+        values = list(rng.uniform(0.0, 6.0, 20000))
+        for point in np.arange(0.5, 6.0, 0.25):
+            for offset in (0.0, 1e-9, 1.0000001e-9, 9.999999e-10, 1e-12, 0.25):
+                values += [point + offset, point - offset]
+        values += [float("nan"), float("inf"), float("-inf"), -0.0, 1.0 - 1e-9, 5.0 + 1e-9]
+        for v in values:
+            assert on_lattice(v) == reference(v), v
+        for tol in (0.0, 0.1, 0.3):
+            for v in values[-200:]:
+                assert on_lattice(v, tol) == reference(v, tol), (v, tol)
 
     def test_empty_text_rejected(self):
         with pytest.raises(DataError, match="empty"):

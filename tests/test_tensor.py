@@ -7,6 +7,7 @@ from rubric.tensor import (
     NumericError,
     ShapeError,
     Tensor,
+    _softmax,
     attention,
     concat,
     dropout,
@@ -216,6 +217,30 @@ class TestAttention:
                 results.append([ctx.data, probs, q.grad, k.grad, v.grad])
             for got, want in zip(*results):
                 assert_rel_close(got, want, rtol=1e-12)
+
+    def test_unmasked_keys_give_the_always_biased_result_bit_for_bit(self):
+        # the op skips adding an all-zero key bias; check it against the
+        # forward pass that always adds it, with and without masked keys
+        for trial in range(60):
+            rng = np.random.default_rng(4000 + trial)
+            arrays, masked_bias, n_heads = attention_case(rng)
+            q, k, v = arrays[:3]
+            seq_len, width = q.shape
+            d_head = width // n_heads
+
+            def split(x):
+                return x.reshape(seq_len, n_heads, d_head).transpose(1, 0, 2)
+
+            for key_bias in (np.zeros(seq_len), masked_bias):
+                probs = split(q) @ split(k).transpose(0, 2, 1)
+                probs *= 1.0 / math.sqrt(d_head)
+                probs += key_bias
+                _softmax(probs, -1, out=probs)
+                ctx = (probs @ split(v)).transpose(1, 0, 2).reshape(seq_len, width)
+                got_ctx, got_probs = attention(Tensor(q), Tensor(k), Tensor(v), key_bias,
+                                               n_heads)
+                assert got_ctx.data.tobytes() == ctx.tobytes()
+                assert got_probs.tobytes() == probs.tobytes()
 
     def test_non_finite_input_rejected(self):
         arrays, key_bias, n_heads = attention_case(np.random.default_rng(1))
