@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, attention, dropout, embedding, layer_norm
+from .tensor import (
+    Tensor,
+    attention_sublayer,
+    dropout,
+    embedding,
+    feed_forward_sublayer,
+    layer_norm,
+)
 
 POOLING_MODES = ("six_metric_attention", "single_attention", "mean")
 
@@ -195,16 +202,13 @@ def encode(
     x = embedding(state.tok_emb, ids) + embedding(state.pos_emb, np.arange(seq_len))
     x = dropout(x, p, rng)
     for layer in state.layers:
-        h = layer_norm(x, layer.ln1_g, layer.ln1_b)
         # no key bias: q . bk is the same for every key, so the softmax ignores it
-        ctx, probs = attention(h @ layer.wq + layer.bq, h @ layer.wk, h @ layer.wv + layer.bv,
-                               key_bias, spec.n_heads)
+        x, probs = attention_sublayer(x, layer.ln1_g, layer.ln1_b, layer.wq, layer.bq, layer.wk,
+                                      layer.wv, layer.bv, layer.wo, layer.bo, key_bias,
+                                      spec.n_heads, p, rng)
         if capture is not None:
             capture["attention"].append(probs)
-        x = x + dropout(ctx @ layer.wo + layer.bo, p, rng)
-
-        h2 = layer_norm(x, layer.ln2_g, layer.ln2_b)
-        ff = (h2 @ layer.w1 + layer.b1).gelu() @ layer.w2 + layer.b2
-        x = x + dropout(ff, p, rng)
+        x = feed_forward_sublayer(x, layer.ln2_g, layer.ln2_b, layer.w1, layer.b1, layer.w2,
+                                  layer.b2, p, rng)
     return layer_norm(x, state.lnf_g, state.lnf_b)
 

@@ -111,13 +111,20 @@ class Tensor:
         Only leaves (tensors not produced by an op, such as parameters) get
         ``.grad``; interior adjoints are dropped as soon as they have been
         passed on. Each call propagates one unit of adjoint, so repeated
-        calls without zeroing accumulate.
+        calls without zeroing accumulate. A leaf's ``.grad`` is its own
+        array, summed into in place; row-sparse ``(ids, rows)`` gradients
+        from ``embedding`` are scatter-added into it without a dense table.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
         if not self.requires_grad:
             raise ValueError("backward() on a tensor that is not part of a gradient graph")
 
+        if self._vjp is None:
+            _accumulate(self, np.ones_like(self.data))
+            return
+
+        # only op outputs are ordered; leaves take their gradient on the spot
         topo: list[Tensor] = []
         visited = {id(self)}
         stack: list[tuple[Tensor, object]] = [(self, iter(self._parents))]
@@ -125,7 +132,7 @@ class Tensor:
             node, parents = stack[-1]
             pushed = False
             for p in parents:
-                if p.requires_grad and id(p) not in visited:
+                if p._vjp is not None and id(p) not in visited:
                     visited.add(id(p))
                     stack.append((p, iter(p._parents)))
                     pushed = True
@@ -139,14 +146,14 @@ class Tensor:
             out_grad = adjoint.pop(id(node), None)
             if out_grad is None:
                 continue
-            if node._vjp is None:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += out_grad
-                continue
             for parent, pg in zip(node._parents, node._vjp(out_grad)):
                 if pg is None or not parent.requires_grad:
                     continue
+                if parent._vjp is None:
+                    _accumulate(parent, pg)
+                    continue
+                if isinstance(pg, tuple):
+                    pg = _densify(pg, parent.shape)
                 key = id(parent)
                 if key in adjoint:
                     # fresh allocation: contributions may alias upstream views
@@ -292,19 +299,12 @@ class Tensor:
 
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit, tanh approximation."""
-        a = self
-        x = self.data
-        c = math.sqrt(2.0 / math.pi)
-        inner = c * (x + 0.044715 * (x * x * x))
-        t = np.tanh(inner)
-        data = 0.5 * x * (1.0 + t)
+        data, derivative = _gelu(self.data)
 
         def vjp(g):
-            dinner = c * (1.0 + 3.0 * 0.044715 * x * x)
-            local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-            return (g * local,)
+            return (g * derivative(),)
 
-        return _from_op(data, (a,), vjp)
+        return _from_op(data, (self,), vjp)
 
     def huber(self, delta: float = 1.0) -> "Tensor":
         """Elementwise smooth-L1: quadratic within ``delta``, linear outside."""
@@ -345,6 +345,114 @@ def _softmax(x: Array, axis: int, out: Array) -> Array:
     return out
 
 
+_GELU_C = math.sqrt(2.0 / math.pi)
+_LN_EPS = 1e-5
+
+
+def _gelu(x: Array):
+    """GELU of ``x`` and a function that returns its elementwise derivative."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+
+    def derivative():
+        dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
+        return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+
+    return 0.5 * x * (1.0 + t), derivative
+
+
+def _layer_norm(x: Array, gain: Array, bias: Array, eps: float):
+    """Layer norm of ``x`` over its last axis, and its VJP (gx, ggain, gbias)."""
+    # sum / n is what ndarray.mean computes, without its Python-level wrapper
+    n = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / n
+    centered = x - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+
+    def vjp(g):
+        gg = g * gain
+        gx = inv * (
+            gg
+            - gg.sum(axis=-1, keepdims=True) / n
+            - xhat * ((gg * xhat).sum(axis=-1, keepdims=True) / n)
+        )
+        lead = tuple(range(g.ndim - 1))
+        ggain = (g * xhat).sum(axis=lead) if lead else g * xhat
+        gbias = g.sum(axis=lead) if lead else g
+        return gx, ggain, gbias
+
+    return xhat * gain + bias, vjp
+
+
+def _attention(q: Array, k: Array, v: Array, key_bias: Array, n_heads: int):
+    """Multi-head attention on (T, D) arrays: context, probabilities, VJP.
+
+    The scores are the only (n_heads, T, T) array the forward pass makes:
+    scaling, the key bias and the softmax run in place on it, and it is
+    returned as the probabilities. The VJP maps the context's adjoint to
+    (dq, dk, dv); it reads the probabilities and never writes to them.
+    """
+    seq_len, width = q.shape
+    d_head = width // n_heads
+    scale = 1.0 / math.sqrt(d_head)
+
+    def split(x):  # (T, D) -> (n_heads, T, d_head), a view
+        return x.reshape(seq_len, n_heads, d_head).transpose(1, 0, 2)
+
+    def merge(x):  # (n_heads, T, d_head) -> (T, D), a contiguous copy
+        return x.transpose(1, 0, 2).reshape(seq_len, width)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    probs = qh @ kh.transpose(0, 2, 1)
+    probs *= scale
+    if key_bias.any():  # adding zeros only turns -0.0 into 0.0, which softmaxes alike
+        probs += key_bias
+    if not np.isfinite(probs).all():
+        raise NumericError("softmax input contains non-finite values")
+    _softmax(probs, -1, out=probs)
+
+    def vjp(g):
+        gh = split(g)
+        dv = probs.transpose(0, 2, 1) @ gh
+        ds = gh @ vh.transpose(0, 2, 1)  # dP, turned into dS in place
+        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds *= probs
+        ds *= scale
+        return merge(ds @ kh), merge(ds.transpose(0, 2, 1) @ qh), merge(dv)
+
+    return merge(probs @ vh), probs, vjp
+
+
+def _dropout_mask(shape: tuple, p: float, rng: np.random.Generator) -> Array | None:
+    """Inverted-dropout multipliers (0 or 1/(1-p)) drawn from ``rng``; None at p=0."""
+    if p <= 0.0:
+        return None
+    if p >= 1.0:
+        raise ValueError(f"dropout probability must be < 1, got {p}")
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
+def _accumulate(leaf: Tensor, grad) -> None:
+    """Add one gradient contribution into a leaf's ``.grad`` in place."""
+    if isinstance(grad, tuple):
+        if leaf.grad is None:
+            leaf.grad = np.zeros_like(leaf.data)
+        np.add.at(leaf.grad, *grad)
+    elif leaf.grad is None:
+        # a copy: VJP outputs may alias each other (add hands g to both operands)
+        leaf.grad = grad.copy()
+    else:
+        leaf.grad += grad
+
+
+def _densify(rows: tuple, shape: tuple) -> Array:
+    """The dense gradient of a row-sparse ``(ids, rows)`` contribution."""
+    dense = np.zeros(shape)
+    np.add.at(dense, *rows)
+    return dense
+
+
 def _spread(grad: Array, shape: tuple, axis, keepdims: bool) -> Array:
     """Broadcast a reduced gradient back over the reduced axes."""
     if axis is None:
@@ -380,14 +488,11 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
         data = np.concatenate([p.data for p in parts], axis=axis)
     except ValueError as exc:
         raise ShapeError(f"concat got incompatible shapes {[p.shape for p in parts]}") from exc
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    lead = (slice(None),) * (axis % data.ndim)
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
     def vjp(g):
-        moved = np.moveaxis(g, axis, 0)
-        return tuple(
-            np.moveaxis(moved[offsets[i] : offsets[i + 1]], 0, axis) for i in range(len(parts))
-        )
+        return tuple(g[lead + (slice(offsets[i], offsets[i + 1]),)] for i in range(len(parts)))
 
     return _from_op(data, tuple(parts), vjp)
 
@@ -395,7 +500,8 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
 def embedding(table: Tensor, ids) -> Tensor:
     """Row gather: ids of shape (...,) pick rows of ``table`` (V, D).
 
-    Backward scatter-adds into the table gradient.
+    The gradient is row-sparse: the VJP hands back ``(ids, rows)``, which
+    ``backward`` scatter-adds into the table's gradient.
     """
     idx = np.asarray(ids, dtype=np.int64)
     if idx.size == 0:
@@ -405,39 +511,16 @@ def embedding(table: Tensor, ids) -> Tensor:
             f"embedding ids out of range [0, {table.shape[0]}): "
             f"min={idx.min()}, max={idx.max()}"
         )
-    data = table.data[idx]
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        return (gt,)
+        return ((idx, g),)
 
-    return _from_op(data, (table,), vjp)
+    return _from_op(table.data[idx], (table,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    # sum / n is what ndarray.mean computes, without its Python-level wrapper
-    n = x.shape[-1]
-    mu = x.data.sum(axis=-1, keepdims=True) / n
-    centered = x.data - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    data = xhat * gain.data + bias.data
-
-    def vjp(g):
-        gg = g * gain.data
-        gx = inv * (
-            gg
-            - gg.sum(axis=-1, keepdims=True) / n
-            - xhat * ((gg * xhat).sum(axis=-1, keepdims=True) / n)
-        )
-        lead = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=lead) if lead else g * xhat
-        gbias = g.sum(axis=lead) if lead else g.copy()
-        return gx, ggain, gbias
-
+    data, vjp = _layer_norm(x.data, gain.data, bias.data, eps)
     return _from_op(data, (x, gain, bias), vjp)
 
 
@@ -450,61 +533,94 @@ def attention(
     ``n_heads`` heads of D // n_heads. ``key_bias`` (T,) is added to every
     query's scores, so a large negative entry masks that key. Returns the
     context (T, D), heads merged back in column order, and the
-    (n_heads, T, T) attention probabilities as a plain array.
-
-    The scores are the only (n_heads, T, T) array the forward pass makes:
-    scaling, the key bias and the softmax run in place on it, and it is
-    returned as the probabilities. Backward reads them and never writes
-    to them.
+    (n_heads, T, T) attention probabilities as a plain array, which
+    backward never writes to.
     """
     if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
         raise ShapeError(
             f"attention needs equal (T, D) q, k, v, got {q.shape}, {k.shape}, {v.shape}"
         )
-    seq_len, width = q.shape
-    if n_heads < 1 or width % n_heads:
-        raise ShapeError(f"attention width {width} is not divisible by {n_heads} heads")
-    d_head = width // n_heads
-    scale = 1.0 / math.sqrt(d_head)
-
-    def split(x):  # (T, D) -> (n_heads, T, d_head), a view
-        return x.reshape(seq_len, n_heads, d_head).transpose(1, 0, 2)
-
-    def merge(x):  # (n_heads, T, d_head) -> (T, D), a contiguous copy
-        return x.transpose(1, 0, 2).reshape(seq_len, width)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    probs = qh @ kh.transpose(0, 2, 1)
-    probs *= scale
-    if key_bias.any():  # adding zeros only turns -0.0 into 0.0, which softmaxes alike
-        probs += key_bias
-    if not np.isfinite(probs).all():
-        raise NumericError("softmax input contains non-finite values")
-    _softmax(probs, -1, out=probs)
-    ctx = merge(probs @ vh)
-
-    def vjp(g):
-        gh = split(g)
-        dv = probs.transpose(0, 2, 1) @ gh
-        ds = gh @ vh.transpose(0, 2, 1)  # dP, turned into dS in place
-        ds -= (ds * probs).sum(axis=-1, keepdims=True)
-        ds *= probs
-        ds *= scale
-        return merge(ds @ kh), merge(ds.transpose(0, 2, 1) @ qh), merge(dv)
-
+    if n_heads < 1 or q.shape[1] % n_heads:
+        raise ShapeError(f"attention width {q.shape[1]} is not divisible by {n_heads} heads")
+    ctx, probs, vjp = _attention(q.data, k.data, v.data, key_bias, n_heads)
     return _from_op(ctx, (q, k, v), vjp), probs
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout with a caller-supplied generator; p=0 is identity."""
-    if p <= 0.0:
+    keep = _dropout_mask(x.shape, p, rng)
+    if keep is None:
         return x
-    if p >= 1.0:
-        raise ValueError(f"dropout probability must be < 1, got {p}")
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    data = x.data * keep
 
     def vjp(g):
         return (g * keep,)
 
-    return _from_op(data, (x,), vjp)
+    return _from_op(x.data * keep, (x,), vjp)
+
+
+def attention_sublayer(
+    x: Tensor, ln_gain: Tensor, ln_bias: Tensor,
+    wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
+    key_bias: Array, n_heads: int, p: float, rng: np.random.Generator | None,
+) -> tuple[Tensor, Array]:
+    """Pre-LN self-attention block on (T, D) ``x`` as one graph node.
+
+    Computes ``x + dropout(attention(h·wq + bq, h·wk, h·wv + bv)·wo + bo)``
+    with ``h = layer_norm(x)``, in the order and with the arithmetic of
+    those ops, so its output equals their composition bit for bit; the
+    dropout mask is drawn from ``rng`` as ``dropout`` would. Returns the
+    output and the (n_heads, T, T) attention probabilities.
+    """
+    h, ln_vjp = _layer_norm(x.data, ln_gain.data, ln_bias.data, _LN_EPS)
+    ctx, probs, attn_vjp = _attention(
+        h @ wq.data + bq.data, h @ wk.data, h @ wv.data + bv.data, key_bias, n_heads
+    )
+    out = ctx @ wo.data + bo.data
+    keep = _dropout_mask(out.shape, p, rng)
+    if keep is not None:
+        out *= keep
+
+    def vjp(g):
+        go = g if keep is None else g * keep
+        dq, dk, dv = attn_vjp(go @ wo.data.T)
+        ht = h.T
+        dh = dq @ wq.data.T
+        dh += dk @ wk.data.T
+        dh += dv @ wv.data.T
+        gx, ggain, gbias = ln_vjp(dh)
+        gx += g
+        return (gx, ggain, gbias, ht @ dq, dq.sum(axis=0), ht @ dk, ht @ dv, dv.sum(axis=0),
+                ctx.T @ go, go.sum(axis=0))
+
+    parents = (x, ln_gain, ln_bias, wq, bq, wk, wv, bv, wo, bo)
+    return _from_op(x.data + out, parents, vjp), probs
+
+
+def feed_forward_sublayer(
+    x: Tensor, ln_gain: Tensor, ln_bias: Tensor,
+    w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+    p: float, rng: np.random.Generator | None,
+) -> Tensor:
+    """Pre-LN GELU feed-forward block on (T, D) ``x`` as one graph node.
+
+    Computes ``x + dropout(gelu(layer_norm(x)·w1 + b1)·w2 + b2)`` with the
+    arithmetic of those ops, so its output equals their composition bit
+    for bit; the dropout mask is drawn from ``rng`` as ``dropout`` would.
+    """
+    h, ln_vjp = _layer_norm(x.data, ln_gain.data, ln_bias.data, _LN_EPS)
+    act, derivative = _gelu(h @ w1.data + b1.data)
+    out = act @ w2.data + b2.data
+    keep = _dropout_mask(out.shape, p, rng)
+    if keep is not None:
+        out *= keep
+
+    def vjp(g):
+        go = g if keep is None else g * keep
+        ga = go @ w2.data.T
+        ga *= derivative()
+        gx, ggain, gbias = ln_vjp(ga @ w1.data.T)
+        gx += g
+        return gx, ggain, gbias, h.T @ ga, ga.sum(axis=0), act.T @ go, go.sum(axis=0)
+
+    parents = (x, ln_gain, ln_bias, w1, b1, w2, b2)
+    return _from_op(x.data + out, parents, vjp)

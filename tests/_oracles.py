@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from rubric.encoder import MASK_NEG
-from rubric.tensor import Tensor
+from rubric.tensor import Tensor, attention, dropout, embedding, layer_norm
 
 FD_STEP = 1e-5
 GRAD_RTOL = 1e-4
@@ -101,6 +101,40 @@ def attention_case(rng):
     keep[rng.integers(seq_len)] = True
     arrays = [rng.normal(size=(seq_len, width)) for _ in range(4)]
     return arrays, np.where(keep, 0.0, MASK_NEG), n_heads
+
+
+def reference_encode(state, token_ids, attention_mask, train=False, rng=None, capture=None):
+    """Frozen copy of the encoder before its sublayers became single ops.
+
+    Each block is composed from primitive Tensor ops (layer norm, matmuls,
+    bias adds, ``attention``, GELU, ``dropout`` and residual adds), one
+    graph node each, and draws its dropout masks in the same order;
+    ``rubric.encoder.encode`` must give the same outputs bit for bit. Input
+    checks are left to ``encode``.
+    """
+    spec = state.spec
+    ids = np.asarray(token_ids, dtype=np.int64)
+    mask = np.asarray(attention_mask, dtype=bool)
+    seq_len = len(ids)
+    p = spec.dropout_p if train else 0.0
+    key_bias = np.where(mask, 0.0, MASK_NEG)
+    if capture is not None:
+        capture.setdefault("attention", [])
+
+    x = embedding(state.tok_emb, ids) + embedding(state.pos_emb, np.arange(seq_len))
+    x = dropout(x, p, rng)
+    for layer in state.layers:
+        h = layer_norm(x, layer.ln1_g, layer.ln1_b)
+        ctx, probs = attention(h @ layer.wq + layer.bq, h @ layer.wk, h @ layer.wv + layer.bv,
+                               key_bias, spec.n_heads)
+        if capture is not None:
+            capture["attention"].append(probs)
+        x = x + dropout(ctx @ layer.wo + layer.bo, p, rng)
+
+        h2 = layer_norm(x, layer.ln2_g, layer.ln2_b)
+        ff = (h2 @ layer.w1 + layer.b1).gelu() @ layer.w2 + layer.b2
+        x = x + dropout(ff, p, rng)
+    return layer_norm(x, state.lnf_g, state.lnf_b)
 
 
 def reference_stratified_kfold(records, k: int = 5, seed: int = 0):

@@ -28,12 +28,21 @@ from rubric.data import (
     synth_corpus,
     write_csv,
 )
-from rubric.encoder import ModelSpec
+from rubric.encoder import MASK_NEG, ModelSpec
 from rubric.heads import attention_pool, masked_mean_pool, pooling_weights
 from rubric.metrics import mcrmse
 from rubric.model import Model
 from rubric.optim import AdamW
-from rubric.tensor import Tensor, attention, concat, dropout, embedding, layer_norm
+from rubric.tensor import (
+    Tensor,
+    attention,
+    attention_sublayer,
+    concat,
+    dropout,
+    embedding,
+    feed_forward_sublayer,
+    layer_norm,
+)
 from rubric.training import TrainConfig, Trainer, evaluate_model, fit, perturb, restore
 
 from _oracles import (
@@ -58,6 +67,55 @@ def attention_op_case(r):
     def build(ts):
         ctx, _ = attention(ts[0], ts[1], ts[2], key_bias, n_heads)
         return (ctx * ts[3]).sum()
+
+    return build, arrays
+
+
+SUBLAYER_DROPOUT_P = 0.2
+
+
+def _sublayer_rng(key):
+    """A fresh Philox generator per evaluation, so every one draws the same mask."""
+    return np.random.Generator(np.random.Philox(key))
+
+
+def attention_sublayer_case(r):
+    """The attention sublayer with dropout, a random key mask and 1, 2 or 4
+    heads, weighted by a fixed random (T, D) array."""
+    n_heads = int(r.choice([1, 2, 4]))
+    seq_len = int(r.integers(1, 7))
+    d = n_heads * int(r.integers(1, 3))
+    keep = r.random(seq_len) < 0.7
+    keep[r.integers(seq_len)] = True
+    key_bias = np.where(keep, 0.0, MASK_NEG)
+    key = int(r.integers(1 << 30))
+    weight = r.normal(size=(seq_len, d))
+    arrays = [r.normal(size=(seq_len, d)), 1 + 0.5 * r.normal(size=d), r.normal(size=d)]
+    arrays += [r.normal(size=(d, d)), r.normal(size=d), r.normal(size=(d, d)),
+               r.normal(size=(d, d)), r.normal(size=d), r.normal(size=(d, d)),
+               r.normal(size=d)]
+
+    def build(ts):
+        out, _ = attention_sublayer(*ts, key_bias, n_heads, SUBLAYER_DROPOUT_P,
+                                    _sublayer_rng(key))
+        return (out * Tensor(weight)).sum()
+
+    return build, arrays
+
+
+def feed_forward_sublayer_case(r):
+    """The feed-forward sublayer with dropout, weighted by a fixed random
+    (T, D) array."""
+    seq_len, d, d_ff = (int(n) for n in r.integers(1, 7, size=3))
+    key = int(r.integers(1 << 30))
+    weight = r.normal(size=(seq_len, d))
+    arrays = [r.normal(size=(seq_len, d)), 1 + 0.5 * r.normal(size=d), r.normal(size=d),
+              r.normal(size=(d, d_ff)), r.normal(size=d_ff), r.normal(size=(d_ff, d)),
+              r.normal(size=d)]
+
+    def build(ts):
+        out = feed_forward_sublayer(*ts, SUBLAYER_DROPOUT_P, _sublayer_rng(key))
+        return (out * Tensor(weight)).sum()
 
     return build, arrays
 
@@ -120,6 +178,8 @@ def test_criterion_01_gradient_correctness():
             [r.normal(size=(3, 4))],
         ),
         "attention": attention_op_case,
+        "attention_sublayer": attention_sublayer_case,
+        "feed_forward_sublayer": feed_forward_sublayer_case,
     }
 
     for name, make in op_builders.items():

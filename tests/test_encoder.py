@@ -15,9 +15,12 @@ from rubric.checkpoint import (
 )
 from rubric.data import TARGETS
 from rubric.data import Vocabulary
-from rubric.encoder import ModelSpec, encode, init_parameters
+from rubric.encoder import POOLING_MODES, ModelSpec, encode, init_parameters
+from rubric.heads import predict_scores
 from rubric.model import Model
+from rubric.tensor import Tensor
 
+from _oracles import reference_encode
 
 
 def tiny_spec(**kw):
@@ -160,10 +163,49 @@ class TestEncode:
             _check_param_gradient(model, pname, ids, targets)
 
 
+class TestMatchesReference:
+    """The sublayer ops against the frozen per-op composition of each block:
+    same outputs and attention bit for bit, gradients within 1e-12."""
+
+    LENGTHS = (1, 2, 5, 31, 128, 256)
+
+    def _run(self, model, encoder, ids, mask, train, key):
+        params = model.named_parameters()
+        for p in params.values():
+            p.grad = None
+        rng = np.random.Generator(np.random.Philox(key)) if train else None
+        capture = {}
+        hidden = encoder(model.encoder, ids, mask, train=train, rng=rng, capture=capture)
+        pred = predict_scores(model.bank, hidden, mask)
+        (pred * Tensor(np.arange(1.0, 7.0))).sum().backward()
+        return pred.data, hidden.data, capture["attention"], params
+
+    @pytest.mark.parametrize("mode", POOLING_MODES)
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_outputs_attention_and_gradients(self, mode, n_heads):
+        spec = ModelSpec(vocab_size=40, n_heads=n_heads, dropout_p=0.1, pooling_mode=mode)
+        for length in self.LENGTHS:
+            rng = np.random.default_rng(length * 10 + n_heads)
+            model = Model.build(spec, seed=int(rng.integers(1 << 30)))
+            ids = rng.integers(0, spec.vocab_size, size=length)
+            mask = rng.random(length) < 0.8
+            mask[rng.integers(length)] = True
+            for train in (False, True):
+                key = int(rng.integers(1 << 30))
+                pred, hidden, attn, params = self._run(model, encode, ids, mask, train, key)
+                grads = {name: p.grad for name, p in params.items()}
+                want = self._run(model, reference_encode, ids, mask, train, key)
+                case = f"T={length}, train={train}"
+                assert pred.tobytes() == want[0].tobytes(), case
+                assert hidden.tobytes() == want[1].tobytes(), case
+                assert [a.tobytes() for a in attn] == [a.tobytes() for a in want[2]], case
+                for name, p in want[3].items():
+                    scale = float(np.max(np.abs(p.grad)))
+                    assert np.max(np.abs(grads[name] - p.grad)) <= 1e-12 * scale, (case, name)
+
+
 def _check_param_gradient(model: Model, name: str, ids, targets, n_coords: int = 4):
     """Finite-difference check of d(loss)/d(param[name]) on sampled coords."""
-    from rubric.tensor import Tensor
-
     params = model.named_parameters()
     param = params[name]
 

@@ -9,9 +9,11 @@ from rubric.tensor import (
     Tensor,
     _softmax,
     attention,
+    attention_sublayer,
     concat,
     dropout,
     embedding,
+    feed_forward_sublayer,
     layer_norm,
     no_grad,
 )
@@ -146,6 +148,93 @@ class TestBackward:
         assert not out.requires_grad
 
 
+def _recording_vjps(out):
+    """Wrap the VJP of ``out`` so every array it hands back is kept."""
+    handed = []
+    vjp = out._vjp
+
+    def recording(g):
+        grads = vjp(g)
+        handed.extend(x for x in grads if x is not None)
+        return grads
+
+    out._vjp = recording
+    return handed
+
+
+class TestInPlaceLeafGradients:
+    """Leaves sum contributions into a ``.grad`` array of their own."""
+
+    def _assert_owned(self, leaves, handed):
+        for i, leaf in enumerate(leaves):
+            assert leaf.grad.flags.writeable
+            for other in leaves[i + 1:]:
+                assert not np.shares_memory(leaf.grad, other.grad)
+            for array in handed:
+                assert not np.shares_memory(leaf.grad, array)
+
+    def test_add_operands_get_separate_grads(self):
+        a = Tensor(np.arange(3.0), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        total = a + b
+        handed = _recording_vjps(total)
+        total.sum().backward()
+        assert len(handed) == 2 and handed[0] is handed[1]  # add hands g to both
+        self._assert_owned([a, b], handed)
+        a.grad *= 5.0  # as clip_grad_norm scales in place
+        np.testing.assert_array_equal(a.grad, [5.0, 5.0, 5.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
+
+    def test_same_leaf_twice_sums_both_uses(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        twice = x + x
+        handed = _recording_vjps(twice)
+        twice.sum().backward()
+        self._assert_owned([x], handed)
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+        twice.sum().backward()
+        np.testing.assert_array_equal(x.grad, [4.0, 4.0])
+
+    def test_broadcast_sum_gradient_is_writable_and_accumulates(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        loss = x.sum()
+        handed = _recording_vjps(loss)
+        loss.backward()
+        assert not handed[0].flags.writeable  # a broadcast view of the unit adjoint
+        self._assert_owned([x], handed)
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+class TestRowSparseEmbeddingGradient:
+    IDS = np.array([4, 1, 4, 0, 4, 1, 6])
+
+    def _dense_reference(self, shape, weight):
+        want = np.zeros(shape)
+        np.add.at(want, self.IDS, weight)
+        return want
+
+    def test_repeated_ids_match_dense_scatter_and_accumulate(self):
+        rng = np.random.default_rng(5)
+        table = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        weight = rng.normal(size=(len(self.IDS), 3))
+        loss = (embedding(table, self.IDS) * Tensor(weight)).sum()
+        loss.backward()
+        want = self._dense_reference(table.shape, weight)
+        np.testing.assert_array_equal(table.grad, want)
+        loss.backward()
+        np.testing.assert_array_equal(table.grad, want + want)
+
+    def test_non_leaf_table_gets_the_dense_gradient(self):
+        rng = np.random.default_rng(6)
+        table = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        weight = rng.normal(size=(len(self.IDS), 3))
+        scaled = table * 2.0
+        (embedding(scaled, self.IDS) * Tensor(weight) + scaled.sum()).sum().backward()
+        want = 2.0 * self._dense_reference(table.shape, weight) + 2.0 * len(self.IDS) * 3
+        np.testing.assert_allclose(table.grad, want, rtol=1e-15)
+
+
 class TestUntrackedOperands:
     """Binary ops hand back no gradient for an operand that tracks none."""
 
@@ -258,6 +347,31 @@ class TestAttention:
             attention(x, x, x, np.zeros(3), 0)
         with pytest.raises(ShapeError, match="equal"):
             attention(x, Tensor(np.zeros((2, 4))), x, np.zeros(3), 2)
+
+
+class TestSublayers:
+    def test_vjps_leave_the_incoming_adjoint_unwritten(self):
+        # the adjoint a VJP receives may be another node's, or a leaf's
+        # first contribution; a read-only one makes any write raise
+        rng = np.random.default_rng(8)
+        seq_len, d = 5, 8
+
+        def leaf(*shape):
+            return Tensor(rng.normal(size=shape), requires_grad=True)
+
+        x = leaf(seq_len, d)
+        attn_out, _ = attention_sublayer(
+            x, leaf(d), leaf(d), leaf(d, d), leaf(d), leaf(d, d), leaf(d, d), leaf(d),
+            leaf(d, d), leaf(d), np.zeros(seq_len), 2, 0.3, np.random.default_rng(1))
+        ff_out = feed_forward_sublayer(x, leaf(d), leaf(d), leaf(d, 16), leaf(16),
+                                       leaf(16, d), leaf(d), 0.3, np.random.default_rng(2))
+        for out in (attn_out, ff_out):
+            g = rng.normal(size=out.shape)
+            before = g.copy()
+            g.flags.writeable = False
+            grads = out._vjp(g)
+            assert g.tobytes() == before.tobytes()
+            assert [gr.shape for gr in grads] == [p.shape for p in out._parents]
 
 
 class TestGradChecks:
