@@ -3,7 +3,9 @@
 Every command reads an optional config file plus ``--set key=value``
 overrides, echoes the fully resolved configuration into its output
 directory, and is deterministic given (config, seed). Exit codes: 0 on
-success, 1 for usage/config/data problems, 2 for numeric failures.
+success, 1 for usage/config/data problems or a failed worker process, 2
+for numeric failures. A command that starts the worker pool stops it
+before it returns.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections import Counter
 
 import numpy as np
 
-from . import __version__
+from . import __version__, pool
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, RunConfig, load_run_config, render_config
 from .crossval import ORDERING_CELLS, default_variants, run_ablation, run_cv
@@ -354,12 +356,14 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return cmd_synth(cfg, args.output)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, DataError, CheckpointError, OSError) as exc:
+    except (ConfigError, DataError, CheckpointError, OSError, pool.PoolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        pool.close()
 
 
 if __name__ == "__main__":

@@ -152,6 +152,15 @@ def init_parameters(spec: ModelSpec, seed) -> EncoderState:
     )
 
 
+def dropout_draws(spec: ModelSpec, seq_len: int) -> int:
+    """How many uniforms a training-mode ``encode`` of ``seq_len`` tokens
+    draws from its rng: one (seq_len, d_model) mask after the embeddings
+    and after each of a block's two sublayers, none without dropout."""
+    if spec.dropout_p <= 0.0:
+        return 0
+    return (1 + 2 * spec.n_layers) * seq_len * spec.d_model
+
+
 def encode(
     state: EncoderState,
     token_ids,

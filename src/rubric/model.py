@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pool
 from .data import EssayRecord, Vocabulary
 from .encoder import EncoderState, ModelSpec, encode, init_parameters
 from .heads import HeadBank, clamp_to_score_lattice, init_head_bank, predict_scores
@@ -62,10 +63,14 @@ class Model:
             ids = [Vocabulary.UNK_ID]
         return ids
 
+    def predict_ids(self, token_ids) -> np.ndarray:
+        """Raw (unclipped) eval-mode predictions for one token-id sequence."""
+        with no_grad():
+            return self.forward(token_ids).data.copy()
+
     def predict_record(self, record: EssayRecord) -> np.ndarray:
         """Raw (unclipped) predictions for one record."""
-        with no_grad():
-            return self.forward(self.encode_record(record)).data.copy()
+        return self.predict_ids(self.encode_record(record))
 
     def predict_records(
         self,
@@ -73,7 +78,14 @@ class Model:
         clip: bool = True,
         round_to_lattice: bool = False,
     ) -> np.ndarray:
-        preds = np.stack([self.predict_record(r) for r in records])
+        """Predictions for many records, on the worker pool when it runs or
+        when the job is big enough to start it (see ``rubric.pool.get``)."""
+        id_lists = [self.encode_record(r) for r in records]
+        workers = pool.get(pool.forward_seconds(self.spec, [len(ids) for ids in id_lists]))
+        if workers is None:
+            preds = np.stack([self.predict_ids(ids) for ids in id_lists])
+        else:
+            preds = workers.predict(self, id_lists)
         if clip or round_to_lattice:
             preds = clamp_to_score_lattice(preds, round_to_lattice=round_to_lattice)
         return preds

@@ -29,6 +29,9 @@ class AdamW:
         self.weight_decay = weight_decay
         self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        # two scratch arrays per parameter: the step allocates only the new weights
+        self._scratch = {name: (np.empty_like(p.data), np.empty_like(p.data))
+                         for name, p in params.items()}
         self._t = 0
 
     def step(self) -> None:
@@ -40,16 +43,28 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            m = self._m[name]
-            v = self._v[name]
+            m, v = self._m[name], self._v[name]
+            tmp, update = self._scratch[name]
+            # the operations, operands and order of
+            #   m = b1·m + (1-b1)·g;  v = b2·v + ((1-b2)·g)·g
+            #   update = (m/bias1) / (sqrt(v/bias2) + eps) [+ wd·w];  w = w - lr·update
             m *= b1
-            m += (1.0 - b1) * g
+            np.multiply(g, 1.0 - b1, out=tmp)
+            m += tmp
             v *= b2
-            v += (1.0 - b2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            np.multiply(g, 1.0 - b2, out=tmp)
+            tmp *= g
+            v += tmp
+            np.divide(v, bias2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            np.divide(m, bias1, out=update)
+            update /= tmp
             if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data = p.data - self.lr * update
+                np.multiply(p.data, self.weight_decay, out=tmp)
+                update += tmp
+            update *= self.lr
+            p.data = p.data - update
 
     def zero_grad(self) -> None:
         for p in self.params.values():

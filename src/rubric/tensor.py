@@ -104,7 +104,7 @@ class Tensor:
     # ------------------------------------------------------------------
     # backward
 
-    def backward(self) -> None:
+    def backward(self, collect: list | None = None) -> None:
         """Populate grads of every reachable requires_grad leaf tensor.
 
         The loss must be a scalar connected to at least one tracked tensor.
@@ -114,52 +114,34 @@ class Tensor:
         calls without zeroing accumulate. A leaf's ``.grad`` is its own
         array, summed into in place; row-sparse ``(ids, rows)`` gradients
         from ``embedding`` are scatter-added into it without a dense table.
+
+        With ``collect``, no ``.grad`` changes: each contribution is appended
+        to that list as ``(leaf, grad)`` instead, in the order it would have
+        been added, so adding them later with ``accumulate_grad`` in that
+        order gives the same bits. A collected contribution may alias other
+        arrays of the pass; a caller that keeps it must not write to it.
         """
-        if self.data.size != 1:
-            raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
-        if not self.requires_grad:
-            raise ValueError("backward() on a tensor that is not part of a gradient graph")
+        for leaf, grad in _leaf_gradients(self):
+            if collect is None:
+                leaf.accumulate_grad(grad)
+            else:
+                collect.append((leaf, grad))
 
-        if self._vjp is None:
-            _accumulate(self, np.ones_like(self.data))
-            return
+    def accumulate_grad(self, grad) -> None:
+        """Add one gradient contribution into ``.grad`` in place.
 
-        # only op outputs are ordered; leaves take their gradient on the spot
-        topo: list[Tensor] = []
-        visited = {id(self)}
-        stack: list[tuple[Tensor, object]] = [(self, iter(self._parents))]
-        while stack:
-            node, parents = stack[-1]
-            pushed = False
-            for p in parents:
-                if p._vjp is not None and id(p) not in visited:
-                    visited.add(id(p))
-                    stack.append((p, iter(p._parents)))
-                    pushed = True
-                    break
-            if not pushed:
-                topo.append(node)
-                stack.pop()
-
-        adjoint: dict[int, Array] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
-            out_grad = adjoint.pop(id(node), None)
-            if out_grad is None:
-                continue
-            for parent, pg in zip(node._parents, node._vjp(out_grad)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                if parent._vjp is None:
-                    _accumulate(parent, pg)
-                    continue
-                if isinstance(pg, tuple):
-                    pg = _densify(pg, parent.shape)
-                key = id(parent)
-                if key in adjoint:
-                    # fresh allocation: contributions may alias upstream views
-                    adjoint[key] = adjoint[key] + pg
-                else:
-                    adjoint[key] = pg
+        ``grad`` is a dense array of this tensor's shape, or row-sparse
+        ``(ids, rows)``, which is scatter-added with ``np.add.at``.
+        """
+        if isinstance(grad, tuple):
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            np.add.at(self.grad, *grad)
+        elif self.grad is None:
+            # a copy: VJP outputs may alias each other (add hands g to both operands)
+            self.grad = grad.copy()
+        else:
+            self.grad += grad
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -433,17 +415,55 @@ def _dropout_mask(shape: tuple, p: float, rng: np.random.Generator) -> Array | N
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def _accumulate(leaf: Tensor, grad) -> None:
-    """Add one gradient contribution into a leaf's ``.grad`` in place."""
-    if isinstance(grad, tuple):
-        if leaf.grad is None:
-            leaf.grad = np.zeros_like(leaf.data)
-        np.add.at(leaf.grad, *grad)
-    elif leaf.grad is None:
-        # a copy: VJP outputs may alias each other (add hands g to both operands)
-        leaf.grad = grad.copy()
-    else:
-        leaf.grad += grad
+def _leaf_gradients(loss: Tensor):
+    """Yield ``(leaf, contribution)`` for every gradient that backward from
+    the scalar ``loss`` hands to a requires_grad leaf, in reverse
+    topological order."""
+    if loss.data.size != 1:
+        raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
+    if not loss.requires_grad:
+        raise ValueError("backward() on a tensor that is not part of a gradient graph")
+
+    if loss._vjp is None:
+        yield loss, np.ones_like(loss.data)
+        return
+
+    # only op outputs are ordered; leaves take their gradient on the spot
+    topo: list[Tensor] = []
+    visited = {id(loss)}
+    stack: list[tuple[Tensor, object]] = [(loss, iter(loss._parents))]
+    while stack:
+        node, parents = stack[-1]
+        pushed = False
+        for p in parents:
+            if p._vjp is not None and id(p) not in visited:
+                visited.add(id(p))
+                stack.append((p, iter(p._parents)))
+                pushed = True
+                break
+        if not pushed:
+            topo.append(node)
+            stack.pop()
+
+    adjoint: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(topo):
+        out_grad = adjoint.pop(id(node), None)
+        if out_grad is None:
+            continue
+        for parent, pg in zip(node._parents, node._vjp(out_grad)):
+            if pg is None or not parent.requires_grad:
+                continue
+            if parent._vjp is None:
+                yield parent, pg
+                continue
+            if isinstance(pg, tuple):
+                pg = _densify(pg, parent.shape)
+            key = id(parent)
+            if key in adjoint:
+                # fresh allocation: contributions may alias upstream views
+                adjoint[key] = adjoint[key] + pg
+            else:
+                adjoint[key] = pg
 
 
 def _densify(rows: tuple, shape: tuple) -> Array:

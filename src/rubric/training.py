@@ -9,12 +9,15 @@ does the optimizer step on the summed gradients.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import pool
 from .data import DataError, EssayRecord
+from .encoder import dropout_draws
 from .metrics import MetricsReport, mcrmse
 from .model import Model
 from .optim import AdamW, clip_grad_norm
@@ -87,6 +90,13 @@ def perturbable_parameters(params: dict[str, Tensor], scope: str = "all") -> dic
     return {n: p for n, p in params.items() if p.data.ndim >= 2}
 
 
+def _norm(x: np.ndarray) -> float:
+    """L2 norm of all entries without BLAS, whose idle threads would spin
+    on the cores the worker pool computes on."""
+    flat = x.reshape(-1)
+    return math.sqrt(np.einsum("i,i->", flat, flat))
+
+
 def perturb(
     params: dict[str, Tensor],
     adv_lr: float,
@@ -107,20 +117,20 @@ def perturb(
         g = p.grad
         if g is None:
             continue
-        grad_norm = float(np.linalg.norm(g))
-        weight_norm = float(np.linalg.norm(p.data))
+        grad_norm = _norm(g)
+        weight_norm = _norm(p.data)
         if grad_norm == 0.0 or weight_norm == 0.0:
             continue
         if name not in snapshot:
             snapshot[name] = p.data
         original = snapshot[name]
-        origin_norm = float(np.linalg.norm(original))
+        origin_norm = _norm(original)
         if origin_norm == 0.0:
             continue
         moved = p.data + adv_lr * g * (weight_norm / (grad_norm + AWP_EPS))
         delta = moved - original
         radius = adv_eps * origin_norm
-        delta_norm = float(np.linalg.norm(delta))
+        delta_norm = _norm(delta)
         if delta_norm > radius:
             delta = delta * (radius / delta_norm)
         p.data = original + delta
@@ -174,6 +184,52 @@ def evaluate_model(model: Model, records: list[EssayRecord]) -> MetricsReport:
     return mcrmse(truth, preds)
 
 
+def dropout_stream(seed: int, step: int, pass_idx: int, offset: int) -> np.random.Generator:
+    """The dropout generator of one (step, pass), moved past its first
+    ``offset`` uniforms.
+
+    Each (step, pass) has its own counter-keyed Philox stream, so the
+    adversarial pass redraws its own masks and disabling AWP leaves the
+    clean-pass streams untouched. A batch's sequences draw from it in
+    turn; starting sequence i at the draws of the sequences before it
+    gives each the masks it would get in turn, wherever it runs.
+    """
+    key = np.random.SeedSequence((seed, _DROPOUT_TAG, step, pass_idx))
+    rng = np.random.Generator(np.random.Philox(key))
+    # Philox makes four 64-bit words, one per uniform, per counter step
+    rng.bit_generator.advance(offset // 4)
+    rng.random(offset % 4)
+    return rng
+
+
+def sequence_gradients(
+    model: Model, ids, targets, loss_kind: str, scale: float, rng: np.random.Generator
+) -> tuple[float, dict]:
+    """Training loss of one sequence, and the gradients of ``scale`` times it.
+
+    Returns the unscaled loss and, per parameter name, the one contribution
+    backward hands that parameter: a dense array, or ``(ids, rows)`` for an
+    embedding table. This is the only place a training loss is computed,
+    in-process and on the worker pool alike.
+    """
+    pred = model.forward(ids, train=True, rng=rng)
+    diff = pred - Tensor(targets)
+    if loss_kind == "smooth_l1":
+        loss = diff.huber(1.0).mean()
+    else:
+        loss = (diff * diff).mean()
+    names = {id(p): name for name, p in model.named_parameters().items()}
+    pairs: list = []
+    (loss * scale).backward(collect=pairs)
+    grads = {}
+    for leaf, grad in pairs:
+        name = names[id(leaf)]
+        if name in grads:  # a second one could not be added in the batch graph's order
+            raise ValueError(f"parameter {name!r} got two gradients from one sequence")
+        grads[name] = grad
+    return loss.item(), grads
+
+
 class Trainer:
     """Owns the optimizer, rng streams, and the AWP machinery for one run."""
 
@@ -191,41 +247,45 @@ class Trainer:
         )
         self.global_step = 0
         self.awp_snapshots_created = 0
-
-    def _dropout_rng(self, pass_idx: int) -> np.random.Generator:
-        # counter-keyed Philox stream: one fresh stream per (step, pass), so
-        # the adversarial pass redraws its own dropout masks and disabling
-        # AWP leaves the clean-pass streams untouched
-        key = np.random.SeedSequence(
-            (self.config.seed, _DROPOUT_TAG, self.global_step, pass_idx)
-        )
-        return np.random.Generator(np.random.Philox(key))
+        self.pool: pool.Pool | None = None  # None runs passes in-process; fit decides
 
     def _awp_active(self, epoch: int) -> bool:
         return self.config.awp_enabled and epoch >= self.config.awp_start_epoch
 
-    def _batch_loss(self, batch: list[tuple[list[int], np.ndarray]], pass_idx: int) -> Tensor:
-        rng = self._dropout_rng(pass_idx)
-        total = None
-        for ids, targets in batch:
-            pred = self.model.forward(ids, train=True, rng=rng)
-            diff = pred - Tensor(targets)
-            if self.config.loss_kind == "smooth_l1":
-                loss = diff.huber(1.0).mean()
-            else:
-                loss = (diff * diff).mean()
-            total = loss if total is None else total + loss
-        return total / len(batch)
-
     def _backward_pass(
         self, batch: list[tuple[list[int], np.ndarray]], pass_idx: int, what: str
     ) -> float:
-        # the loss graph is local, so it is freed on return, before the next pass
-        loss = self._batch_loss(batch, pass_idx)
-        value = loss.item()
+        """Add one pass's gradients of the batch-mean loss into ``.grad``.
+
+        Each sequence runs ``sequence_gradients`` on its own, in-process or
+        on the worker pool, with the dropout draws the single batch graph
+        would give it. The losses are summed first to last and the
+        gradients added last to first, as that graph's backward adds them,
+        so ``.grad`` gets the same bits either way.
+        """
+        cfg = self.config
+        scale = 1.0 / float(len(batch))
+        spec = self.model.spec
+        offsets = np.cumsum([0] + [dropout_draws(spec, len(ids)) for ids, _ in batch[:-1]])
+        stream = (cfg.seed, self.global_step, pass_idx)
+        if self.pool is None:
+            results = [
+                sequence_gradients(self.model, ids, targets, cfg.loss_kind, scale,
+                                   dropout_stream(*stream, int(offset)))
+                for (ids, targets), offset in zip(batch, offsets)
+            ]
+        else:
+            results = self.pool.gradients(self.model, batch, cfg.loss_kind, scale, stream,
+                                          offsets)
+        total = results[0][0]
+        for loss, _ in results[1:]:
+            total = total + loss
+        value = total * scale
         if not np.isfinite(value):
             raise NumericError(f"non-finite {what}")
-        loss.backward()
+        for _, grads in reversed(results):
+            for name, grad in grads.items():
+                self.params[name].accumulate_grad(grad)
         return value
 
     def train_step(self, batch: list[tuple[list[int], np.ndarray]], epoch: int) -> float:
@@ -320,6 +380,10 @@ def fit(
 
     trainer = Trainer(model, config)
     examples = _prepare(model, train_records)
+    epochs = range(1, config.epochs + 1)
+    passes = sum(1 + config.adv_steps * trainer._awp_active(epoch) for epoch in epochs)
+    forward_s = pool.forward_seconds(model.spec, [len(ids) for ids, _ in examples])
+    trainer.pool = pool.get(passes * pool.TRAIN_PASS_FORWARDS * forward_s)
     report = TrainReport()
     best_snapshot = None
 

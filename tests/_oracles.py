@@ -243,3 +243,27 @@ def reference_stratified_kfold(records, k: int = 5, seed: int = 0):
             fold_counts[name] = col
         counts.append(fold_counts)
     return FoldPlan(k, assignment, [len(fold) for fold in by_fold], means, counts)
+
+
+def reference_adamw_step(params, m, v, t, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    """Frozen copy of ``AdamW.step`` before it wrote into scratch buffers.
+
+    ``params`` maps names to Tensors, ``m`` and ``v`` to their moment
+    arrays (updated in place), and ``t`` is the step number, from 1.
+    ``rubric.optim.AdamW`` must give the same bits.
+    """
+    b1, b2 = betas
+    bias1 = 1.0 - b1**t
+    bias2 = 1.0 - b2**t
+    for name, p in params.items():
+        g = p.grad
+        if g is None:
+            continue
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        update = (m[name] / bias1) / (np.sqrt(v[name] / bias2) + eps)
+        if weight_decay:
+            update = update + weight_decay * p.data
+        p.data = p.data - lr * update

@@ -43,7 +43,16 @@ from rubric.tensor import (
     feed_forward_sublayer,
     layer_norm,
 )
-from rubric.training import TrainConfig, Trainer, evaluate_model, fit, perturb, restore
+from rubric.training import (
+    TrainConfig,
+    Trainer,
+    dropout_stream,
+    evaluate_model,
+    fit,
+    perturb,
+    restore,
+    sequence_gradients,
+)
 
 from _oracles import (
     attention_case,
@@ -332,9 +341,13 @@ def test_criterion_04_awp_invariants():
     examples = [(model.encode_record(r), np.asarray(r.scores)) for r in records]
     trainer.global_step += 1
     trainer.opt.zero_grad()
-    loss = trainer._batch_loss(examples, pass_idx=0)
-    loss.backward()
     params = model.named_parameters()
+    rng = dropout_stream(cfg.seed, trainer.global_step, 0, 0)
+    for ids, targets in examples:
+        _, grads = sequence_gradients(model, ids, targets, cfg.loss_kind, 1.0 / len(examples),
+                                      rng)
+        for name, grad in grads.items():
+            params[name].accumulate_grad(grad)
     before = {n: p.data.copy() for n, p in params.items()}
     snapshot = perturb(params, cfg.adv_lr, cfg.adv_eps)
     assert snapshot, "perturbation moved nothing"

@@ -7,17 +7,22 @@ from rubric.data import synth_corpus
 from rubric.encoder import ModelSpec
 from rubric.model import Model
 from rubric.optim import AdamW
+from rubric import training
 from rubric.tensor import NumericError, Tensor
 from rubric.training import (
     TrainConfig,
     Trainer,
+    dropout_stream,
     evaluate_model,
     fit,
     perturb,
     perturbable_parameters,
     restore,
+    sequence_gradients,
     train_valid_split,
 )
+
+from _oracles import reference_adamw_step
 
 
 def tiny_model(seed=0, mode="six_metric_attention", dropout=0.1):
@@ -197,8 +202,12 @@ class TestTrainStep:
         # running the pieces manually
         trainer.global_step += 1
         trainer.opt.zero_grad()
-        loss = trainer._batch_loss(examples, pass_idx=0)
-        loss.backward()
+        rng = dropout_stream(cfg.seed, trainer.global_step, 0, 0)
+        for ids, targets in examples:
+            _, grads = sequence_gradients(model, ids, targets, cfg.loss_kind,
+                                          1.0 / len(examples), rng)
+            for name, grad in grads.items():
+                params[name].accumulate_grad(grad)
         before = {n: p.data.copy() for n, p in params.items()}
         snapshot = perturb(params, cfg.adv_lr, cfg.adv_eps, cfg.adv_scope)
         assert snapshot  # something actually moved
@@ -206,19 +215,16 @@ class TestTrainStep:
         for name, p in params.items():
             assert p.data.tobytes() == before[name].tobytes(), name
 
-    def test_clean_graph_freed_before_adversarial_pass(self):
+    def test_clean_graph_freed_before_adversarial_pass(self, monkeypatch):
         model, records = tiny_model(dropout=0.0)
         cfg = TrainConfig(batch_size=5, adv_lr=1.0, adv_eps=0.01, awp_start_epoch=1, seed=3)
         trainer = Trainer(model, cfg)
-        batch_loss = trainer._batch_loss
         clean_refs = []
         live_at_adv = []
+        backward = Tensor.backward
 
-        def wrapped(batch, pass_idx):
-            if pass_idx == 1:
-                live_at_adv.append(sum(r() is not None for r in clean_refs))
-            loss = batch_loss(batch, pass_idx)
-            if pass_idx == 0:
+        def recording_backward(loss, collect=None):
+            if not live_at_adv:
                 # Tensor has no __weakref__ slot; every interior node's data
                 # array is owned by the graph alone
                 stack = [loss]
@@ -227,9 +233,14 @@ class TestTrainStep:
                     if node._vjp is not None:
                         clean_refs.append(weakref.ref(node.data))
                         stack.extend(node._parents)
-            return loss
+            return backward(loss, collect)
 
-        trainer._batch_loss = wrapped
+        def recording_perturb(*args, **kwargs):
+            live_at_adv.append(sum(r() is not None for r in clean_refs))
+            return perturb(*args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "backward", recording_backward)
+        monkeypatch.setattr(training, "perturb", recording_perturb)
         trainer.train_step(self._examples(model, records)[:5], epoch=1)
         assert len(clean_refs) > 100
         assert live_at_adv == [0]
@@ -349,6 +360,29 @@ class TestOptim:
         opt.step()
         # adam part ~ -lr * 1, decay part = -lr * wd * 2.0
         np.testing.assert_allclose(p.data, [2.0 - 0.01 - 0.01 * 0.1 * 2.0], atol=1e-6)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_adamw_matches_reference_step_bit_for_bit(self, weight_decay):
+        from rubric.optim import AdamW
+
+        rng = np.random.default_rng(17)
+        shapes = [tuple(int(n) for n in rng.integers(1, 9, size=rng.integers(1, 3)))
+                  for _ in range(5)]
+        params = {f"p{i}": Tensor(rng.normal(size=s), requires_grad=True)
+                  for i, s in enumerate(shapes)}
+        ref = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in params.items()}
+        m = {n: np.zeros(p.shape) for n, p in params.items()}
+        v = {n: np.zeros(p.shape) for n, p in params.items()}
+        opt = AdamW(params, lr=3e-3, weight_decay=weight_decay)
+        for t in range(1, 51):
+            for i, name in enumerate(params):
+                # one parameter sits out every third step, as a gradless head would
+                grad = None if (t + i) % 3 == 0 else rng.normal(size=params[name].shape)
+                params[name].grad = ref[name].grad = grad
+            opt.step()
+            reference_adamw_step(ref, m, v, t, lr=3e-3, weight_decay=weight_decay)
+            for name in params:
+                assert params[name].data.tobytes() == ref[name].data.tobytes(), (t, name)
 
     def test_clip_grad_norm_scales_in_place(self):
         from rubric.optim import clip_grad_norm
