@@ -16,11 +16,13 @@ that has no ``if __name__ == "__main__"`` guard.
 from __future__ import annotations
 
 import atexit
+import collections
 import math
 import mmap
 import os
 import pickle
 import selectors
+import signal
 import struct
 import subprocess
 import sys
@@ -51,6 +53,7 @@ TRAIN_PASS_FORWARDS = 3
 # gradients of the embedding tables arrive row-sparse, as (ids, rows)
 _ROW_SPARSE = ("enc.tok_emb", "enc.pos_emb")
 _ALIGN = 64
+_QUEUED = 2  # jobs in a worker's pipe at once
 _HEADER = struct.Struct("<I")
 
 # Private hook for tests: 0 runs every job in-process, n >= 1 starts n
@@ -239,12 +242,9 @@ class Pool:
             self.close(kill=True)
             raise
 
-    @property
-    def size(self) -> int:
-        return len(self._workers)
-
     def close(self, kill: bool = False) -> None:
-        """End every worker: close their pipes and wait, or kill them."""
+        """End every worker: close their pipes, which ends an idle worker's
+        loop, and wait for them; with ``kill``, kill them first."""
         global _shared
         if _shared is self:
             _shared = None
@@ -253,11 +253,7 @@ class Pool:
                 proc.kill()
             proc.stdin.close()
         for proc in self._workers:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+            proc.wait()  # without a timeout, which would poll in sleeps of up to 50 ms
             proc.stdout.close()
         self._workers = []
         self._selector.close()
@@ -271,8 +267,9 @@ class Pool:
         sequence's (loss, gradients), the gradients as views of its slot,
         valid until the next job."""
         self._publish(model, len(batch))
-        jobs = [("grad", i, np.asarray(ids, dtype=np.int64), targets, loss_kind, scale,
-                 stream, int(offset))
+        # plain lists and floats: pickling them costs a fraction of arrays
+        jobs = [("grad", i, list(ids), np.asarray(targets).tolist(), loss_kind, scale, stream,
+                 int(offset))
                 for i, ((ids, targets), offset) in enumerate(zip(batch, offsets))]
         replies = self._run(jobs, [len(ids) for ids, _ in batch])
         return [(loss, self._block.read_slot(i, rows)) for i, (loss, rows) in enumerate(replies)]
@@ -280,9 +277,9 @@ class Pool:
     def predict(self, model, id_lists) -> np.ndarray:
         """Eval-mode raw predictions, one row per token-id list."""
         self._publish(model, 0)
-        jobs = [("predict", np.asarray(ids, dtype=np.int64)) for ids in id_lists]
+        jobs = [("predict", list(ids)) for ids in id_lists]
         replies = self._run(jobs, [len(ids) for ids in id_lists])
-        return np.stack([pred for (pred,) in replies])
+        return np.array([pred for (pred,) in replies], dtype=np.float64)
 
     def _publish(self, model, n_slots: int) -> None:
         params = model.named_parameters()
@@ -302,40 +299,47 @@ class Pool:
         os.close(fd)
         try:
             self._block = _Block(path, layout, create=True)
-            self._run([("block", path, asdict(spec), layout)] * self.size, None, each=True)
+            self._run([("block", path, asdict(spec), layout)] * len(self._workers))
         finally:
             # every worker has mapped it, or failed: the name is no longer needed
             os.unlink(path)
         self._spec = spec
 
-    def _run(self, jobs, costs, each: bool = False) -> list:
-        """Hand ``jobs`` to idle workers, largest cost first (ties in job
-        order), or job i to worker i when ``each``; returns the replies in
-        job order, re-raising the first job's error after all have finished."""
-        order = list(range(len(jobs)))
-        if costs is not None:
-            order.sort(key=lambda i: -costs[i])
+    def _run(self, jobs, costs=None) -> list:
+        """Hand out ``jobs``, largest cost first (ties in job order), to
+        whichever workers have fewest queued, or job i to worker i without
+        ``costs``; returns the replies in job order, re-raising the first
+        job's error once all have finished.
+
+        Each worker has up to ``_QUEUED`` jobs in its pipe, so it starts its
+        next job without waiting for the parent to read its last reply.
+        """
+        order = sorted(range(len(jobs)), key=lambda i: -costs[i]) if costs else []
         replies = [None] * len(jobs)
-        idle = list(reversed(self._workers))
-        busy = {}
+        queued = {proc: collections.deque() for proc in self._workers}
+
+        def send(proc, i):
+            try:
+                _send(proc.stdin.fileno(), jobs[i])
+            except BrokenPipeError:
+                raise self._died(proc) from None
+            queued[proc].append(i)
+
         try:
-            while order or busy:
-                while idle and order:
-                    proc = self._workers[order[0]] if each else idle[-1]
-                    idle.remove(proc)
-                    i = order.pop(0)
-                    try:
-                        _send(proc.stdin.fileno(), jobs[i])
-                    except BrokenPipeError:
-                        raise self._died(proc) from None
-                    busy[proc] = i
+            if costs is None:
+                for i, proc in enumerate(self._workers[: len(jobs)]):
+                    send(proc, i)
+            while order or any(queued.values()):
+                for depth in range(_QUEUED):
+                    for proc in self._workers:
+                        if order and len(queued[proc]) == depth:
+                            send(proc, order.pop(0))
                 for key, _ in self._selector.select():
                     proc = key.data
                     reply = _recv(proc.stdout.fileno())
                     if reply is None:
                         raise self._died(proc)
-                    replies[busy.pop(proc)] = reply
-                    idle.append(proc)
+                    replies[queued[proc].popleft()] = reply
         except BaseException:
             self.close(kill=True)
             raise
@@ -354,7 +358,7 @@ class Pool:
             code = None
         how = ("did not exit" if code is None else
                f"was killed by signal {-code}" if code < 0 else f"exited with code {code}")
-        return PoolError(f"worker process {proc.pid} {how} while working on a job")
+        return PoolError(f"worker process {proc.pid} {how}; its job is lost")
 
 
 def serve() -> None:
@@ -363,6 +367,7 @@ def serve() -> None:
     from .model import Model
     from .training import dropout_stream, sequence_gradients
 
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers itself
     requests, replies = 0, os.dup(1)
     os.dup2(2, 1)  # anything printed goes to stderr, never into the reply pipe
     block = model = None
@@ -374,10 +379,10 @@ def serve() -> None:
                                                  dropout_stream(*stream, offset))
                 reply = ("ok", loss, block.write_slot(slot, grads))
             elif job[0] == "predict":
-                reply = ("ok", model.predict_ids(job[1]))
+                reply = ("ok", model.predict_ids(job[1]).tolist())
             else:  # "block": map a new shared file and rebuild the model on it
                 _, path, spec, layout = job
-                block, model = _Block(path, layout, create=False), None
+                block = _Block(path, layout, create=False)
                 model = Model.build(ModelSpec(**spec), seed=0)
                 for name, p in model.named_parameters().items():
                     p.data = block.params[name]

@@ -189,7 +189,7 @@ def test_script_without_main_guard_runs_to_the_end(tmp_path):
         vocab = build_vocab(records[:80])
         model = Model.build(ModelSpec(vocab_size=vocab.size), seed=0, vocab=vocab)
         fit(model, records[:80], records[80:], TrainConfig(epochs=2, seed=1))
-        print("workers", pool._shared.size)
+        print("workers", len(pool._shared._workers))
         print("finished")
     """))
     env = dict(os.environ, PYTHONPATH=str(SRC))
