@@ -40,12 +40,11 @@ class PoolError(RuntimeError):
 
 
 # Worker start-up (interpreter, numpy and rubric imports, first reply)
-# measured 0.35-0.42 s on a 2-vCPU VM; a job must save more than this.
+# measured 0.30-0.42 s on a 2-vCPU VM; a job must save more than this.
 STARTUP_S = 0.4
 # In-process forward time: a fixed cost per sequence plus a cost per
-# multiply-add of ``forward_macs`` (2-vCPU VM; 0.53, 0.69 and 2.19 ms per
-# 72-token sequence at d_model 16, 32 and 64). A training pass costs about
-# three forwards.
+# multiply-add (2-vCPU VM; 0.53, 0.69 and 2.19 ms per 72-token sequence at
+# d_model 16, 32 and 64). A training pass costs about three forwards.
 SECONDS_PER_SEQUENCE = 3.0e-4
 SECONDS_PER_MAC = 3.0e-10
 TRAIN_PASS_FORWARDS = 3
@@ -111,17 +110,6 @@ def close() -> None:
 atexit.register(close)
 
 
-def _plan(entries) -> tuple[list[int], int]:
-    """Byte offsets of (shape, dtype) arrays laid out 64-byte aligned, and
-    the total size."""
-    offsets, total = [], 0
-    for shape, dtype in entries:
-        offsets.append(total)
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        total += -(-nbytes // _ALIGN) * _ALIGN
-    return offsets, max(total, _ALIGN)
-
-
 class _Block:
     """The shared file: every parameter, then one gradient slot per sequence.
 
@@ -141,7 +129,10 @@ class _Block:
             else:
                 slot.append((shape, np.float64))
         entries = [(shape, np.float64) for _, shape in shapes] + slot * n_slots
-        offsets, size = _plan(entries)
+        offsets, size = [], 0
+        for shape, dtype in entries:  # each array 64-byte aligned
+            offsets.append(size)
+            size += -(-math.prod(shape) * np.dtype(dtype).itemsize // _ALIGN) * _ALIGN
         fd = os.open(path, os.O_RDWR)
         try:
             if create:

@@ -121,11 +121,56 @@ class Tensor:
         order gives the same bits. A collected contribution may alias other
         arrays of the pass; a caller that keeps it must not write to it.
         """
-        for leaf, grad in _leaf_gradients(self):
-            if collect is None:
-                leaf.accumulate_grad(grad)
-            else:
+        if self.data.size != 1:
+            raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
+        if not self.requires_grad:
+            raise ValueError("backward() on a tensor that is not part of a gradient graph")
+        if collect is None:
+            deliver = Tensor.accumulate_grad
+        else:
+            def deliver(leaf, grad):
                 collect.append((leaf, grad))
+
+        if self._vjp is None:
+            deliver(self, np.ones_like(self.data))
+            return
+
+        # only op outputs are ordered; leaves take their gradient on the spot
+        topo: list[Tensor] = []
+        visited = {id(self)}
+        stack: list[tuple[Tensor, object]] = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            pushed = False
+            for p in parents:
+                if p._vjp is not None and id(p) not in visited:
+                    visited.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    pushed = True
+                    break
+            if not pushed:
+                topo.append(node)
+                stack.pop()
+
+        adjoint: dict[int, Array] = {id(self): np.ones_like(self.data)}
+        for node in reversed(topo):
+            out_grad = adjoint.pop(id(node), None)
+            if out_grad is None:
+                continue
+            for parent, pg in zip(node._parents, node._vjp(out_grad)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                if parent._vjp is None:
+                    deliver(parent, pg)
+                    continue
+                if isinstance(pg, tuple):
+                    pg = _densify(pg, parent.shape)
+                key = id(parent)
+                if key in adjoint:
+                    # fresh allocation: contributions may alias upstream views
+                    adjoint[key] = adjoint[key] + pg
+                else:
+                    adjoint[key] = pg
 
     def accumulate_grad(self, grad) -> None:
         """Add one gradient contribution into ``.grad`` in place.
@@ -413,57 +458,6 @@ def _dropout_mask(shape: tuple, p: float, rng: np.random.Generator) -> Array | N
     if p >= 1.0:
         raise ValueError(f"dropout probability must be < 1, got {p}")
     return (rng.random(shape) >= p) / (1.0 - p)
-
-
-def _leaf_gradients(loss: Tensor):
-    """Yield ``(leaf, contribution)`` for every gradient that backward from
-    the scalar ``loss`` hands to a requires_grad leaf, in reverse
-    topological order."""
-    if loss.data.size != 1:
-        raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad:
-        raise ValueError("backward() on a tensor that is not part of a gradient graph")
-
-    if loss._vjp is None:
-        yield loss, np.ones_like(loss.data)
-        return
-
-    # only op outputs are ordered; leaves take their gradient on the spot
-    topo: list[Tensor] = []
-    visited = {id(loss)}
-    stack: list[tuple[Tensor, object]] = [(loss, iter(loss._parents))]
-    while stack:
-        node, parents = stack[-1]
-        pushed = False
-        for p in parents:
-            if p._vjp is not None and id(p) not in visited:
-                visited.add(id(p))
-                stack.append((p, iter(p._parents)))
-                pushed = True
-                break
-        if not pushed:
-            topo.append(node)
-            stack.pop()
-
-    adjoint: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
-        out_grad = adjoint.pop(id(node), None)
-        if out_grad is None:
-            continue
-        for parent, pg in zip(node._parents, node._vjp(out_grad)):
-            if pg is None or not parent.requires_grad:
-                continue
-            if parent._vjp is None:
-                yield parent, pg
-                continue
-            if isinstance(pg, tuple):
-                pg = _densify(pg, parent.shape)
-            key = id(parent)
-            if key in adjoint:
-                # fresh allocation: contributions may alias upstream views
-                adjoint[key] = adjoint[key] + pg
-            else:
-                adjoint[key] = pg
 
 
 def _densify(rows: tuple, shape: tuple) -> Array:
