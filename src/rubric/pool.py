@@ -1,22 +1,30 @@
 """Data-parallel worker processes for training passes and predictions.
 
 A pool runs the per-sequence work of a training pass, or of a batch of
-predictions, on ``subprocess`` workers with one BLAS thread each. Before
-each job the parent copies every parameter into one mmap'd shared-memory
-file; workers read them from there, take their sequences over pipes,
-longest first, and write each sequence's gradient into that sequence's
-own slot of the same file. The parent adds the slots up in a fixed order,
-so results do not depend on how many workers ran or which one took what.
+predictions, on worker processes forked from the parent. Before each job
+the parent copies every parameter into one mmap'd shared-memory file;
+workers read them from there, take their sequences over pipes, longest
+first, and write each sequence's gradient into that sequence's own slot of
+the same file. The parent adds the slots up in a fixed order, so results do
+not depend on how many workers ran or which one took what.
 
-Workers start through ``subprocess`` rather than ``multiprocessing``: a
-spawned child re-imports the caller's main script, which re-runs a script
-that has no ``if __name__ == "__main__"`` guard.
+A forked worker starts with numpy and this package already imported, and
+shares the parent's memory pages until one of them writes to a page. It
+runs only ``serve`` and leaves through ``os._exit``: it never returns into
+the caller's code, so a script without an ``if __name__ == "__main__"``
+guard is not re-run, and it runs no ``atexit`` handler and flushes none of
+the parent's buffered output. Forking a process that has BLAS threads is
+not safe, so importing this module sets numpy's bundled OpenBLAS to one
+thread for the whole process; where that cannot be done, every job runs
+in-process.
 """
 
 from __future__ import annotations
 
 import atexit
 import collections
+import ctypes
+import glob
 import math
 import mmap
 import os
@@ -24,10 +32,10 @@ import pickle
 import selectors
 import signal
 import struct
-import subprocess
-import sys
 import tempfile
+import traceback
 from dataclasses import asdict
+from typing import NoReturn
 
 import numpy as np
 
@@ -39,9 +47,11 @@ class PoolError(RuntimeError):
     """A worker process died, or failed in a way the parent cannot re-raise."""
 
 
-# Worker start-up (interpreter, numpy and rubric imports, first reply)
-# measured 0.30-0.42 s on a 2-vCPU VM; a job must save more than this.
-STARTUP_S = 0.4
+# What starting the workers adds to a whole small job: a 2-essay `rubric
+# predict` took 0.057 s on two forked workers against 0.015 s in-process
+# (2-vCPU VM; the fork itself about 3 ms, mapping the first shared block
+# and building the model in each worker about 17 ms). A job must save more.
+STARTUP_S = 0.05
 # In-process forward time: a fixed cost per sequence plus a cost per
 # multiply-add (2-vCPU VM; 0.53, 0.69 and 2.19 ms per 72-token sequence at
 # d_model 16, 32 and 64). A training pass costs about three forwards.
@@ -59,7 +69,36 @@ _HEADER = struct.Struct("<I")
 # workers whatever a job's size. Not a config key or environment variable.
 _forced_workers: int | None = None
 _shared: Pool | None = None
-_started: list[subprocess.Popen] = []  # every worker process, for leak checks
+_started: list[_Worker] = []  # every worker process, for leak checks
+_BLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                 "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+def _pin_blas(libs: str) -> bool:
+    """Set the OpenBLAS that numpy bundles in ``libs`` to one thread, for
+    this process and every worker later forked from it. True if OpenBLAS
+    then reports one thread; False if there is no such library.
+
+    One thread loses no speed at this model's sizes, and makes results the
+    same bits in-process and on workers.
+    """
+    for path in sorted(glob.glob(os.path.join(libs, "lib*openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_THREADS:
+            setter = getattr(lib, name.format("set"), None)
+            getter = getattr(lib, name.format("get"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter(1)
+                return getter() == 1
+    return False
+
+
+# Set before any worker is forked: a child that set it itself would get an
+# OpenBLAS thread back. Without it no worker is forked at all.
+_NUMPY_LIBS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+_blas_one_thread = _pin_blas(_NUMPY_LIBS)
 
 
 def forward_seconds(spec: ModelSpec, lengths: list[int]) -> float:
@@ -88,10 +127,11 @@ def get(seconds: float) -> Pool | None:
     A running pool serves every job. Otherwise one starts, with a worker
     per usable CPU, only when splitting the job saves more than the
     workers' start-up; it then serves the rest of the process, until
-    ``close``.
+    ``close``. Every job runs in-process if BLAS could not be set to one
+    thread.
     """
     global _shared
-    if _forced_workers == 0:
+    if _forced_workers == 0 or not _blas_one_thread:
         return None
     if _shared is None:
         n = _forced_workers or usable_cpus()
@@ -207,45 +247,115 @@ def _recv(fd: int):
 _RERAISED = {"NumericError": NumericError, "ShapeError": ShapeError, "ValueError": ValueError}
 
 
+class _Worker:
+    """The parent's handle on a forked worker: its pid and the parent's ends
+    of its request and reply pipes, each -1 once closed."""
+
+    def __init__(self, pid: int, requests: int, replies: int):
+        self.pid, self.requests, self.replies = pid, requests, replies
+        self.returncode: int | None = None  # set once the worker is reaped
+
+    def poll(self) -> int | None:
+        """The exit code if the worker has ended, reaping it; else None."""
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def wait(self) -> int:
+        """The exit code, once the worker has ended and been reaped."""
+        if self.returncode is None:
+            self.returncode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.returncode
+
+    def kill(self) -> None:
+        if self.returncode is None:  # until reaped, the pid is still this worker's
+            os.kill(self.pid, signal.SIGKILL)
+
+    def close_requests(self) -> None:
+        """Close the request pipe, which ends the worker's loop once idle."""
+        if self.requests >= 0:
+            os.close(self.requests)
+            self.requests = -1
+
+    def close_replies(self) -> None:
+        if self.replies >= 0:
+            os.close(self.replies)
+            self.replies = -1
+
+
+def _fork_worker() -> _Worker:
+    """Fork a worker. Only the parent returns, with the worker's handle."""
+    fds = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        raise
+    requests_in, requests_out, replies_in, replies_out = fds
+    if pid == 0:
+        # the parent's ends of this worker's pipes and of every earlier
+        # worker's: an end left open here would keep that pipe from closing
+        inherited = [requests_out, replies_in]
+        inherited += [fd for w in _started for fd in (w.requests, w.replies) if fd >= 0]
+        _child(requests_in, replies_out, inherited)
+    os.close(requests_in)
+    os.close(replies_out)
+    worker = _Worker(pid, requests_out, replies_in)
+    _started.append(worker)
+    return worker
+
+
+def _child(requests: int, replies: int, inherited: list[int]) -> NoReturn:
+    """A forked worker's whole life: serve, then exit without returning
+    into the caller's code, running its ``atexit`` handlers or flushing
+    its buffered output."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        serve(requests, replies)
+        code = 0
+    except BaseException:  # the parent learns of it from the exit code
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
+
+
 class Pool:
     """Worker processes plus the shared block they read and write."""
 
     def __init__(self, n_workers: int):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1")
-        # run from the directory holding this package, so the worker imports it
-        package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        self._workers = []
+        self._workers: list[_Worker] = []
         self._selector = selectors.DefaultSelector()
         self._block: _Block | None = None
         self._spec: ModelSpec | None = None
         try:
             for _ in range(n_workers):
-                proc = subprocess.Popen(
-                    [sys.executable, "-c", "from rubric.pool import serve; serve()"],
-                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, cwd=package_dir,
-                    bufsize=0,
-                )
-                _started.append(proc)
-                self._workers.append(proc)
-                self._selector.register(proc.stdout, selectors.EVENT_READ, proc)
+                worker = _fork_worker()
+                self._workers.append(worker)
+                self._selector.register(worker.replies, selectors.EVENT_READ, worker)
         except OSError:
             self.close(kill=True)
             raise
 
     def close(self, kill: bool = False) -> None:
         """End every worker: close their pipes, which ends an idle worker's
-        loop, and wait for them; with ``kill``, kill them first."""
+        loop, and reap them; with ``kill``, kill them first."""
         global _shared
         if _shared is self:
             _shared = None
-        for proc in self._workers:
+        for worker in self._workers:
             if kill:
-                proc.kill()
-            proc.stdin.close()
-        for proc in self._workers:
-            proc.wait()  # without a timeout, which would poll in sleeps of up to 50 ms
-            proc.stdout.close()
+                worker.kill()
+            worker.close_requests()
+        for worker in self._workers:
+            worker.wait()
+            worker.close_replies()
         self._workers = []
         self._selector.close()
         self._block = None
@@ -307,30 +417,30 @@ class Pool:
         """
         order = sorted(range(len(jobs)), key=lambda i: -costs[i]) if costs else []
         replies = [None] * len(jobs)
-        queued = {proc: collections.deque() for proc in self._workers}
+        queued = {worker: collections.deque() for worker in self._workers}
 
-        def send(proc, i):
+        def send(worker, i):
             try:
-                _send(proc.stdin.fileno(), jobs[i])
+                _send(worker.requests, jobs[i])
             except BrokenPipeError:
-                raise self._died(proc) from None
-            queued[proc].append(i)
+                raise self._died(worker) from None
+            queued[worker].append(i)
 
         try:
             if costs is None:
-                for i, proc in enumerate(self._workers[: len(jobs)]):
-                    send(proc, i)
+                for i, worker in enumerate(self._workers[: len(jobs)]):
+                    send(worker, i)
             while order or any(queued.values()):
                 for depth in range(_QUEUED):
-                    for proc in self._workers:
-                        if order and len(queued[proc]) == depth:
-                            send(proc, order.pop(0))
+                    for worker in self._workers:
+                        if order and len(queued[worker]) == depth:
+                            send(worker, order.pop(0))
                 for key, _ in self._selector.select():
-                    proc = key.data
-                    reply = _recv(proc.stdout.fileno())
+                    worker = key.data
+                    reply = _recv(worker.replies)
                     if reply is None:
-                        raise self._died(proc)
-                    replies[queued[proc].popleft()] = reply
+                        raise self._died(worker)
+                    replies[queued[worker].popleft()] = reply
         except BaseException:
             self.close(kill=True)
             raise
@@ -342,25 +452,21 @@ class Pool:
                 raise PoolError(f"a worker process failed: {kind}: {message}")
         return [reply[1:] for reply in replies]
 
-    def _died(self, proc) -> PoolError:
-        try:
-            code = proc.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            code = None
-        how = ("did not exit" if code is None else
-               f"was killed by signal {-code}" if code < 0 else f"exited with code {code}")
-        return PoolError(f"worker process {proc.pid} {how}; its job is lost")
+    def _died(self, worker: _Worker) -> PoolError:
+        # its pipe is closed, so it has exited, or is about to
+        code = worker.wait()
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+        return PoolError(f"worker process {worker.pid} {how}; its job is lost")
 
 
-def serve() -> None:
-    """A worker's main loop: answer the parent's jobs on standard input
-    and output until the parent closes the pipe."""
+def serve(requests: int, replies: int) -> None:
+    """A worker's main loop: answer the parent's jobs, read from the
+    ``requests`` pipe, on the ``replies`` pipe until the parent closes
+    ``requests``."""
     from .model import Model
     from .training import dropout_stream, sequence_gradients
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers itself
-    requests, replies = 0, os.dup(1)
-    os.dup2(2, 1)  # anything printed goes to stderr, never into the reply pipe
     block = model = None
     while (job := _recv(requests)) is not None:
         try:

@@ -20,9 +20,15 @@ def close_worker_pool():
     pool.close()
 
 
+def workers_left_running():
+    """The pids of every started worker process never reaped: alive, or
+    exited and left a zombie."""
+    return [worker.pid for worker in pool._started if worker.returncode is None]
+
+
 @pytest.fixture(autouse=True, scope="session")
 def no_worker_left_running():
-    """Fail the session if any worker process it started is still alive."""
+    """Fail the session if any worker process it started was never reaped."""
     yield
-    alive = [proc.pid for proc in pool._started if proc.poll() is None]
-    assert not alive, f"worker processes still running at the end of the session: {alive}"
+    left = workers_left_running()
+    assert not left, f"worker processes never reaped at the end of the session: {left}"

@@ -14,11 +14,13 @@ import pytest
 
 from rubric import pool
 from rubric.cli import main
-from rubric.data import build_vocab, synth_corpus, write_csv
+from rubric.data import SynthSpec, build_vocab, synth_corpus, write_csv
 from rubric.encoder import POOLING_MODES, ModelSpec, dropout_draws
 from rubric.model import Model
 from rubric.tensor import NumericError
 from rubric.training import TrainConfig, Trainer, dropout_stream, fit
+
+from conftest import workers_left_running
 
 WORKER_COUNTS = (0, 1, 2, 3)
 SMALL = [
@@ -171,7 +173,7 @@ def test_killed_worker_is_named_without_hang_or_leftovers(monkeypatch):
     assert not killer.is_alive()
     assert time.monotonic() - started < 30
     assert f"worker process {victim[0].pid} was killed by signal 9" in str(raised.value)
-    assert all(proc.poll() is not None for proc in pool._started)
+    assert all(worker.poll() is not None for worker in pool._started)
     assert pool._shared is None
 
 
@@ -197,3 +199,130 @@ def test_script_without_main_guard_runs_to_the_end(tmp_path):
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [f"workers {pool.usable_cpus()}", "finished"]
+
+
+def run_script(tmp_path, body):
+    """Run ``body`` as a script in a fresh interpreter, its output piped
+    and so block-buffered."""
+    script = tmp_path / "script.py"
+    script.write_text(textwrap.dedent(body))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+SMALL_MODEL = """
+    from rubric import pool
+    from rubric.data import build_vocab, synth_corpus
+    from rubric.encoder import ModelSpec
+    from rubric.model import Model
+
+    records = synth_corpus(4, seed=3)
+    vocab = build_vocab(records)
+    model = Model.build(ModelSpec(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2,
+                                  d_ff=16), seed=0, vocab=vocab)
+    pool._forced_workers = 2
+"""
+
+
+def test_workers_do_not_flush_the_parents_buffered_output(tmp_path):
+    done = run_script(tmp_path, SMALL_MODEL + """
+    print("buffered before the pool starts")  # stdout is a pipe: not flushed yet
+    model.predict_records(records)
+    pool.close()
+    print("finished")
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["buffered before the pool starts", "finished"]
+
+
+def test_a_worker_failing_before_its_loop_is_named_and_never_returns(tmp_path):
+    done = run_script(tmp_path, SMALL_MODEL + """
+    def broken(requests, replies):
+        raise RuntimeError("broken before its loop")
+
+    pool.serve = broken
+    workers = pool.get(0.0)
+    print("started", *[worker.pid for worker in workers._workers], flush=True)
+    try:
+        model.predict_records(records)
+    except pool.PoolError as exc:
+        print(exc)
+    """)
+    assert done.returncode == 0, done.stderr
+    started, error = done.stdout.splitlines()
+    pids = started.split()[1:]
+    assert len(pids) == 2
+    assert any(error == f"worker process {pid} exited with code 1; its job is lost"
+               for pid in pids), error
+    # the other worker may be killed before it reports
+    assert "RuntimeError: broken before its loop" in done.stderr
+
+
+def test_without_a_blas_setter_every_job_runs_in_process(monkeypatch, corpus, tmp_path):
+    monkeypatch.setattr(pool, "_BLAS_THREADS", ("no_such_{}_num_threads",))
+    monkeypatch.setattr(pool, "_blas_one_thread", pool._pin_blas(pool._NUMPY_LIBS))
+    assert not pool._blas_one_thread
+    assert not pool._pin_blas(str(tmp_path))  # no library at all
+    started = len(pool._started)
+    seen = {}
+    for workers in (0, 2):
+        out = tmp_path / f"w{workers}"
+        assert run_with_workers(monkeypatch, workers, [
+            "train", "--data", corpus, "--out", out / "model", *SMALL]) == 0
+        assert run_with_workers(monkeypatch, workers, [
+            "predict", "--checkpoint", out / "model" / "checkpoint.bin", "--input", corpus,
+            "--out", out]) == 0
+        seen[workers] = artifacts(out, ("model/checkpoint.bin", "model/metrics.json",
+                                        "predictions.csv"))
+    assert seen[2] == seen[0]
+    assert len(pool._started) == started
+
+
+def long_essays():
+    """The default model and essays of 182 to 256 tokens, where the batched
+    attention-score product is big enough for BLAS to use threads."""
+    records = synth_corpus(40, seed=12, spec=SynthSpec(min_sentences=20, max_sentences=28))
+    vocab = build_vocab(records)
+    model = Model.build(ModelSpec(vocab_size=vocab.size), seed=0, vocab=vocab)
+    long = [r for r in records if 182 <= len(model.encode_record(r)) <= 256]
+    assert len(long) >= 20
+    return model, long
+
+
+def test_long_sequences_get_the_same_bits_in_process_and_on_workers(monkeypatch):
+    model, records = long_essays()
+    seen = {}
+    for workers in (0, 2):
+        monkeypatch.setattr(pool, "_forced_workers", workers)
+        seen[workers] = model.predict_records(records, clip=False).tobytes()
+        pool.close()
+    assert seen[2] == seen[0]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+@pytest.mark.skipif(not pool._blas_one_thread, reason="no bundled OpenBLAS to pin")
+def test_each_worker_has_one_thread(monkeypatch):
+    model, records = long_essays()
+    monkeypatch.setattr(pool, "_forced_workers", 2)
+    model.predict_records(records)
+    workers = pool._shared._workers
+    assert [len(os.listdir(f"/proc/{w.pid}/task")) for w in workers] == [1, 1]
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+def test_leak_guard_sees_live_and_unreaped_workers(monkeypatch):
+    records = synth_corpus(4, seed=3)
+    vocab = build_vocab(records)
+    spec = ModelSpec(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16)
+    model = Model.build(spec, seed=0, vocab=vocab)
+    monkeypatch.setattr(pool, "_forced_workers", 1)
+    model.predict_records(records)
+    worker = pool._shared._workers[0]
+    assert worker.pid in workers_left_running()
+    os.kill(worker.pid, signal.SIGKILL)
+    os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)  # exited, not reaped
+    assert worker.pid in workers_left_running()
+    pool.close()
+    assert worker.pid not in workers_left_running()
