@@ -1,12 +1,17 @@
 """Data-parallel worker processes for training passes and predictions.
 
 A pool runs the per-sequence work of a training pass, or of a batch of
-predictions, on worker processes forked from the parent. Before each job
-the parent copies every parameter into one mmap'd shared-memory file;
-workers read them from there, take their sequences over pipes, longest
-first, and write each sequence's gradient into that sequence's own slot of
-the same file. The parent adds the slots up in a fixed order, so results do
-not depend on how many workers ran or which one took what.
+predictions, on worker processes forked from the parent. The parent maps one
+anonymous shared block and then forks the workers, which share it with no
+file or name: before each job the parent copies every parameter into the
+block, where each worker's copy of the model reads them. Workers take their
+sequences over pipes, longest first, and write each sequence's gradient
+into that sequence's own slot of the same block. The parent adds the slots
+up in a fixed order, so results do not depend on how many workers ran or
+which one took what. A job whose model has another spec, or that needs more
+gradient slots, gets a new block and newly forked workers; the old workers
+are stopped first. The kernel frees a block when the last process mapping
+it ends, so nothing is left behind, even by a parent that is killed.
 
 A forked worker starts with numpy and this package already imported, and
 shares the parent's memory pages until one of them writes to a page. It
@@ -32,9 +37,7 @@ import pickle
 import selectors
 import signal
 import struct
-import tempfile
 import traceback
-from dataclasses import asdict
 from typing import NoReturn
 
 import numpy as np
@@ -48,9 +51,9 @@ class PoolError(RuntimeError):
 
 
 # What starting the workers adds to a whole small job: a 2-essay `rubric
-# predict` took 0.057 s on two forked workers against 0.015 s in-process
-# (2-vCPU VM; the fork itself about 3 ms, mapping the first shared block
-# and building the model in each worker about 17 ms). A job must save more.
+# predict` took 25-35 ms on two forked workers against 13-15 ms in-process
+# (2-vCPU VM, medians of 15; forking the workers onto a new block about
+# 4 ms, the job on the new workers about 12 ms). A job must save more.
 STARTUP_S = 0.05
 # In-process forward time: a fixed cost per sequence plus a cost per
 # multiply-add (2-vCPU VM; 0.53, 0.69 and 2.19 ms per 72-token sequence at
@@ -127,8 +130,8 @@ def get(seconds: float) -> Pool | None:
     A running pool serves every job. Otherwise one starts, with a worker
     per usable CPU, only when splitting the job saves more than the
     workers' start-up; it then serves the rest of the process, until
-    ``close``. Every job runs in-process if BLAS could not be set to one
-    thread.
+    ``close``. Its workers are forked at its first job. Every job runs
+    in-process if BLAS could not be set to one thread.
     """
     global _shared
     if _forced_workers == 0 or not _blas_one_thread:
@@ -151,15 +154,16 @@ atexit.register(close)
 
 
 class _Block:
-    """The shared file: every parameter, then one gradient slot per sequence.
+    """Shared memory: every parameter, then one gradient slot per sequence.
 
-    A slot holds one dense array per parameter, except the embedding
-    tables, which get ``max_rows`` ids and rows for their row-sparse
-    gradients. Parent and workers map the same layout from the same
-    ``layout`` tuple: ((name, shape), ...), max_rows, n_slots.
+    An anonymous shared mapping, which workers forked after it is made
+    share with the parent. A slot holds one dense array per parameter,
+    except the embedding tables, which get ``max_rows`` ids and rows for
+    their row-sparse gradients. ``layout`` is ((name, shape), ...),
+    max_rows, n_slots.
     """
 
-    def __init__(self, path: str, layout: tuple, create: bool):
+    def __init__(self, layout: tuple):
         self.layout = layout
         shapes, max_rows, n_slots = layout
         slot = []
@@ -173,13 +177,7 @@ class _Block:
         for shape, dtype in entries:  # each array 64-byte aligned
             offsets.append(size)
             size += -(-math.prod(shape) * np.dtype(dtype).itemsize // _ALIGN) * _ALIGN
-        fd = os.open(path, os.O_RDWR)
-        try:
-            if create:
-                os.ftruncate(fd, size)
-            self.map = mmap.mmap(fd, size)
-        finally:
-            os.close(fd)
+        self.map = mmap.mmap(-1, size)  # MAP_SHARED: forked children share it
         arrays = iter(np.ndarray(shape, dtype, buffer=self.map, offset=offset)
                       for (shape, dtype), offset in zip(entries, offsets))
         self.params = {name: next(arrays) for name, _ in shapes}
@@ -285,8 +283,10 @@ class _Worker:
             self.replies = -1
 
 
-def _fork_worker() -> _Worker:
-    """Fork a worker. Only the parent returns, with the worker's handle."""
+def _fork_worker(model, block: _Block) -> _Worker:
+    """Fork a worker that serves jobs on its copy of ``model``, with the
+    parameters in ``block``. Only the parent returns, with the worker's
+    handle."""
     fds = []
     try:
         fds += os.pipe()
@@ -302,7 +302,7 @@ def _fork_worker() -> _Worker:
         # worker's: an end left open here would keep that pipe from closing
         inherited = [requests_out, replies_in]
         inherited += [fd for w in _started for fd in (w.requests, w.replies) if fd >= 0]
-        _child(requests_in, replies_out, inherited)
+        _child(requests_in, replies_out, inherited, model, block)
     os.close(requests_in)
     os.close(replies_out)
     worker = _Worker(pid, requests_out, replies_in)
@@ -310,15 +310,18 @@ def _fork_worker() -> _Worker:
     return worker
 
 
-def _child(requests: int, replies: int, inherited: list[int]) -> NoReturn:
-    """A forked worker's whole life: serve, then exit without returning
-    into the caller's code, running its ``atexit`` handlers or flushing
-    its buffered output."""
+def _child(requests: int, replies: int, inherited: list[int], model,
+           block: _Block) -> NoReturn:
+    """A forked worker's whole life: point the model at the shared
+    parameters, serve, then exit without returning into the caller's code,
+    running its ``atexit`` handlers or flushing its buffered output."""
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
-        serve(requests, replies)
+        for name, p in model.named_parameters().items():
+            p.data = block.params[name]
+        serve(requests, replies, model, block)
         code = 0
     except BaseException:  # the parent learns of it from the exit code
         os.write(2, traceback.format_exc().encode())
@@ -327,38 +330,39 @@ def _child(requests: int, replies: int, inherited: list[int]) -> NoReturn:
 
 
 class Pool:
-    """Worker processes plus the shared block they read and write."""
+    """``n_workers`` worker processes plus the shared block they read and
+    write. The workers are forked anew for each new block, which they
+    inherit along with the model of the job that needed it."""
 
     def __init__(self, n_workers: int):
+        self._n_workers = n_workers
         self._workers: list[_Worker] = []
         self._selector = selectors.DefaultSelector()
         self._block: _Block | None = None
         self._spec: ModelSpec | None = None
-        try:
-            for _ in range(n_workers):
-                worker = _fork_worker()
-                self._workers.append(worker)
-                self._selector.register(worker.replies, selectors.EVENT_READ, worker)
-        except OSError:
-            self.close(kill=True)
-            raise
 
     def close(self, kill: bool = False) -> None:
-        """End every worker: close their pipes, which ends an idle worker's
-        loop, and reap them; with ``kill``, kill them first."""
+        """End every worker, and drop the block; with ``kill``, kill the
+        workers first."""
         global _shared
         if _shared is self:
             _shared = None
+        self._stop(kill)
+        self._selector.close()
+        self._block = None
+
+    def _stop(self, kill: bool = False) -> None:
+        """Close the workers' pipes, which ends an idle worker's loop, and
+        reap them; with ``kill``, kill them first."""
         for worker in self._workers:
             if kill:
                 worker.kill()
             worker.close_requests()
         for worker in self._workers:
             worker.wait()
+            self._selector.unregister(worker.replies)
             worker.close_replies()
         self._workers = []
-        self._selector.close()
-        self._block = None
 
     def gradients(self, model, batch, loss_kind: str, scale: float, stream: tuple,
                   offsets) -> list[tuple[float, dict]]:
@@ -383,39 +387,38 @@ class Pool:
         return np.array([pred for (pred,) in replies], dtype=np.float64)
 
     def _publish(self, model, n_slots: int) -> None:
+        """Copy ``model``'s parameters into the shared block. At the first
+        job, for a model of another spec (which sets every shape) or for
+        more gradient slots, first stop the workers, make a new block and
+        fork new workers onto it."""
         params = model.named_parameters()
-        shapes = tuple((name, p.shape) for name, p in params.items())
         block = self._block
-        if (block is None or self._spec != model.spec or block.layout[0] != shapes
-                or len(block.slots) < n_slots):
+        if block is None or self._spec != model.spec or len(block.slots) < n_slots:
+            shapes = tuple((name, p.shape) for name, p in params.items())
             n_slots = max(n_slots, len(block.slots) if block is not None else 0)
-            self._new_block(model.spec, (shapes, model.spec.max_seq_len, n_slots))
+            self._stop()
+            try:
+                block = _Block((shapes, model.spec.max_seq_len, n_slots))
+                for _ in range(self._n_workers):
+                    worker = _fork_worker(model, block)
+                    self._workers.append(worker)
+                    self._selector.register(worker.replies, selectors.EVENT_READ, worker)
+            except BaseException:
+                self.close(kill=True)
+                raise
+            self._block, self._spec = block, model.spec
         for name, p in params.items():
-            np.copyto(self._block.params[name], p.data)
+            np.copyto(block.params[name], p.data)
 
-    def _new_block(self, spec: ModelSpec, layout: tuple) -> None:
-        self._block = None
-        shm = "/dev/shm" if os.path.isdir("/dev/shm") else None
-        fd, path = tempfile.mkstemp(prefix="rubric-pool-", dir=shm)
-        os.close(fd)
-        try:
-            self._block = _Block(path, layout, create=True)
-            self._run([("block", path, asdict(spec), layout)] * len(self._workers))
-        finally:
-            # every worker has mapped it, or failed: the name is no longer needed
-            os.unlink(path)
-        self._spec = spec
-
-    def _run(self, jobs, costs=None) -> list:
+    def _run(self, jobs, costs) -> list:
         """Hand out ``jobs``, largest cost first (ties in job order), to
-        whichever workers have fewest queued, or job i to worker i without
-        ``costs``; returns the replies in job order, re-raising the first
-        job's error once all have finished.
+        whichever workers have fewest queued; returns the replies in job
+        order, re-raising the first job's error once all have finished.
 
         Each worker has up to ``_QUEUED`` jobs in its pipe, so it starts its
         next job without waiting for the parent to read its last reply.
         """
-        order = sorted(range(len(jobs)), key=lambda i: -costs[i]) if costs else []
+        order = sorted(range(len(jobs)), key=lambda i: -costs[i])
         replies = [None] * len(jobs)
         queued = {worker: collections.deque() for worker in self._workers}
 
@@ -427,9 +430,6 @@ class Pool:
             queued[worker].append(i)
 
         try:
-            if costs is None:
-                for i, worker in enumerate(self._workers[: len(jobs)]):
-                    send(worker, i)
             while order or any(queued.values()):
                 for depth in range(_QUEUED):
                     for worker in self._workers:
@@ -459,15 +459,13 @@ class Pool:
         return PoolError(f"worker process {worker.pid} {how}; its job is lost")
 
 
-def serve(requests: int, replies: int) -> None:
-    """A worker's main loop: answer the parent's jobs, read from the
-    ``requests`` pipe, on the ``replies`` pipe until the parent closes
-    ``requests``."""
-    from .model import Model
+def serve(requests: int, replies: int, model, block: _Block) -> None:
+    """A worker's main loop: answer the parent's jobs on ``model``, whose
+    parameters are ``block``'s, read from the ``requests`` pipe, on the
+    ``replies`` pipe until the parent closes ``requests``."""
     from .training import dropout_stream, sequence_gradients
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers itself
-    block = model = None
     while (job := _recv(requests)) is not None:
         try:
             if job[0] == "grad":
@@ -475,15 +473,8 @@ def serve(requests: int, replies: int) -> None:
                 loss, grads = sequence_gradients(model, ids, targets, loss_kind, scale,
                                                  dropout_stream(*stream, offset))
                 reply = ("ok", loss, block.write_slot(slot, grads))
-            elif job[0] == "predict":
+            else:  # "predict"
                 reply = ("ok", model.predict_ids(job[1]).tolist())
-            else:  # "block": map a new shared file and rebuild the model on it
-                _, path, spec, layout = job
-                block = _Block(path, layout, create=False)
-                model = Model.build(ModelSpec(**spec), seed=0)
-                for name, p in model.named_parameters().items():
-                    p.data = block.params[name]
-                reply = ("ok",)
         except Exception as exc:  # reported to the parent, which raises it there
             reply = ("error", type(exc).__name__, str(exc))
         _send(replies, reply)

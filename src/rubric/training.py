@@ -9,7 +9,6 @@ does the optimizer step on the summed gradients.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -24,7 +23,6 @@ from .optim import AdamW, clip_grad_norm
 from .tensor import NumericError, Tensor
 
 LOSS_KINDS = ("smooth_l1", "mse")
-ADV_SCOPES = ("all", "encoder", "heads")
 
 AWP_EPS = 1e-12  # denominator guard in the ascent direction
 
@@ -43,7 +41,6 @@ class TrainConfig:
     adv_eps: float = 0.01
     awp_start_epoch: int = 2
     adv_steps: int = 1
-    adv_scope: str = "all"
     seed: int = 0
     loss_kind: str = "smooth_l1"
     grad_clip_norm: float | None = None
@@ -59,8 +56,6 @@ class TrainConfig:
             raise ValueError(f"awp_start_epoch must be >= 1, got {self.awp_start_epoch}")
         if self.adv_steps < 1:
             raise ValueError(f"adv_steps must be >= 1, got {self.adv_steps}")
-        if self.adv_scope not in ADV_SCOPES:
-            raise ValueError(f"adv_scope must be one of {ADV_SCOPES}, got {self.adv_scope!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.loss_kind not in LOSS_KINDS:
@@ -80,28 +75,16 @@ class TrainConfig:
 AwpSnapshot = dict
 
 
-def perturbable_parameters(params: dict[str, Tensor], scope: str = "all") -> dict[str, Tensor]:
+def perturbable_parameters(params: dict[str, Tensor]) -> dict[str, Tensor]:
     """Weight matrices and embedding tables only; 1-d params (biases,
     layer-norm gains) are never perturbed."""
-    if scope == "encoder":
-        params = {n: p for n, p in params.items() if n.startswith("enc.")}
-    elif scope == "heads":
-        params = {n: p for n, p in params.items() if n.startswith("head.")}
     return {n: p for n, p in params.items() if p.data.ndim >= 2}
-
-
-def _norm(x: np.ndarray) -> float:
-    """L2 norm of all entries without BLAS, whose idle threads would spin
-    on the cores the worker pool computes on."""
-    flat = x.reshape(-1)
-    return math.sqrt(np.einsum("i,i->", flat, flat))
 
 
 def perturb(
     params: dict[str, Tensor],
     adv_lr: float,
     adv_eps: float,
-    scope: str = "all",
     snapshot: AwpSnapshot | None = None,
 ) -> AwpSnapshot:
     """Move each perturbable tensor one ascent step within its relative ball.
@@ -113,24 +96,24 @@ def perturb(
     """
     if snapshot is None:
         snapshot = {}
-    for name, p in perturbable_parameters(params, scope).items():
+    for name, p in perturbable_parameters(params).items():
         g = p.grad
         if g is None:
             continue
-        grad_norm = _norm(g)
-        weight_norm = _norm(p.data)
+        grad_norm = np.linalg.norm(g)
+        weight_norm = np.linalg.norm(p.data)
         if grad_norm == 0.0 or weight_norm == 0.0:
             continue
         if name not in snapshot:
             snapshot[name] = p.data
         original = snapshot[name]
-        origin_norm = _norm(original)
+        origin_norm = np.linalg.norm(original)
         if origin_norm == 0.0:
             continue
         moved = p.data + adv_lr * g * (weight_norm / (grad_norm + AWP_EPS))
         delta = moved - original
         radius = adv_eps * origin_norm
-        delta_norm = _norm(delta)
+        delta_norm = np.linalg.norm(delta)
         if delta_norm > radius:
             delta = delta * (radius / delta_norm)
         p.data = original + delta
@@ -307,7 +290,7 @@ class Trainer:
             snapshot: AwpSnapshot = {}
             try:
                 for adv_pass in range(cfg.adv_steps):
-                    perturb(self.params, cfg.adv_lr, cfg.adv_eps, cfg.adv_scope, snapshot)
+                    perturb(self.params, cfg.adv_lr, cfg.adv_eps, snapshot)
                     self._backward_pass(batch, 1 + adv_pass, "adversarial loss")
             except NumericError as exc:
                 restore(self.params, snapshot)

@@ -49,7 +49,7 @@ NON_DEFAULT = {
     "model.pooling_mode": "mean",
     "train.epochs": "4", "train.batch_size": "3", "train.learning_rate": "0.001",
     "train.weight_decay": "0.01", "train.adv_lr": "0.5", "train.adv_eps": "0.02",
-    "train.awp_start_epoch": "3", "train.adv_steps": "2", "train.adv_scope": "heads",
+    "train.awp_start_epoch": "3", "train.adv_steps": "2",
     "train.seed": "9", "train.loss_kind": "mse", "train.grad_clip_norm": "1.5",
     "data.train_csv": "a.csv", "data.valid_csv": "b.csv", "data.input_csv": "c.csv",
     "data.valid_fraction": "0.3", "data.min_count": "2", "cv.k": "3",

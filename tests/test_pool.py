@@ -1,5 +1,6 @@
 """The worker pool: same bits at every worker count, errors, lifetime."""
 
+import dataclasses
 import os
 import signal
 import subprocess
@@ -239,15 +240,14 @@ def test_workers_do_not_flush_the_parents_buffered_output(tmp_path):
 
 def test_a_worker_failing_before_its_loop_is_named_and_never_returns(tmp_path):
     done = run_script(tmp_path, SMALL_MODEL + """
-    def broken(requests, replies):
+    def broken(requests, replies, model, block):
         raise RuntimeError("broken before its loop")
 
     pool.serve = broken
-    workers = pool.get(0.0)
-    print("started", *[worker.pid for worker in workers._workers], flush=True)
     try:
         model.predict_records(records)
     except pool.PoolError as exc:
+        print("started", *[worker.pid for worker in pool._started], flush=True)
         print(exc)
     """)
     assert done.returncode == 0, done.stderr
@@ -258,6 +258,68 @@ def test_a_worker_failing_before_its_loop_is_named_and_never_returns(tmp_path):
                for pid in pids), error
     # the other worker may be killed before it reports
     assert "RuntimeError: broken before its loop" in done.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+def test_a_parent_killed_while_its_workers_start_leaves_no_shared_memory_file(tmp_path):
+    script = tmp_path / "script.py"
+    script.write_text(textwrap.dedent(SMALL_MODEL + """
+    import os, time
+
+    def stalled(requests, *args):
+        pool._recv(requests)  # the pool has sent its first job
+        os.write(1, b"ready\\n")
+        time.sleep(300)
+
+    pool.serve = stalled
+    model.predict_records(records)
+    """))
+    before = set(os.listdir("/dev/shm"))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen([sys.executable, str(script)], env=env, stdout=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        assert proc.stdout.readline() == b"ready\n"
+    finally:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=60)
+        proc.stdout.close()
+    assert set(os.listdir("/dev/shm")) - before == set()
+
+
+def test_a_running_pool_forks_new_workers_for_each_new_block(monkeypatch):
+    records = synth_corpus(12, seed=5)
+    vocab, small = build_vocab(records), build_vocab(records[:2])
+    spec = ModelSpec(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16)
+    assert small.size != vocab.size
+
+    def predict(spec, seed, vocab):
+        model = Model.build(spec, seed=seed, vocab=vocab)
+        return model.predict_records(records, clip=False).tobytes()
+
+    def train():  # gradient jobs need slots; its validation predicts on the same block
+        model = Model.build(spec, seed=2, vocab=vocab)
+        report = fit(model, records[:9], records[9:], TrainConfig(epochs=1, batch_size=4))
+        params = [p.data.tobytes() for p in model.named_parameters().values()]
+        return params, [(row.train_loss, row.valid_mcrmse) for row in report.rows]
+
+    jobs = [
+        lambda: predict(spec, 0, vocab),
+        lambda: predict(spec, 1, vocab),  # same spec, other parameters: same workers
+        train,
+        lambda: predict(dataclasses.replace(spec, vocab_size=small.size), 3, small),
+    ]
+    monkeypatch.setattr(pool, "_forced_workers", 0)
+    expected = [job() for job in jobs]
+    monkeypatch.setattr(pool, "_forced_workers", 2)
+    rounds = []
+    for job, want in zip(jobs, expected):
+        assert job() == want
+        current = [worker.pid for worker in pool._shared._workers]
+        assert sorted(workers_left_running()) == sorted(current)
+        rounds.append(tuple(current))
+    assert rounds[1] == rounds[0]
+    assert len(set(rounds)) == 3
 
 
 def test_without_a_blas_setter_every_job_runs_in_process(monkeypatch, corpus, tmp_path):

@@ -117,13 +117,27 @@ class TestPerturb:
             "head.x.out_w": Tensor(np.ones((2, 1)), requires_grad=True),
         }
         assert set(perturbable_parameters(params)) == {"enc.w", "head.x.out_w"}
-        assert set(perturbable_parameters(params, "encoder")) == {"enc.w"}
-        assert set(perturbable_parameters(params, "heads")) == {"head.x.out_w"}
 
 
 class TestTrainStep:
     def _examples(self, model, records):
         return [(model.encode_record(r), np.asarray(r.scores)) for r in records]
+
+    def test_grad_clip_norm_bounds_the_gradient_the_optimizer_steps_on(self, monkeypatch):
+        model, records = tiny_model()
+        trainer = Trainer(model, TrainConfig(batch_size=5, awp_start_epoch=1,
+                                             grad_clip_norm=1e-3, seed=3))
+        norms = []
+        step = trainer.opt.step
+
+        def recording_step():
+            grads = [p.grad for p in trainer.params.values() if p.grad is not None]
+            norms.append(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+            step()
+
+        monkeypatch.setattr(trainer.opt, "step", recording_step)
+        trainer.train_step(self._examples(model, records)[:5], epoch=1)
+        assert len(norms) == 1 and 0.0 < norms[0] <= 1e-3 * (1 + 1e-12)
 
     def test_no_snapshot_before_start_epoch(self):
         model, records = tiny_model()
@@ -209,7 +223,7 @@ class TestTrainStep:
             for name, grad in grads.items():
                 params[name].accumulate_grad(grad)
         before = {n: p.data.copy() for n, p in params.items()}
-        snapshot = perturb(params, cfg.adv_lr, cfg.adv_eps, cfg.adv_scope)
+        snapshot = perturb(params, cfg.adv_lr, cfg.adv_eps)
         assert snapshot  # something actually moved
         restore(params, snapshot)
         for name, p in params.items():
