@@ -2,12 +2,14 @@
 
 import dataclasses
 import os
+import resource
 import signal
 import subprocess
 import sys
 import textwrap
 import threading
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +344,54 @@ def test_without_a_blas_setter_every_job_runs_in_process(monkeypatch, corpus, tm
     assert len(pool._started) == started
 
 
+def test_block_slots_give_back_each_kind_of_gradient_they_were_given():
+    def parts(grad):  # a row-sparse gradient is (ids, rows)
+        return grad if isinstance(grad, tuple) else (grad,)
+
+    shapes = (("enc.tok_emb", (10, 4)), ("enc.layer0.wq", (4, 4)), ("head.w", (4,)))
+    block = pool._Block((shapes, 6, 2))
+    for array in [block.params[name] for name, _ in shapes] + block.slots[0] + block.slots[1]:
+        for part in parts(array):
+            part[...] = 7  # stale values, which nothing may read back
+    rng = np.random.default_rng(0)
+    written = [
+        {"enc.tok_emb": (np.array([3, 1]), rng.normal(size=(2, 4))),
+         "enc.layer0.wq": rng.normal(size=(4, 4))},
+        {"enc.tok_emb": (np.zeros(0, np.int64), np.zeros((0, 4))), "head.w": rng.normal(size=4)},
+    ]
+    rows = [block.write_slot(slot, grads) for slot, grads in enumerate(written)]
+    for slot, grads in enumerate(written):
+        read = block.read_slot(slot, rows[slot])
+        assert read.keys() == grads.keys()
+        for name, want in grads.items():
+            for got, expected in zip(parts(read[name]), parts(want)):
+                assert got.shape == expected.shape and np.array_equal(got, expected), name
+
+
+def test_without_mallopt_jobs_get_the_same_bits(tmp_path):
+    assert not pool._pin_heap(types.SimpleNamespace())
+    assert not pool._pin_heap(types.SimpleNamespace(mallopt=lambda param, value: 0))
+    predict = SMALL_MODEL + """
+    print(pool._heap_pinned)
+    for workers in (0, 2):
+        pool._forced_workers = workers
+        print(model.predict_records(records, clip=False).tobytes().hex())
+        pool.close()
+    """
+    pinned = run_script(tmp_path, predict)
+    # a libc handle without mallopt leaves glibc's defaults in force
+    unpinned = run_script(tmp_path, """
+    import ctypes, types
+    dlopen = ctypes.CDLL
+    ctypes.CDLL = lambda name, *args, **kwargs: (
+        types.SimpleNamespace() if name is None else dlopen(name, *args, **kwargs))
+    """ + predict)
+    assert pinned.returncode == 0 and unpinned.returncode == 0, pinned.stderr + unpinned.stderr
+    _, in_process, on_workers = pinned.stdout.splitlines()
+    assert in_process == on_workers
+    assert unpinned.stdout.splitlines() == ["False", in_process, in_process]
+
+
 def long_essays():
     """The default model and essays of 182 to 256 tokens, where the batched
     attention-score product is big enough for BLAS to use threads."""
@@ -388,3 +438,28 @@ def test_leak_guard_sees_live_and_unreaped_workers(monkeypatch):
     assert worker.pid in workers_left_running()
     pool.close()
     assert worker.pid not in workers_left_running()
+
+
+@pytest.mark.skipif(not pool._heap_pinned, reason="no glibc mallopt")
+def test_a_warm_eval_forward_of_max_seq_len_tokens_makes_almost_no_page_faults():
+    model, _ = long_essays()
+    ids = np.random.default_rng(0).integers(1, model.spec.vocab_size,
+                                            model.spec.max_seq_len).tolist()
+    for _ in range(3):
+        model.predict_ids(ids)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        model.predict_ids(ids)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / 20 <= 16  # 1,136 with glibc's default thresholds
+
+
+@pytest.mark.skipif(not pool._heap_pinned, reason="no glibc mallopt")
+def test_forked_workers_inherit_the_heap_setting(monkeypatch):
+    model, records = long_essays()
+    monkeypatch.setattr(pool, "_forced_workers", 2)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    model.predict_records(records)
+    pool.close()  # reaped workers count in RUSAGE_CHILDREN
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    assert faults / len(records) <= 300  # about 1,050 with glibc's default thresholds
