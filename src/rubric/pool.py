@@ -57,8 +57,10 @@ class PoolError(RuntimeError):
 # 4 ms, the job on the new workers about 12 ms). A job must save more.
 STARTUP_S = 0.05
 # In-process forward time: a fixed cost per sequence plus a cost per
-# multiply-add (2-vCPU VM; 0.53, 0.69 and 2.19 ms per 72-token sequence at
-# d_model 16, 32 and 64). A training pass costs about three forwards.
+# multiply-add. A training pass costs about three forwards. Eval forwards of
+# 72 tokens took 0.83, 1.08 and 1.64 ms at d_model 16, 32 and 64 (2-vCPU VM),
+# which the constants underestimate at small d_model; they stay until a
+# benchmark change can re-baseline the set-up jobs whose path they decide.
 SECONDS_PER_SEQUENCE = 3.0e-4
 SECONDS_PER_MAC = 3.0e-10
 TRAIN_PASS_FORWARDS = 3

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rubric.crossval import (
     FoldPlan,
+    _augmented,
     default_variants,
     mean_baseline_cv,
     random_kfold,
@@ -138,6 +142,14 @@ class TestMatchesReference:
                 self.assert_same_plan(synth300[:n], k, seed)
                 self.assert_same_plan(distinct_records(n), k, seed)
         self.assert_same_plan(lattice_records(1000, seed=k), k, 3)
+        # folds of 200-1,000 rows span several scan blocks
+        self.assert_same_plan(lattice_records(2000, seed=k), k, 3)
+        # each score vector three times, so equal swaps tie across blocks
+        triples = [
+            EssayRecord(f"{r.text_id}-{c}", r.full_text, r.scores)
+            for c in range(3) for r in synth300
+        ]
+        self.assert_same_plan(triples, k, 2)
 
     def test_same_plan_off_lattice(self, synth300):
         rng = np.random.default_rng(4)
@@ -148,6 +160,25 @@ class TestMatchesReference:
         ]
         for k, seed in ((3, 0), (5, 1), (10, 2)):
             self.assert_same_plan(moved, k, seed)
+
+
+@st.composite
+def half_point_rows(draw):
+    """1-300 rows of six half-point scores, some of them repeated."""
+    rows = draw(arrays(np.float64, (draw(st.integers(1, 300)), 6),
+                       elements=st.sampled_from([1.0 + 0.5 * i for i in range(9)])))
+    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=300 - len(rows)))
+    return np.concatenate([rows, rows[repeats]])
+
+
+@settings(max_examples=60)
+@given(half_point_rows(), half_point_rows())
+def test_augmented_product_is_exact_on_the_lattice(sa, sb):
+    """The swap scan's squared distances equal the plain expression's bits."""
+    left, _ = _augmented(sa)
+    _, right = _augmented(sb)
+    plain = ((sa * sa).sum(axis=1)[:, None] + (sb * sb).sum(axis=1)) - 2.0 * (sa @ sb.T)
+    assert np.array_equal(left @ right.T, plain)
 
 
 class TestBaseline:
