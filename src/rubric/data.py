@@ -336,6 +336,16 @@ _STAT_RANGES = {
 }
 
 
+def _check_int(name: str, value, least: int, least_name: str | None = None) -> None:
+    """Raise a DataError naming ``name`` unless ``value`` is an int (not a
+    bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        bound = f"{least_name} ({least})" if least_name else least
+        raise DataError(f"{name} must be >= {bound}, got {value}")
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Knobs for the synthetic generator."""
@@ -344,10 +354,17 @@ class SynthSpec:
     max_sentences: int = 9
     paragraph_break_at: int = 6  # essays with >= this many sentences get two paragraphs
 
+    def __post_init__(self):
+        _check_int("SynthSpec.min_sentences", self.min_sentences, 1)
+        _check_int("SynthSpec.max_sentences", self.max_sentences, self.min_sentences,
+                   "min_sentences")
+        # at 1, a one-sentence essay would open with an empty paragraph
+        _check_int("SynthSpec.paragraph_break_at", self.paragraph_break_at, 2)
+
 
 def _unit(stat: str, value: float) -> float:
     lo, hi = _STAT_RANGES[stat]
-    return float(np.clip((value - lo) / (hi - lo), 0.0, 1.0))
+    return min(max((value - lo) / (hi - lo), 0.0), 1.0)
 
 
 def text_statistics(text: str) -> dict[str, float]:
@@ -402,8 +419,9 @@ def scores_from_statistics(stats: dict[str, float]) -> tuple[float, ...]:
         1.0 - _unit("agreement_error_rate", stats["agreement_error_rate"]),
         _unit("punctuation_rate", stats["punctuation_rate"]),
     )
-    raw = [SCORE_MIN + (SCORE_MAX - SCORE_MIN) * u for u in units]
-    return tuple(float(np.clip(nearest_half(r), SCORE_MIN, SCORE_MAX)) for r in raw)
+    # units lie in [0, 1], so each score is already in range; round() ties
+    # to even, like nearest_half's np.rint
+    return tuple(round(2.0 * (SCORE_MIN + (SCORE_MAX - SCORE_MIN) * u)) / 2.0 for u in units)
 
 
 def _render(tokens: list[str]) -> str:
@@ -435,9 +453,10 @@ def _synth_essay(rng: np.random.Generator, spec: SynthSpec) -> str:
     for _ in range(n_sent):
         toks: list[str] = []
         if rng.random() < conn_p:
-            toks += [str(rng.choice(_CONNECTIVES)), ","]
+            toks += [_CONNECTIVES[rng.integers(len(_CONNECTIVES))], ","]
         singular = rng.random() < 0.7
-        subject = str(rng.choice(_SG_SUBJECTS if singular else _PL_SUBJECTS))
+        subjects = _SG_SUBJECTS if singular else _PL_SUBJECTS
+        subject = subjects[rng.integers(len(subjects))]
         base, third = _VERBS[rng.integers(len(_VERBS))]
         if singular:
             verb = base if rng.random() < agr_err_p else third
@@ -446,13 +465,13 @@ def _synth_essay(rng: np.random.Generator, spec: SynthSpec) -> str:
         toks += [subject, verb]
         n_phrases = 1 + int(rng.random() < 0.3 + 0.65 * complexity)
         for _ in range(n_phrases):
-            toks.append(str(rng.choice(_PREPOSITIONS)))
+            toks.append(_PREPOSITIONS[rng.integers(len(_PREPOSITIONS))])
             toks.append("the")
             n_adj = int(rng.integers(0, 2 + round(2 * complexity)))
             for _ in range(n_adj):
-                toks.append(str(rng.choice(_ADJECTIVES)))
+                toks.append(_ADJECTIVES[rng.integers(len(_ADJECTIVES))])
             pool = _RARE_NOUNS if rng.random() < rare_p else _COMMON_NOUNS
-            toks.append(str(rng.choice(pool)))
+            toks.append(pool[rng.integers(len(pool))])
         if rng.random() < filler_p:
             toks += list(filler)
         if rng.random() < period_p:
@@ -467,10 +486,8 @@ def _synth_essay(rng: np.random.Generator, spec: SynthSpec) -> str:
 
 def synth_corpus(n: int, seed: int, spec: SynthSpec = SynthSpec()) -> list[EssayRecord]:
     """Generate ``n`` seeded essays with scores derived from their text."""
-    if n < 1:
-        raise DataError(f"synth_corpus needs n >= 1, got {n}")
-    if seed < 0:
-        raise DataError(f"synth_corpus needs a nonnegative seed, got {seed}")
+    _check_int("synth_corpus n", n, 1)
+    _check_int("synth_corpus seed", seed, 0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E5)))
     records = []
     for i in range(n):

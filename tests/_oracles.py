@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from rubric import data
+from rubric.data import SCORE_MAX, SCORE_MIN, EssayRecord, SynthSpec, nearest_half
 from rubric.encoder import MASK_NEG
 from rubric.tensor import Tensor, attention, dropout, embedding, layer_norm
 
@@ -267,3 +269,91 @@ def reference_adamw_step(params, m, v, t, lr, betas=(0.9, 0.999), eps=1e-8, weig
         if weight_decay:
             update = update + weight_decay * p.data
         p.data = p.data - lr * update
+
+
+def reference_unit(stat: str, value: float) -> float:
+    """Frozen copy of ``rubric.data._unit`` before it clipped in Python floats."""
+    lo, hi = data._STAT_RANGES[stat]
+    return float(np.clip((value - lo) / (hi - lo), 0.0, 1.0))
+
+
+def reference_raw_scores(stats: dict[str, float]) -> list[float]:
+    """The six unrounded trait scores of ``reference_scores_from_statistics``."""
+    units = (
+        reference_unit("connective_rate", stats["connective_rate"]),
+        reference_unit("words_per_sentence", stats["words_per_sentence"]),
+        0.65 * reference_unit("rare_word_rate", stats["rare_word_rate"])
+        + 0.35 * reference_unit("type_token_ratio", stats["type_token_ratio"]),
+        reference_unit("bigram_diversity", stats["bigram_diversity"]),
+        1.0 - reference_unit("agreement_error_rate", stats["agreement_error_rate"]),
+        reference_unit("punctuation_rate", stats["punctuation_rate"]),
+    )
+    return [SCORE_MIN + (SCORE_MAX - SCORE_MIN) * u for u in units]
+
+
+def reference_scores_from_statistics(stats: dict[str, float]) -> tuple[float, ...]:
+    """Frozen copy of ``rubric.data.scores_from_statistics`` before it
+    rounded in Python floats: numpy ``clip`` and ``nearest_half``."""
+    raw = reference_raw_scores(stats)
+    return tuple(float(np.clip(nearest_half(r), SCORE_MIN, SCORE_MAX)) for r in raw)
+
+
+def _reference_synth_essay(rng: np.random.Generator, spec: SynthSpec) -> str:
+    """Frozen copy of ``rubric.data._synth_essay`` before it drew table
+    entries by index: each word comes from ``Generator.choice``."""
+    q = rng.uniform(size=6)  # latent quality knobs, one per trait
+    conn_p = 0.05 + 0.90 * q[0]
+    complexity = q[1]
+    rare_p = 0.60 * q[2]
+    filler_p = 0.75 * (1.0 - q[3])
+    agr_err_p = 0.65 * (1.0 - q[4])
+    period_p = 0.35 + 0.65 * q[5]
+    filler = data._FILLERS[rng.integers(len(data._FILLERS))]
+
+    n_sent = int(rng.integers(spec.min_sentences, spec.max_sentences + 1))
+    sentences = []
+    for _ in range(n_sent):
+        toks: list[str] = []
+        if rng.random() < conn_p:
+            toks += [str(rng.choice(data._CONNECTIVES)), ","]
+        singular = rng.random() < 0.7
+        subject = str(rng.choice(data._SG_SUBJECTS if singular else data._PL_SUBJECTS))
+        base, third = data._VERBS[rng.integers(len(data._VERBS))]
+        if singular:
+            verb = base if rng.random() < agr_err_p else third
+        else:
+            verb = base
+        toks += [subject, verb]
+        n_phrases = 1 + int(rng.random() < 0.3 + 0.65 * complexity)
+        for _ in range(n_phrases):
+            toks.append(str(rng.choice(data._PREPOSITIONS)))
+            toks.append("the")
+            n_adj = int(rng.integers(0, 2 + round(2 * complexity)))
+            for _ in range(n_adj):
+                toks.append(str(rng.choice(data._ADJECTIVES)))
+            pool = data._RARE_NOUNS if rng.random() < rare_p else data._COMMON_NOUNS
+            toks.append(str(rng.choice(pool)))
+        if rng.random() < filler_p:
+            toks += list(filler)
+        if rng.random() < period_p:
+            toks.append(".")
+        sentences.append(data._render(toks))
+
+    if n_sent >= spec.paragraph_break_at:
+        split = n_sent // 2
+        return " ".join(sentences[:split]) + "\n\n" + " ".join(sentences[split:])
+    return " ".join(sentences)
+
+
+def reference_synth_corpus(n: int, seed: int, spec: SynthSpec = SynthSpec()) -> list[EssayRecord]:
+    """Frozen copy of ``rubric.data.synth_corpus`` before its index draws
+    and Python-float score mapping; ``synth_corpus`` must give the same
+    records. Argument checks are left to ``synth_corpus``. Text
+    statistics and sentence rendering are the library's."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E5)))
+    records = []
+    for i in range(n):
+        text = _reference_synth_essay(rng, spec)
+        scores = reference_scores_from_statistics(data.text_statistics(text))
+        records.append(EssayRecord(f"synth-{i:05d}", text, scores))
+    return records

@@ -32,6 +32,7 @@ from rubric.model import Model
 from rubric.training import TrainConfig
 
 from _fuzz import csv_bytes
+from _oracles import reference_synth_corpus
 
 
 FAST = [
@@ -357,6 +358,12 @@ class TestSynthCommand:
         records = load_csv(str(out_csv))
         assert len(records) == 9
         assert all(r.labeled for r in records)
+
+    def test_synth_csv_matches_reference_generator_bytes(self, tmp_path):
+        out_csv = tmp_path / "out.csv"
+        assert run(["synth", "--n", 60, "--synth-seed", 3, out_csv]) == 0
+        write_csv(reference_synth_corpus(60, 3), str(tmp_path / "reference.csv"))
+        assert out_csv.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_usage_error_exits_one(self, capsys):
         assert run(["train", "--bogus-flag"]) == 1

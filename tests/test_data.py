@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,16 @@ from rubric.data import (
     SCORE_MAX,
     SCORE_MIN,
     EssayRecord,
+    SynthSpec,
     TARGETS,
     Vocabulary,
+    _STAT_RANGES,
     build_vocab,
     load_csv,
     load_predictions,
     nearest_half,
     on_lattice,
+    scores_from_statistics,
     synth_corpus,
     text_statistics,
     tokenize,
@@ -24,6 +29,7 @@ from rubric.data import (
 )
 
 from _fuzz import csv_bytes
+from _oracles import reference_raw_scores, reference_scores_from_statistics, reference_synth_corpus
 
 
 class TestTokenizer:
@@ -250,15 +256,132 @@ class TestSynthCorpus:
         assert np.corrcoef(conn, cohesion)[0, 1] > 0.5
 
     def test_scores_recomputable_from_text(self):
-        from rubric.data import scores_from_statistics
-
         for record in synth_corpus(50, seed=8):
             derived = scores_from_statistics(text_statistics(record.full_text))
             assert derived == record.scores
 
     def test_n_validated(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^synth_corpus n must be >= 1, got 0$"):
             synth_corpus(0, seed=1)
+
+    @pytest.mark.parametrize("n, seed, culprit", [
+        (2.5, 1, "synth_corpus n must be an integer, got 2.5"),
+        (True, 1, "synth_corpus n must be an integer, got True"),
+        (3, 1.0, "synth_corpus seed must be an integer, got 1.0"),
+        (3, False, "synth_corpus seed must be an integer, got False"),
+        (3, -1, "synth_corpus seed must be >= 0, got -1"),
+    ])
+    def test_arguments_rejected_by_name(self, n, seed, culprit):
+        with pytest.raises(DataError) as info:
+            synth_corpus(n, seed)
+        assert str(info.value) == culprit
+
+    @pytest.mark.parametrize("fields, culprit", [
+        (dict(min_sentences=5, max_sentences=3),
+         "SynthSpec.max_sentences must be >= min_sentences (5), got 3"),
+        (dict(min_sentences=0), "SynthSpec.min_sentences must be >= 1, got 0"),
+        (dict(min_sentences=2.0), "SynthSpec.min_sentences must be an integer, got 2.0"),
+        (dict(max_sentences=True), "SynthSpec.max_sentences must be an integer, got True"),
+        (dict(paragraph_break_at=1), "SynthSpec.paragraph_break_at must be >= 2, got 1"),
+        (dict(paragraph_break_at=0), "SynthSpec.paragraph_break_at must be >= 2, got 0"),
+    ])
+    def test_spec_rejected_by_field(self, fields, culprit):
+        with pytest.raises(DataError) as info:
+            SynthSpec(**fields)
+        assert str(info.value) == culprit
+
+    def test_one_sentence_essays_have_one_paragraph(self):
+        spec = SynthSpec(min_sentences=1, max_sentences=1, paragraph_break_at=2)
+        for record in synth_corpus(20, seed=5, spec=spec):
+            assert "\n" not in record.full_text
+
+    def test_numpy_integer_arguments_accepted(self):
+        spec = SynthSpec(min_sentences=np.int64(2), max_sentences=np.int64(3))
+        assert synth_corpus(np.int64(2), np.int64(7), spec) == synth_corpus(2, 7, SynthSpec(2, 3))
 
     def test_multiline_essays_exist(self):
         assert any("\n" in r.full_text for r in synth_corpus(30, seed=2))
+
+
+@st.composite
+def synth_specs(draw):
+    low = draw(st.integers(1, 28))
+    return SynthSpec(min_sentences=low, max_sentences=draw(st.integers(low, low + 8)),
+                     paragraph_break_at=draw(st.integers(2, 30)))
+
+
+class TestSynthOracle:
+    """``synth_corpus`` against a frozen copy of the generator that drew
+    words with ``Generator.choice`` and mapped scores with numpy."""
+
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), spec=synth_specs())
+    @settings(max_examples=15)
+    def test_matches_reference_generator(self, n, seed, spec):
+        assert synth_corpus(n, seed, spec) == reference_synth_corpus(n, seed, spec)
+
+    def test_matches_reference_on_benchmark_shaped_corpora(self):
+        assert synth_corpus(200, 23) == reference_synth_corpus(200, 23)
+        for count in range(2, 29):
+            spec = SynthSpec(min_sentences=count, max_sentences=count)
+            assert synth_corpus(2, 1000 + count, spec) == reference_synth_corpus(
+                2, 1000 + count, spec)
+
+
+def _statistic_values(lo, hi):
+    """Values inside, at and beyond one statistic's breakpoints."""
+    span = hi - lo
+    edges = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
+             lo - span, hi + span, 0.0, -math.inf, math.inf]
+    return st.one_of(st.sampled_from(edges),
+                     st.floats(lo - span, hi + span, allow_nan=False))
+
+
+def _tie_cases():
+    """(statistics, trait) pairs whose trait score sits exactly on a .25 or
+    .75 tie before rounding: each statistic in turn is bisected towards
+    every tie, the others held mid-range, then stepped ulp by ulp."""
+    mid = {stat: (lo + hi) / 2 for stat, (lo, hi) in _STAT_RANGES.items()}
+    cases = []
+    for stat, (lo, hi) in _STAT_RANGES.items():
+        for trait in range(len(TARGETS)):
+            for tie in np.arange(SCORE_MIN + 0.25, SCORE_MAX, 0.5):
+                def gap(value):
+                    return reference_raw_scores({**mid, stat: value})[trait] - tie
+
+                a, b = lo, hi
+                if gap(a) * gap(b) >= 0:
+                    continue  # trait not driven by stat, or tie out of reach
+                while math.nextafter(a, b) != b:
+                    m = (a + b) / 2
+                    a, b = (m, b) if gap(m) * gap(a) > 0 else (a, m)
+                for _ in range(8):
+                    a = math.nextafter(a, -math.inf)
+                for _ in range(16):
+                    if gap(a) == 0.0:
+                        cases.append(({**mid, stat: a}, trait))
+                        break
+                    a = math.nextafter(a, math.inf)
+    return cases
+
+
+class TestScoreMapping:
+    """Python-float ``scores_from_statistics`` against the numpy mapping
+    (``np.clip`` units, ``np.clip(nearest_half(raw), 1, 5)``)."""
+
+    @given(st.fixed_dictionaries(
+        {stat: _statistic_values(lo, hi) for stat, (lo, hi) in _STAT_RANGES.items()}))
+    @settings(max_examples=150)
+    def test_matches_numpy_mapping(self, stats):
+        assert scores_from_statistics(stats) == reference_scores_from_statistics(stats)
+
+    def test_ties_round_half_to_even_like_numpy(self):
+        cases = _tie_cases()
+        assert {trait for _, trait in cases} == set(range(len(TARGETS)))
+        for stats, _ in cases:
+            assert scores_from_statistics(stats) == reference_scores_from_statistics(stats)
+
+    def test_tie_anchors(self):
+        stats = {stat: lo for stat, (lo, hi) in _STAT_RANGES.items()}
+        # grammar = 1 + 4 * (1 - error rate): 1.25 -> 1.0 and 1.75 -> 2.0
+        assert scores_from_statistics({**stats, "agreement_error_rate": 15 / 16})[4] == 1.0
+        assert scores_from_statistics({**stats, "agreement_error_rate": 13 / 16})[4] == 2.0
