@@ -3,15 +3,18 @@
 A pool runs the per-sequence work of a training pass, or of a batch of
 predictions, on worker processes forked from the parent. The parent maps one
 anonymous shared block and then forks the workers, which share it with no
-file or name: before each job the parent copies every parameter into the
-block, where each worker's copy of the model reads them. Workers take their
-sequences over pipes, longest first, and write each sequence's gradient
-into that sequence's own slot of the same block. The parent adds the slots
-up in a fixed order, so results do not depend on how many workers ran or
-which one took what. A job whose model has another spec, or that needs more
-gradient slots, gets a new block and newly forked workers; the old workers
-are stopped first. The kernel frees a block when the last process mapping
-it ends, so nothing is left behind, even by a parent that is killed.
+file or name: the block holds every parameter, where each worker's copy of
+the model reads them. Workers take their sequences over pipes, longest
+first, and write each sequence's gradient into that sequence's own slot of
+the same block. The rest of a training step runs on the workers too: each
+owns a fixed shard of the parameters, whose slots it sums in a fixed order,
+so results do not depend on how many workers ran or which one took what,
+and which it perturbs, restores and steps with AdamW. While a model trains,
+its parameters are views into the block, so a job copies nothing in. A job
+whose model has another spec, or that needs more gradient slots, gets a new
+block and newly forked workers; the old workers are stopped first. The
+kernel frees a block when the last process mapping it ends, so nothing is
+left behind, even by a parent that is killed.
 
 A forked worker starts with numpy and this package already imported, and
 shares the parent's memory pages until one of them writes to a page. It
@@ -182,67 +185,111 @@ def close() -> None:
 atexit.register(close)
 
 
-class _Block:
-    """Shared memory: every parameter, then one gradient slot per sequence.
+def _aligned(n: int) -> int:
+    """``n`` float64s rounded up to a whole number of 64-byte lines."""
+    return -(-n * 8 // _ALIGN) * _ALIGN // 8
 
-    An anonymous shared mapping, which workers forked after it is made
-    share with the parent. A slot holds one dense array per parameter,
-    except the embedding tables, which get ``max_rows`` ids and rows for
-    their row-sparse gradients. ``layout`` is ((name, shape), ...),
-    max_rows, n_slots.
+
+class _Block:
+    """One model's training state in one anonymous shared mapping, which
+    workers forked after it is made share with the parent.
+
+    ``weights``, ``grad`` and each gradient slot's dense part are flat
+    float64 vectors in which every parameter has the same 64-byte-aligned
+    offsets (``spans``); ``params`` and ``grads`` map each name to its view.
+    The flat order (``names``) puts one embedding table first and the other
+    last, with the dense parameters between them in model order, so that
+    shards cut at tensor boundaries can give the two scatter-adds to
+    different workers. A slot, one per sequence, also holds ``max_rows`` ids
+    and rows for each embedding table's row-sparse gradient; its dense part
+    at a table's offsets is never touched. ``layout`` is
+    ((name, shape), ...), max_rows, n_slots.
     """
 
     def __init__(self, layout: tuple):
         self.layout = layout
         shapes, max_rows, n_slots = layout
-        slot = []
-        for name, shape in shapes:
-            if name in _ROW_SPARSE:
-                slot += [((max_rows,), np.int64), ((max_rows, shape[1]), np.float64)]
-            else:
-                slot.append((shape, np.float64))
-        entries = [(shape, np.float64) for _, shape in shapes] + slot * n_slots
-        offsets, size = [], 0
-        for shape, dtype in entries:  # each array 64-byte aligned
-            offsets.append(size)
-            size += -(-math.prod(shape) * np.dtype(dtype).itemsize // _ALIGN) * _ALIGN
-        self.map = mmap.mmap(-1, size)  # MAP_SHARED: forked children share it
+        tables = [(name, shape) for name, shape in shapes if name in _ROW_SPARSE]
+        order = tables[:1] + [(n, s) for n, s in shapes if n not in _ROW_SPARSE] + tables[1:]
+        self.names = [name for name, _ in order]
+        self.spans, size = {}, 0
+        for name, shape in order:
+            self.spans[name] = (size, size + math.prod(shape))
+            size += _aligned(math.prod(shape))
+        slot = [((size,), np.float64)]
+        for _, shape in tables:
+            slot += [((max_rows,), np.int64), ((max_rows, shape[1]), np.float64)]
+        entries = [((size,), np.float64)] * 2 + slot * n_slots
+        offsets, nbytes = [], 0
+        for shape, _ in entries:  # each array 64-byte aligned; both dtypes take 8 bytes
+            offsets.append(nbytes)
+            nbytes += _aligned(math.prod(shape)) * 8
+        self.map = mmap.mmap(-1, max(nbytes, 1))  # MAP_SHARED: forked children share it
         arrays = iter(np.ndarray(shape, dtype, buffer=self.map, offset=offset)
                       for (shape, dtype), offset in zip(entries, offsets))
-        self.params = {name: next(arrays) for name, _ in shapes}
-        self.slots = [
-            [(next(arrays), next(arrays)) if name in _ROW_SPARSE else next(arrays)
-             for name, _ in shapes]
-            for _ in range(n_slots)
-        ]
+        self.weights, self.grad = next(arrays), next(arrays)
+        self.params, self.grads = ({name: flat[a:b].reshape(shape)
+                                    for (name, shape), (a, b) in zip(order, self.spans.values())}
+                                   for flat in (self.weights, self.grad))
+        self.shards = [self.names]  # the names each worker owns, set by the pool
+        self.slots = [(next(arrays), {name: (next(arrays), next(arrays)) for name, _ in tables})
+                      for _ in range(n_slots)]  # (dense part, {table: (ids, rows)})
+
+    def publish(self, params: dict, bind: bool = False) -> None:
+        """Copy each parameter's values into the block, unless they are its
+        view already; with ``bind``, make them that view."""
+        for name, p in params.items():
+            view = self.params[name]
+            if p.data is not view:
+                np.copyto(view, p.data)
+                if bind:
+                    p.data = view
 
     def write_slot(self, slot: int, grads: dict) -> tuple[int, ...]:
-        """Copy one sequence's gradients into ``slot``; returns per parameter
-        -1 (no gradient), else the number of rows of a row-sparse gradient
-        (0 for a dense one)."""
+        """Copy one sequence's gradients into ``slot``; returns per parameter,
+        in flat order, -1 (no gradient), else the number of rows of a
+        row-sparse gradient (0 for a dense one)."""
+        dense, tables = self.slots[slot]
         rows = []
-        for (name, _), target in zip(self.layout[0], self.slots[slot]):
+        for name in self.names:
             g = grads.get(name)
             if g is None:
                 rows.append(-1)
-            elif isinstance(target, tuple):
+            elif name in tables:
                 ids, values = g
-                target[0][: len(ids)] = ids
-                target[1][: len(ids)] = values
+                tables[name][0][: len(ids)] = ids
+                tables[name][1][: len(ids)] = values
                 rows.append(len(ids))
             else:
-                np.copyto(target, g)
+                a, b = self.spans[name]
+                np.copyto(dense[a:b].reshape(g.shape), g)
                 rows.append(0)
         return tuple(rows)
 
-    def read_slot(self, slot: int, rows: tuple[int, ...]) -> dict:
-        """The gradients ``write_slot`` put in ``slot``, as views."""
-        grads = {}
-        for (name, _), target, n in zip(self.layout[0], self.slots[slot], rows):
-            if n >= 0:
-                grads[name] = ((target[0][:n], target[1][:n]) if isinstance(target, tuple)
-                               else target)
-        return grads
+
+# The shard work per element of a slot's embedding rows, in units of the
+# work per element and slot of a dense parameter (its sum and AdamW): a
+# scatter-add took about ten times as long as an add.
+_SCATTER_COST = 10
+
+
+def partition(block: _Block, n: int) -> list[list[str]]:
+    """Split ``block``'s parameters, in flat order, into ``n`` runs of whole
+    tensors of about equal work: a worker's shard. The cut after each run
+    falls at the tensor boundary nearest its share of the total."""
+    shapes, max_rows, n_slots = block.layout
+    shape_of = dict(shapes)
+    costs = []
+    for name in block.names:
+        shape = shape_of[name]
+        cost = math.prod(shape) * (1 + n_slots)
+        if name in _ROW_SPARSE:
+            cost += n_slots * max_rows * shape[1] * _SCATTER_COST
+        costs.append(cost)
+    ends = np.cumsum(costs)
+    cuts = [0] + [int(np.abs(ends - ends[-1] * k / n).argmin()) + 1 for k in range(1, n)]
+    cuts = list(np.maximum.accumulate(cuts)) + [len(costs)]
+    return [block.names[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _send(fd: int, message) -> None:
@@ -363,7 +410,14 @@ def _child(requests: int, replies: int, inherited: list[int], model,
 class Pool:
     """``n_workers`` worker processes plus the shared block they read and
     write. The workers are forked anew for each new block, which they
-    inherit along with the model of the job that needed it."""
+    inherit along with the model of the job that needed it.
+
+    While a model trains, its parameters and gradients are views into the
+    block (``bind``), and each worker owns a shard of the training state:
+    it sums its parameters' gradient slots, perturbs and restores them for
+    AWP, and keeps their AdamW moments. One model trains on a pool at a
+    time; a job for another model first gives the bound one private copies.
+    """
 
     def __init__(self, n_workers: int):
         self._n_workers = n_workers
@@ -371,6 +425,7 @@ class Pool:
         self._selector = selectors.DefaultSelector()
         self._block: _Block | None = None
         self._spec: ModelSpec | None = None
+        self._bound = None  # the model whose parameters are the block's views
 
     def close(self, kill: bool = False) -> None:
         """End every worker, and drop the block; with ``kill``, kill the
@@ -395,20 +450,38 @@ class Pool:
             worker.close_replies()
         self._workers = []
 
+    def bind(self, model, n_slots: int) -> _Block:
+        """Publish ``model`` to a block with ``n_slots`` gradient slots and
+        make its parameters views into it, so later jobs copy nothing."""
+        self._publish(model, n_slots, bind=True)
+        return self._block
+
+    def release(self, model) -> None:
+        """Give ``model`` private copies of its parameters; it is bound no
+        longer."""
+        detach(model.named_parameters())
+        if self._bound is model:
+            self._bound = None
+
     def gradients(self, model, batch, loss_kind: str, scale: float, stream: tuple,
-                  offsets) -> list[tuple[float, dict]]:
+                  offsets) -> list[tuple[float, tuple[int, ...]]]:
         """Run ``training.sequence_gradients`` on every (ids, targets) of
         ``batch`` with the parameters ``model`` has now; sequence i draws
-        dropout from ``dropout_stream(*stream, offsets[i])``. Returns each
-        sequence's (loss, gradients), the gradients as views of its slot,
-        valid until the next job."""
+        dropout from ``dropout_stream(*stream, offsets[i])`` and writes its
+        gradients into slot i. Returns each sequence's (loss, rows), rows as
+        ``_Block.write_slot`` returns them."""
         self._publish(model, len(batch))
         # plain lists and floats: pickling them costs a fraction of arrays
         jobs = [("grad", i, list(ids), np.asarray(targets).tolist(), loss_kind, scale, stream,
                  int(offset))
                 for i, ((ids, targets), offset) in enumerate(zip(batch, offsets))]
-        replies = self._run(jobs, [len(ids) for ids, _ in batch])
-        return [(loss, self._block.read_slot(i, rows)) for i, (loss, rows) in enumerate(replies)]
+        return self._run(jobs, [len(ids) for ids, _ in batch])
+
+    def shards(self, ops: list) -> list:
+        """Run ``ops`` on every worker's shard (see ``training.Shard.run``);
+        returns each shard's result, in worker order."""
+        jobs = [("shard", i, ops) for i in range(len(self._workers))]
+        return [result for (result,) in self._run(jobs)]
 
     def predict(self, model, id_lists) -> np.ndarray:
         """Eval-mode raw predictions, one row per token-id list."""
@@ -417,11 +490,15 @@ class Pool:
         replies = self._run(jobs, [len(ids) for ids in id_lists])
         return np.array([pred for (pred,) in replies], dtype=np.float64)
 
-    def _publish(self, model, n_slots: int) -> None:
-        """Copy ``model``'s parameters into the shared block. At the first
-        job, for a model of another spec (which sets every shape) or for
-        more gradient slots, first stop the workers, make a new block and
-        fork new workers onto it."""
+    def _publish(self, model, n_slots: int, bind: bool = False) -> None:
+        """Copy ``model``'s parameters into the shared block, unless they are
+        its views; with ``bind``, make them its views. At the first job, for
+        a model of another spec (which sets every shape) or for more
+        gradient slots, first stop the workers, make a new block and fork
+        new workers onto it, each with its shard of the parameters
+        (``partition``)."""
+        if self._bound is not None and self._bound is not model:
+            self.release(self._bound)
         params = model.named_parameters()
         block = self._block
         if block is None or self._spec != model.spec or len(block.slots) < n_slots:
@@ -430,6 +507,7 @@ class Pool:
             self._stop()
             try:
                 block = _Block((shapes, model.spec.max_seq_len, n_slots))
+                block.shards = partition(block, self._n_workers)
                 for _ in range(self._n_workers):
                     worker = _fork_worker(model, block)
                     self._workers.append(worker)
@@ -438,18 +516,20 @@ class Pool:
                 self.close(kill=True)
                 raise
             self._block, self._spec = block, model.spec
-        for name, p in params.items():
-            np.copyto(block.params[name], p.data)
+        block.publish(params, bind)
+        if bind:
+            self._bound = model
 
-    def _run(self, jobs, costs) -> list:
+    def _run(self, jobs, costs=None) -> list:
         """Hand out ``jobs``, largest cost first (ties in job order), to
-        whichever workers have fewest queued; returns the replies in job
-        order, re-raising the first job's error once all have finished.
+        whichever workers have fewest queued, or without ``costs`` job i to
+        worker i; returns the replies in job order, re-raising the first
+        job's error once all have finished.
 
         Each worker has up to ``_QUEUED`` jobs in its pipe, so it starts its
         next job without waiting for the parent to read its last reply.
         """
-        order = sorted(range(len(jobs)), key=lambda i: -costs[i])
+        order = sorted(range(len(jobs)), key=lambda i: -costs[i]) if costs else []
         replies = [None] * len(jobs)
         queued = {worker: collections.deque() for worker in self._workers}
 
@@ -461,6 +541,9 @@ class Pool:
             queued[worker].append(i)
 
         try:
+            if costs is None:
+                for i, worker in enumerate(self._workers):
+                    send(worker, i)
             while order or any(queued.values()):
                 for depth in range(_QUEUED):
                     for worker in self._workers:
@@ -490,13 +573,21 @@ class Pool:
         return PoolError(f"worker process {worker.pid} {how}; its job is lost")
 
 
+def detach(params: dict) -> None:
+    """Give every parameter a private copy of its values, and no gradient."""
+    for p in params.values():
+        p.data, p.grad = p.data.copy(), None
+
+
 def serve(requests: int, replies: int, model, block: _Block) -> None:
     """A worker's main loop: answer the parent's jobs on ``model``, whose
     parameters are ``block``'s, read from the ``requests`` pipe, on the
-    ``replies`` pipe until the parent closes ``requests``."""
-    from .training import dropout_stream, sequence_gradients
+    ``replies`` pipe until the parent closes ``requests``. A shard job for
+    worker i works on the parameters named in ``block.shards[i]``."""
+    from .training import Shard, dropout_stream, sequence_gradients
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers itself
+    shard = None
     while (job := _recv(requests)) is not None:
         try:
             if job[0] == "grad":
@@ -504,6 +595,11 @@ def serve(requests: int, replies: int, model, block: _Block) -> None:
                 loss, grads = sequence_gradients(model, ids, targets, loss_kind, scale,
                                                  dropout_stream(*stream, offset))
                 reply = ("ok", loss, block.write_slot(slot, grads))
+            elif job[0] == "shard":
+                _, index, ops = job
+                if shard is None:
+                    shard = Shard(block, block.shards[index], model.named_parameters())
+                reply = ("ok", shard.run(ops))
             else:  # "predict"
                 reply = ("ok", model.predict_ids(job[1]).tolist())
         except Exception as exc:  # reported to the parent, which raises it there

@@ -5,6 +5,14 @@ epoch is reached, the weights are pushed in the gradient-ascent direction
 inside a relative L2 ball, a second forward/backward accumulates the
 adversarial gradients, the weights are restored bit for bit, and only then
 does the optimizer step on the summed gradients.
+
+Every sequence of a pass writes its gradients into its own slot of a
+``pool._Block``, and the rest of a step runs on shards of the block's
+parameters (``Shard``): summing the slots, perturbing and restoring the
+weights, AdamW. On the worker pool each worker owns one shard, with its
+AWP snapshot and AdamW moments; in-process one shard holds every
+parameter. While a model trains, its parameters and gradients are views
+into the block.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from .data import DataError, EssayRecord
 from .encoder import dropout_draws
 from .metrics import MetricsReport, mcrmse
 from .model import Model
-from .optim import AdamW, clip_grad_norm
+from .optim import ADAM_BETAS, ADAM_EPS, adamw_update, clip_scale, squared_norm
 from .tensor import NumericError, Tensor
 
 LOSS_KINDS = ("smooth_l1", "mse")
@@ -69,9 +77,10 @@ class TrainConfig:
         return self.adv_lr > 0.0 and self.adv_eps > 0.0
 
 
-# A snapshot maps parameter path -> the original (pre-perturbation) array.
-# Perturbation replaces tensor buffers instead of mutating them, so restore
-# hands back the identical array object: bitwise equality by construction.
+# A snapshot maps parameter path -> a copy of its original (pre-perturbation)
+# values. Perturbation writes the weights in place, wherever they live, and
+# restore copies the snapshot back: bitwise equality by construction. On the
+# pool, each worker keeps the snapshot of its own shard.
 AwpSnapshot = dict
 
 
@@ -105,7 +114,7 @@ def perturb(
         if grad_norm == 0.0 or weight_norm == 0.0:
             continue
         if name not in snapshot:
-            snapshot[name] = p.data
+            snapshot[name] = p.data.copy()
         original = snapshot[name]
         origin_norm = np.linalg.norm(original)
         if origin_norm == 0.0:
@@ -116,14 +125,14 @@ def perturb(
         delta_norm = np.linalg.norm(delta)
         if delta_norm > radius:
             delta = delta * (radius / delta_norm)
-        p.data = original + delta
+        np.add(original, delta, out=p.data)
     return snapshot
 
 
 def restore(params: dict[str, Tensor], snapshot: AwpSnapshot) -> None:
     """Put every snapshotted parameter back, bit for bit."""
     for name, original in snapshot.items():
-        params[name].data = original
+        np.copyto(params[name].data, original)
 
 
 @dataclass(frozen=True)
@@ -213,50 +222,220 @@ def sequence_gradients(
     return loss.item(), grads
 
 
+def _runs(items):
+    """Each run of neighbouring (key, start, stop) items with one key, as one
+    (key, start of the first, stop of the last); key None is left out."""
+    runs = []
+    for key, start, stop in items:
+        if key is not None and runs and runs[-1][0] == key and runs[-1][2] == last:
+            runs[-1][2] = stop
+        elif key is not None:
+            runs.append([key, start, stop])
+        last = stop
+    return runs
+
+
+class Shard:
+    """The training state of a run of neighbouring parameters in a block's
+    flat order (see ``pool._Block``): one worker's share on the pool, or
+    every parameter in-process. The parameters' data and gradients are
+    views into the block; the AWP snapshot and the AdamW moments, flat over
+    the shard's span of the block, belong to the shard. ``run`` applies a
+    list of operations, so one message to a worker does a whole phase of a
+    step.
+    """
+
+    def __init__(self, block, names: list[str], params: dict[str, Tensor]):
+        self.block = block
+        self.params = {name: params[name] for name in names}
+        order = list(params)
+        # (name, tensor, index in flat order, index in parameter order, span)
+        self.entries = [(name, params[name], block.names.index(name), order.index(name),
+                         block.spans[name]) for name in names]
+        self.span = (block.spans[names[0]][0], block.spans[names[-1]][1]) if names else (0, 0)
+        self.snapshot: AwpSnapshot = {}
+
+    def run(self, ops: list):
+        """Apply each (method name, *args) of ``ops`` in turn; returns the
+        last one's result."""
+        result = None
+        for name, *args in ops:
+            result = getattr(self, name)(*args)
+        return result
+
+    def start(self, lr: float, weight_decay: float) -> None:
+        """Start a run: AdamW with zero moments, and no snapshot."""
+        self.hyper = (lr, ADAM_BETAS, ADAM_EPS, weight_decay)
+        self.t = 0
+        self.m, self.v = (np.zeros(self.span[1] - self.span[0]) for _ in range(2))
+        self.snapshot = {}
+
+    def reduce(self, rows: list[tuple[int, ...]], fresh: bool) -> None:
+        """Add the slots' gradients into ``.grad``, last slot first, as
+        ``Tensor.accumulate_grad`` adds them one by one: a parameter's first
+        contribution is copied (a row-sparse one scatter-added into zeros),
+        the rest added in place. ``rows`` holds each slot's ``write_slot``
+        result; ``fresh`` starts from no gradients. Neighbouring dense
+        parameters that take the same step take it as one slice."""
+        block = self.block
+        if fresh:
+            self.zero_grad()
+        for slot in reversed(range(len(rows))):
+            dense, tables = block.slots[slot]
+            steps = []
+            for name, p, k, _, (start, stop) in self.entries:
+                n, first = rows[slot][k], p.grad is None
+                if n >= 0 and first:
+                    p.grad = block.grads[name]
+                if n >= 0 and name in tables:
+                    if first:
+                        p.grad.fill(0.0)
+                    # by flat element index, numpy's fast path: the same
+                    # additions in the same order as np.add.at by row
+                    ids, values = tables[name]
+                    cols = p.grad.shape[1]
+                    at = ids[:n, None] * cols + np.arange(cols)
+                    np.add.at(block.grad[start:stop], at.reshape(-1), values[:n].reshape(-1))
+                steps.append((None if n < 0 or name in tables else first, start, stop))
+            for first, start, stop in _runs(steps):
+                if first:
+                    np.copyto(block.grad[start:stop], dense[start:stop])
+                else:
+                    block.grad[start:stop] += dense[start:stop]
+
+    def perturb(self, adv_lr: float, adv_eps: float) -> None:
+        perturb(self.params, adv_lr, adv_eps, self.snapshot)
+
+    def restore(self) -> None:
+        restore(self.params, self.snapshot)
+        self.snapshot = {}
+
+    def norms(self) -> list[tuple[int, float]]:
+        """(parameter index, squared norm) of each gradient."""
+        return [(i, squared_norm(p.grad)) for _, p, _, i, _ in self.entries
+                if p.grad is not None]
+
+    def scale(self, factor: float) -> None:
+        for p in self.params.values():
+            if p.grad is not None:
+                p.grad *= factor
+
+    def zero_grad(self) -> None:
+        for p in self.params.values():
+            p.grad = None
+
+    def step(self) -> int | None:
+        """One AdamW step of each parameter with a gradient, neighbours as
+        one slice (see ``optim.adamw_update``); returns the parameter index
+        of the first parameter that is no longer finite, or None."""
+        self.t += 1
+        w, g, (a, b) = self.block.weights, self.block.grad, self.span
+        for _, start, stop in _runs((p.grad is not None or None, *span)
+                                    for _, p, _, _, span in self.entries):
+            adamw_update(w[start:stop], g[start:stop], self.m[start - a: stop - a],
+                         self.v[start - a: stop - a], self.t, *self.hyper)
+        if np.isfinite(w[a:b]).all():
+            return None
+        return min(i for _, p, _, i, _ in self.entries if not np.isfinite(p.data).all())
+
+
 class Trainer:
-    """Owns the optimizer, rng streams, and the AWP machinery for one run."""
+    """Owns the rng streams, the shards and the AWP machinery for one run.
+
+    In-process, ``opt`` is the one shard, which holds every parameter and
+    its optimizer state; on the pool, each worker owns a shard of them.
+    """
 
     def __init__(self, model: Model, config: TrainConfig):
         self.model = model
         self.config = config
         self.params = model.named_parameters()
-        self.opt = AdamW(
-            self.params,
-            lr=config.learning_rate,
-            weight_decay=config.weight_decay,
-        )
         self._shuffle_rng = np.random.default_rng(
             np.random.SeedSequence((config.seed, _SHUFFLE_TAG))
         )
         self.global_step = 0
         self.awp_snapshots_created = 0
         self.pool: pool.Pool | None = None  # None runs passes in-process; fit decides
+        self._block = None  # the block the parameters are views into
+        self._shard: Shard | None = None  # in-process
+        self._pending: list = []  # operations to send with the next ones, on the pool
+
+    @property
+    def opt(self) -> Shard:
+        """The in-process shard."""
+        return self._local(self.config.batch_size)
+
+    def _local(self, n_slots: int) -> Shard:
+        """The in-process shard, on a block of at least ``n_slots`` slots."""
+        if self._shard is None or len(self._shard.block.slots) < n_slots:
+            shapes = tuple((name, p.shape) for name, p in self.params.items())
+            block = pool._Block((shapes, self.model.spec.max_seq_len, n_slots))
+            if self._shard is None:
+                self._shard = Shard(block, block.names, self.params)
+                self._shard.start(self.config.learning_rate, self.config.weight_decay)
+            self._shard.block = block  # the same spans: the state carries over
+        return self._shard
 
     def _awp_active(self, epoch: int) -> bool:
         return self.config.awp_enabled and epoch >= self.config.awp_start_epoch
 
+    def _attach(self, n_slots: int):
+        """The block for a pass of ``n_slots`` sequences, with the model's
+        parameters as views into it."""
+        cfg = self.config
+        n_slots = max(n_slots, cfg.batch_size)
+        if self.pool is None:
+            block = self._local(n_slots).block
+            block.publish(self.params, bind=True)
+        else:
+            block = self.pool.bind(self.model, n_slots)
+            if block is not self._block:
+                if self._block is not None:
+                    raise pool.PoolError("the pool's workers were replaced during training, "
+                                         "and with them the optimizer state")
+                self._pending = [("start", cfg.learning_rate, cfg.weight_decay)]
+        self._block = block
+        return block
+
+    def _on_shards(self, ops: list) -> list:
+        """Run ``ops`` on every shard; returns each shard's result."""
+        if self.pool is None:
+            return [self._shard.run(ops)]
+        ops, self._pending = self._pending + ops, []
+        return self.pool.shards(ops)
+
+    def release(self) -> None:
+        """Give the model private copies of its parameters again."""
+        if self.pool is not None:
+            self.pool.release(self.model)
+        else:
+            pool.detach(self.params)
+
     def _backward_pass(
         self, batch: list[tuple[list[int], np.ndarray]], pass_idx: int, what: str
-    ) -> float:
-        """Add one pass's gradients of the batch-mean loss into ``.grad``.
+    ) -> tuple[float, list[tuple[int, ...]]]:
+        """Write one pass's gradients of the batch-mean loss into the
+        block's slots, sequence i's into slot i; returns the loss and each
+        slot's rows (see ``pool._Block.write_slot``).
 
         Each sequence runs ``sequence_gradients`` on its own, in-process or
         on the worker pool, with the dropout draws the single batch graph
-        would give it. The losses are summed first to last and the
-        gradients added last to first, as that graph's backward adds them,
-        so ``.grad`` gets the same bits either way.
+        would give it. The losses are summed first to last here, and the
+        shards add the gradients last to first, as that graph's backward
+        adds them, so ``.grad`` gets the same bits either way.
         """
         cfg = self.config
         scale = 1.0 / float(len(batch))
         spec = self.model.spec
         offsets = np.cumsum([0] + [dropout_draws(spec, len(ids)) for ids, _ in batch[:-1]])
         stream = (cfg.seed, self.global_step, pass_idx)
+        block = self._attach(len(batch))
         if self.pool is None:
-            results = [
-                sequence_gradients(self.model, ids, targets, cfg.loss_kind, scale,
-                                   dropout_stream(*stream, int(offset)))
-                for (ids, targets), offset in zip(batch, offsets)
-            ]
+            results = []
+            for i, ((ids, targets), offset) in enumerate(zip(batch, offsets)):
+                loss, grads = sequence_gradients(self.model, ids, targets, cfg.loss_kind, scale,
+                                                 dropout_stream(*stream, int(offset)))
+                results.append((loss, block.write_slot(i, grads)))
         else:
             results = self.pool.gradients(self.model, batch, cfg.loss_kind, scale, stream,
                                           offsets)
@@ -266,42 +445,57 @@ class Trainer:
         value = total * scale
         if not np.isfinite(value):
             raise NumericError(f"non-finite {what}")
-        for _, grads in reversed(results):
-            for name, grad in grads.items():
-                self.params[name].accumulate_grad(grad)
-        return value
+        rows = [r for _, r in results]
+        if self.pool is not None:  # the gradients the workers will sum, as views
+            for name, counts in zip(block.names, zip(*rows)):
+                if max(counts) >= 0:
+                    self.params[name].grad = block.grads[name]
+        return value, rows
 
     def train_step(self, batch: list[tuple[list[int], np.ndarray]], epoch: int) -> float:
-        """One optimization step over a prepared batch; returns the clean loss."""
+        """One optimization step over a prepared batch; returns the clean loss.
+
+        Each phase after a pass is one message to every shard: sum the
+        pass's slots, then perturb, or restore and step.
+        """
         if not batch:
             raise ValueError("train_step got an empty batch")
         if epoch < 1:
             raise ValueError(f"epochs are counted from 1, got {epoch}")
         cfg = self.config
         self.global_step += 1
-        self.opt.zero_grad()
+        for p in self.params.values():
+            p.grad = None
 
         try:
-            loss_value = self._backward_pass(batch, 0, "training loss")
+            loss_value, rows = self._backward_pass(batch, 0, "training loss")
         except NumericError as exc:
             raise NumericError(self._diagnose(str(exc), epoch)) from None
+        ops = [("reduce", rows, True)]
 
         if self._awp_active(epoch):
-            snapshot: AwpSnapshot = {}
             try:
                 for adv_pass in range(cfg.adv_steps):
-                    perturb(self.params, cfg.adv_lr, cfg.adv_eps, snapshot)
-                    self._backward_pass(batch, 1 + adv_pass, "adversarial loss")
+                    self._on_shards(ops + [("perturb", cfg.adv_lr, cfg.adv_eps)])
+                    _, rows = self._backward_pass(batch, 1 + adv_pass, "adversarial loss")
+                    ops = [("reduce", rows, False)]
             except NumericError as exc:
-                restore(self.params, snapshot)
+                self._on_shards([("restore",)])
                 raise NumericError(self._diagnose(str(exc), epoch)) from None
-            restore(self.params, snapshot)
+            ops.append(("restore",))
             self.awp_snapshots_created += 1
 
         if cfg.grad_clip_norm is not None:
-            clip_grad_norm(self.params, cfg.grad_clip_norm)
-        self.opt.step()
-        self._check_parameters_finite(epoch)
+            norms = sorted(pair for shard in self._on_shards(ops + [("norms",)])
+                           for pair in shard)
+            _, factor = clip_scale([square for _, square in norms], cfg.grad_clip_norm)
+            ops = [] if factor is None else [("scale", factor)]
+        failed = [i for i in self._on_shards(ops + [("step",)]) if i is not None]
+        if failed:
+            raise NumericError(
+                f"parameter {list(self.params)[min(failed)]!r} became non-finite after the "
+                f"optimizer step at epoch {epoch}, step {self.global_step}"
+            )
         return loss_value
 
     def _diagnose(self, message: str, epoch: int) -> str:
@@ -312,14 +506,6 @@ class Trainer:
             if not np.isfinite(p.data).all():
                 return f"{context}, non-finite values in {name!r})"
         return context + ")"
-
-    def _check_parameters_finite(self, epoch: int) -> None:
-        for name, p in self.params.items():
-            if not np.isfinite(p.data).all():
-                raise NumericError(
-                    f"parameter {name!r} became non-finite after the optimizer "
-                    f"step at epoch {epoch}, step {self.global_step}"
-                )
 
     def run_epoch(self, examples: list[tuple[list[int], np.ndarray]], epoch: int) -> float:
         order = self._shuffle_rng.permutation(len(examples))
@@ -370,25 +556,28 @@ def fit(
     report = TrainReport()
     best_snapshot = None
 
-    for epoch in range(1, config.epochs + 1):
-        started = time.perf_counter()
-        train_loss = trainer.run_epoch(examples, epoch)
-        valid = evaluate_model(model, valid_records)
-        seconds = time.perf_counter() - started
-        report.rows.append(
-            EpochStats(
-                epoch=epoch,
-                train_loss=train_loss,
-                valid_mcrmse=valid.mcrmse,
-                per_target_rmse=valid.per_target_rmse,
-                awp_active=trainer._awp_active(epoch),
-                seconds=seconds,
+    try:
+        for epoch in range(1, config.epochs + 1):
+            started = time.perf_counter()
+            train_loss = trainer.run_epoch(examples, epoch)
+            valid = evaluate_model(model, valid_records)
+            seconds = time.perf_counter() - started
+            report.rows.append(
+                EpochStats(
+                    epoch=epoch,
+                    train_loss=train_loss,
+                    valid_mcrmse=valid.mcrmse,
+                    per_target_rmse=valid.per_target_rmse,
+                    awp_active=trainer._awp_active(epoch),
+                    seconds=seconds,
+                )
             )
-        )
-        if valid.mcrmse < report.best_valid_mcrmse:
-            report.best_valid_mcrmse = valid.mcrmse
-            report.best_epoch = epoch
-            best_snapshot = model.parameter_snapshot()
+            if valid.mcrmse < report.best_valid_mcrmse:
+                report.best_valid_mcrmse = valid.mcrmse
+                report.best_epoch = epoch
+                best_snapshot = model.parameter_snapshot()
+    finally:
+        trainer.release()
 
     if best_snapshot is not None:
         model.load_snapshot(best_snapshot)

@@ -271,6 +271,31 @@ def reference_adamw_step(params, m, v, t, lr, betas=(0.9, 0.999), eps=1e-8, weig
         p.data = p.data - lr * update
 
 
+def reference_accumulate(shapes, slot_grads, start=None):
+    """Frozen copy of how the trainer summed a pass's gradients before
+    shards: ``Tensor.accumulate_grad`` on each sequence's gradients, last
+    sequence first.
+
+    ``shapes`` maps names to shapes, ``slot_grads`` is one dict per
+    sequence of dense arrays or row-sparse ``(ids, rows)``, and ``start``
+    holds the gradients of earlier passes, which are added to. A
+    parameter's first contribution is copied (a row-sparse one scattered
+    into zeros with ``np.add.at`` by row), the rest added in place.
+    """
+    total = {name: g.copy() for name, g in (start or {}).items()}
+    for grads in reversed(slot_grads):
+        for name, grad in grads.items():
+            if isinstance(grad, tuple):
+                if name not in total:
+                    total[name] = np.zeros(shapes[name])
+                np.add.at(total[name], *grad)
+            elif name not in total:
+                total[name] = grad.copy()
+            else:
+                total[name] += grad
+    return total
+
+
 def reference_unit(stat: str, value: float) -> float:
     """Frozen copy of ``rubric.data._unit`` before it clipped in Python floats."""
     lo, hi = data._STAT_RANGES[stat]

@@ -20,9 +20,11 @@ from rubric.cli import main
 from rubric.data import SynthSpec, build_vocab, synth_corpus, write_csv
 from rubric.encoder import POOLING_MODES, ModelSpec, dropout_draws
 from rubric.model import Model
-from rubric.tensor import NumericError
+from rubric import training
+from rubric.tensor import NumericError, Tensor
 from rubric.training import TrainConfig, Trainer, dropout_stream, fit
 
+from _oracles import reference_accumulate
 from conftest import workers_left_running
 
 WORKER_COUNTS = (0, 1, 2, 3)
@@ -57,21 +59,31 @@ def artifacts(out, names):
 
 
 class TestSameBitsAtEveryWorkerCount:
-    @pytest.mark.parametrize("mode", POOLING_MODES)
-    @pytest.mark.parametrize("adv_lr", [0.0, 1.0])
-    def test_train(self, monkeypatch, corpus, tmp_path, mode, adv_lr):
+    @staticmethod
+    def train_bits(monkeypatch, corpus, tmp_path, settings):
         names = ("checkpoint.bin", "metrics.json", "report.csv")
         seen = {}
         for workers in WORKER_COUNTS:
             out = tmp_path / f"w{workers}"
             code = run_with_workers(monkeypatch, workers, [
                 "train", "--data", corpus, "--out", out, "--seed", 5, *SMALL,
-                "--set", f"model.pooling_mode={mode}", "--set", f"train.adv_lr={adv_lr}",
-                "--set", "train.awp_start_epoch=2", "--set", "model.dropout_p=0.1"])
+                *[arg for setting in settings for arg in ("--set", setting)]])
             assert code == 0
             seen[workers] = artifacts(out, names)
         for workers in WORKER_COUNTS[1:]:
             assert seen[workers] == seen[0], workers
+
+    @pytest.mark.parametrize("mode", POOLING_MODES)
+    @pytest.mark.parametrize("adv_lr", [0.0, 1.0])
+    def test_train(self, monkeypatch, corpus, tmp_path, mode, adv_lr):
+        self.train_bits(monkeypatch, corpus, tmp_path, [
+            f"model.pooling_mode={mode}", f"train.adv_lr={adv_lr}", "train.awp_start_epoch=2",
+            "model.dropout_p=0.1"])
+
+    def test_train_clipped_with_decay_and_two_adv_steps(self, monkeypatch, corpus, tmp_path):
+        self.train_bits(monkeypatch, corpus, tmp_path, [
+            "train.grad_clip_norm=0.05", "train.adv_steps=2", "train.weight_decay=0.01",
+            "train.awp_start_epoch=1"])
 
     def test_cv(self, monkeypatch, corpus, tmp_path):
         names = ("fold_plan.json", "oof.csv", "cv_metrics.json", "report_fold0.csv",
@@ -344,28 +356,187 @@ def test_without_a_blas_setter_every_job_runs_in_process(monkeypatch, corpus, tm
     assert len(pool._started) == started
 
 
-def test_block_slots_give_back_each_kind_of_gradient_they_were_given():
-    def parts(grad):  # a row-sparse gradient is (ids, rows)
-        return grad if isinstance(grad, tuple) else (grad,)
+SHAPES = (("enc.tok_emb", (10, 4)), ("enc.pos_emb", (6, 4)), ("enc.layer0.wq", (4, 4)),
+          ("enc.layer0.bq", (4,)), ("head.cohesion.out_w", (4, 1)),
+          ("head.cohesion.out_b", (1,)), ("head.syntax.out_b", (1,)), ("enc.lnf_g", (4,)))
 
-    shapes = (("enc.tok_emb", (10, 4)), ("enc.layer0.wq", (4, 4)), ("head.w", (4,)))
-    block = pool._Block((shapes, 6, 2))
-    for array in [block.params[name] for name, _ in shapes] + block.slots[0] + block.slots[1]:
-        for part in parts(array):
-            part[...] = 7  # stale values, which nothing may read back
+
+def shapes_params():
+    rng = np.random.default_rng(1)
+    return {name: Tensor(rng.normal(size=shape), requires_grad=True) for name, shape in SHAPES}
+
+
+def random_grads(rng, absent=()):
+    """One sequence's gradients: dense arrays, and (ids, rows) with repeated
+    ids for the token table, with none for the names in ``absent``."""
+    grads = {}
+    for name, shape in SHAPES:
+        if name in absent:
+            continue
+        if name in ("enc.tok_emb", "enc.pos_emb"):
+            n = int(rng.integers(0, 7))
+            ids = rng.integers(0, shape[0], n) if name == "enc.tok_emb" else np.arange(n)
+            grads[name] = (ids, rng.normal(size=(n, shape[1])))
+        else:
+            grads[name] = rng.normal(size=shape)
+    return grads
+
+
+def test_block_slots_give_back_each_kind_of_gradient_they_were_given():
+    def dense(name, grad):  # a row-sparse gradient is (ids, rows)
+        if not isinstance(grad, tuple):
+            return grad
+        table = np.zeros(dict(SHAPES)[name])
+        np.add.at(table, *grad)
+        return table
+
+    block = pool._Block((SHAPES, 6, 2))
+    for array in [block.weights, block.grad] + [part for flat, tables in block.slots
+                                                 for part in [flat, *sum(tables.values(), ())]]:
+        array[...] = 7  # stale values, which nothing may read back
     rng = np.random.default_rng(0)
     written = [
-        {"enc.tok_emb": (np.array([3, 1]), rng.normal(size=(2, 4))),
+        {"enc.tok_emb": (np.array([3, 1, 3]), rng.normal(size=(3, 4))),
          "enc.layer0.wq": rng.normal(size=(4, 4))},
-        {"enc.tok_emb": (np.zeros(0, np.int64), np.zeros((0, 4))), "head.w": rng.normal(size=4)},
+        {"enc.tok_emb": (np.zeros(0, np.int64), np.zeros((0, 4))),
+         "head.cohesion.out_b": rng.normal(size=1), "enc.lnf_g": rng.normal(size=4)},
     ]
-    rows = [block.write_slot(slot, grads) for slot, grads in enumerate(written)]
+    params = shapes_params()
+    shard = training.Shard(block, block.names, params)
     for slot, grads in enumerate(written):
-        read = block.read_slot(slot, rows[slot])
-        assert read.keys() == grads.keys()
+        rows = block.write_slot(slot, grads)
+        shard.reduce([(-1,) * len(rows)] * slot + [rows], fresh=True)
+        got = {name: p.grad for name, p in params.items() if p.grad is not None}
+        assert got.keys() == grads.keys()
         for name, want in grads.items():
-            for got, expected in zip(parts(read[name]), parts(want)):
-                assert got.shape == expected.shape and np.array_equal(got, expected), name
+            assert np.array_equal(got[name], dense(name, want)), name
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 3])
+def test_shard_reduction_adds_in_the_reference_order_bit_for_bit(n_shards):
+    params = shapes_params()
+    shapes = dict(SHAPES)
+    block = pool._Block((SHAPES, 6, 4))
+    block.publish(params, bind=True)
+    block.grad[:] = 7  # stale values, which the first contribution must replace
+    dense = [name for name in block.names if name not in pool._ROW_SPARSE]
+    assert block.names[0] == "enc.tok_emb" and block.names[-1] == "enc.pos_emb"
+    # shards of whole tensors; from two on, a cut falls between dense ones
+    cuts = np.array_split(np.arange(len(block.names)), n_shards)
+    shards = [training.Shard(block, [block.names[i] for i in cut], params) for cut in cuts]
+    if n_shards > 1:
+        assert any(block.names[cut[0]] in dense[1:] for cut in cuts[1:])
+    rng = np.random.default_rng(n_shards)
+    expected = None
+    for fresh in (True, False):  # a clean pass, then an adversarial one adding to it
+        # the last slot, added first, lacks a parameter between two it has
+        passes = [random_grads(rng), random_grads(rng, absent={"enc.layer0.bq"}),
+                  random_grads(rng, absent={"head.syntax.out_b", "enc.pos_emb"}),
+                  random_grads(rng, absent={"head.cohesion.out_w", "enc.tok_emb"})]
+        rows = [block.write_slot(slot, grads) for slot, grads in enumerate(passes)]
+        for shard in shards:
+            shard.reduce(rows, fresh)
+        expected = reference_accumulate(shapes, passes, expected)
+        for name, p in params.items():
+            assert p.grad.tobytes() == expected[name].tobytes(), (fresh, name)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_every_parameter_belongs_to_exactly_one_shard(n_workers):
+    records = synth_corpus(30, seed=2)
+    vocab = build_vocab(records)
+    for spec in (ModelSpec(vocab_size=vocab.size),
+                 ModelSpec(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16,
+                           pooling_mode="mean")):
+        params = Model.build(spec, seed=0, vocab=vocab).named_parameters()
+        shapes = tuple((name, p.shape) for name, p in params.items())
+        block = pool._Block((shapes, spec.max_seq_len, 8))
+        shards = pool.partition(block, n_workers)
+        assert len(shards) == n_workers
+        assert [name for shard in shards for name in shard] == block.names
+        assert sorted(block.names) == sorted(params)
+        if n_workers > 1:  # the two scatter-adds go to different workers
+            assert "enc.tok_emb" in shards[0] and "enc.pos_emb" in shards[-1]
+
+
+def small_model(seed):
+    records = synth_corpus(12, seed=5)
+    vocab = build_vocab(records)
+    spec = ModelSpec(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16)
+    return Model.build(spec, seed=seed, vocab=vocab), records
+
+
+def parameter_bytes(model):
+    return {name: p.data.tobytes() for name, p in model.named_parameters().items()}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_fitted_model_keeps_its_parameters_when_the_pool_runs_another(monkeypatch):
+    monkeypatch.setattr(pool, "_forced_workers", 2)
+    fitted, records = small_model(seed=1)
+    fit(fitted, records[:9], records[9:], TrainConfig(epochs=1, batch_size=4))
+    diverged, _ = small_model(seed=2)
+    with pytest.raises(NumericError):
+        fit(diverged, records[:9], records[9:],
+            TrainConfig(epochs=3, batch_size=4, learning_rate=1e100))
+    block = pool._shared._block
+    for model in (fitted, diverged):  # private copies, before any other job
+        for p in model.named_parameters().values():
+            assert not np.shares_memory(p.data, block.weights)
+    kept = [parameter_bytes(fitted), parameter_bytes(diverged)]
+    other, _ = small_model(seed=3)  # the same spec: the same block and workers
+    workers = list(pool._shared._workers)
+    other.predict_records(records)
+    assert pool._shared._workers == workers
+    assert [parameter_bytes(fitted), parameter_bytes(diverged)] == kept
+
+
+def test_a_non_finite_adversarial_loss_restores_the_shards_first(monkeypatch):
+    gradients = training.sequence_gradients
+
+    def blow_up_when_perturbed(model, *args):  # workers forked later inherit it
+        loss, grads = gradients(model, *args)
+        wq = model.named_parameters()["enc.layer0.wq"].data
+        return (float("nan") if np.abs(wq).max() > 1e3 else loss), grads
+
+    monkeypatch.setattr(training, "sequence_gradients", blow_up_when_perturbed)
+    messages, weights = [], []
+    for workers in (0, 2):
+        monkeypatch.setattr(pool, "_forced_workers", workers)
+        model, records = small_model(seed=4)
+        before = parameter_bytes(model)
+        trainer = Trainer(model, TrainConfig(batch_size=4, awp_start_epoch=1, adv_lr=1e6,
+                                             adv_eps=1e6, seed=2))
+        trainer.pool = pool.get(0.0)
+        batch = [(model.encode_record(r), np.asarray(r.scores)) for r in records[:4]]
+        with pytest.raises(NumericError) as raised:
+            trainer.train_step(batch, epoch=1)
+        messages.append(str(raised.value))
+        weights.append(parameter_bytes(model))
+        assert weights[-1] == before  # restored, and no optimizer step
+        pool.close()
+    assert messages[0] == messages[1] == "non-finite adversarial loss (epoch 1, step 1)"
+
+
+def test_a_worker_killed_while_it_sums_and_steps_is_named(monkeypatch):
+    monkeypatch.setattr(pool, "_forced_workers", 2)
+    model, records = small_model(seed=5)
+    shards = pool.Pool.shards
+    victim = []
+
+    def kill_first(self, ops):
+        if not victim:
+            victim.append(self._workers[0])
+            os.kill(victim[0].pid, signal.SIGKILL)
+        return shards(self, ops)
+
+    monkeypatch.setattr(pool.Pool, "shards", kill_first)
+    with pytest.raises(pool.PoolError) as raised:
+        fit(model, records[:9], records[9:], TrainConfig(epochs=1, batch_size=4))
+    assert f"worker process {victim[0].pid} was killed by signal 9" in str(raised.value)
+    assert all(worker.poll() is not None for worker in pool._started)
+    assert not workers_left_running()
+    assert pool._shared is None
 
 
 def test_without_mallopt_jobs_get_the_same_bits(tmp_path):
