@@ -1,10 +1,10 @@
 """Training loop with adversarial weight perturbation.
 
 Each step runs a clean forward/backward pass; once the configured start
-epoch is reached, the weights are pushed in the gradient-ascent direction
-inside a relative L2 ball, a second forward/backward accumulates the
-adversarial gradients, the weights are restored bit for bit, and only then
-does the optimizer step on the summed gradients.
+epoch is reached, the weights are pushed in the gradient-ascent direction,
+each by at most ``adv_eps`` times its own size, a second forward/backward
+accumulates the adversarial gradients, the weights are restored bit for
+bit, and only then does the optimizer step on the summed gradients.
 
 Every sequence of a pass writes its gradients into its own slot of a
 ``pool._Block``, and the rest of a step runs on shards of the block's
@@ -96,12 +96,13 @@ def perturb(
     adv_eps: float,
     snapshot: AwpSnapshot | None = None,
 ) -> AwpSnapshot:
-    """Move each perturbable tensor one ascent step within its relative ball.
+    """Move each perturbable tensor one ascent step, then clamp each weight
+    to a box around its snapshotted original.
 
-    The step is adv_lr * grad * (||w|| / (||grad|| + e)); the cumulative
-    displacement from the snapshotted original is projected back onto the
-    ball of radius adv_eps * ||w_original||. Tensors with zero gradient or
-    zero norm are skipped. Returns the snapshot needed by ``restore``.
+    The step is adv_lr * grad * (||w|| / (||grad|| + e)). Each weight w0 of
+    the original then stays within w0 ± adv_eps·|w0|, so the whole tensor
+    stays within adv_eps·||w0|| of it. Tensors with zero gradient or zero
+    norm are skipped. Returns the snapshot needed by ``restore``.
     """
     if snapshot is None:
         snapshot = {}
@@ -116,16 +117,9 @@ def perturb(
         if name not in snapshot:
             snapshot[name] = p.data.copy()
         original = snapshot[name]
-        origin_norm = np.linalg.norm(original)
-        if origin_norm == 0.0:
-            continue
         moved = p.data + adv_lr * g * (weight_norm / (grad_norm + AWP_EPS))
-        delta = moved - original
-        radius = adv_eps * origin_norm
-        delta_norm = np.linalg.norm(delta)
-        if delta_norm > radius:
-            delta = delta * (radius / delta_norm)
-        np.add(original, delta, out=p.data)
+        bound = adv_eps * np.abs(original)
+        np.clip(moved, original - bound, original + bound, out=p.data)
     return snapshot
 
 

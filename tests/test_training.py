@@ -89,6 +89,30 @@ class TestPerturb:
             moved = np.linalg.norm(params["w"].data - w0) / np.linalg.norm(w0)
             assert moved <= adv_eps + 1e-12
 
+    def test_adv_lr_above_adv_eps_still_changes_the_perturbation(self):
+        # on a real gradient; projecting onto the ball ||w - w0|| <= adv_eps·||w0||
+        # gave the same weights for every adv_lr above adv_eps
+        model, records = tiny_model(dropout=0.0)
+        params = model.named_parameters()
+        for r in records:
+            _, grads = sequence_gradients(model, model.encode_record(r), np.asarray(r.scores),
+                                          "smooth_l1", 0.1, dropout_stream(0, 1, 0, 0))
+            for name, grad in grads.items():
+                params[name].accumulate_grad(grad)
+        moved = []
+        for adv_lr in (0.1, 1.0):
+            snapshot = perturb(params, adv_lr, adv_eps=0.01)
+            for name, w0 in snapshot.items():  # every weight within its own box
+                w, bound = params[name].data, 0.01 * np.abs(w0)
+                assert ((w0 - bound <= w) & (w <= w0 + bound)).all(), name
+            moved.append({name: params[name].data.copy() for name in snapshot})
+            restore(params, snapshot)
+        assert moved[0].keys() == moved[1].keys() == set(perturbable_parameters(params))
+        # the ball's weights differed by rounding only, about 1e-15 of the largest
+        gap = max(np.abs(moved[0][n] - moved[1][n]).max() / np.abs(moved[1][n]).max()
+                  for n in moved[0])
+        assert gap > 1e-4
+
     def test_ascent_direction_on_quadratic(self):
         # loss = (w - 1)^2 at w = 3: gradient 4, ascent moves w upward
         w = Tensor([[3.0]], requires_grad=True)
