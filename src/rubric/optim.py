@@ -9,6 +9,7 @@ from .tensor import Tensor
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
+
 def adamw_update(w, g, m, v, t: int, lr: float, betas: tuple[float, float], eps: float,
                  weight_decay: float) -> None:
     """One AdamW step, in place on the weights ``w`` and moments ``m`` and

@@ -224,7 +224,7 @@ class _Block:
         for shape, _ in entries:  # each array 64-byte aligned; both dtypes take 8 bytes
             offsets.append(nbytes)
             nbytes += _aligned(math.prod(shape)) * 8
-        self.map = mmap.mmap(-1, max(nbytes, 1))  # MAP_SHARED: forked children share it
+        self.map = mmap.mmap(-1, nbytes)  # MAP_SHARED: forked children share it
         arrays = iter(np.ndarray(shape, dtype, buffer=self.map, offset=offset)
                       for (shape, dtype), offset in zip(entries, offsets))
         self.weights, self.grad = next(arrays), next(arrays)

@@ -352,7 +352,6 @@ class Trainer:
         self.pool: pool.Pool | None = None  # None runs passes in-process; fit decides
         self._block = None  # the block the parameters are views into
         self._shard: Shard | None = None  # in-process
-        self._pending: list = []  # operations to send with the next ones, on the pool
 
     @property
     def opt(self) -> Shard:
@@ -387,16 +386,13 @@ class Trainer:
                 if self._block is not None:
                     raise pool.PoolError("the pool's workers were replaced during training, "
                                          "and with them the optimizer state")
-                self._pending = [("start", cfg.learning_rate, cfg.weight_decay)]
+                self._on_shards([("start", cfg.learning_rate, cfg.weight_decay)])
         self._block = block
         return block
 
     def _on_shards(self, ops: list) -> list:
         """Run ``ops`` on every shard; returns each shard's result."""
-        if self.pool is None:
-            return [self._shard.run(ops)]
-        ops, self._pending = self._pending + ops, []
-        return self.pool.shards(ops)
+        return [self._shard.run(ops)] if self.pool is None else self.pool.shards(ops)
 
     def release(self) -> None:
         """Give the model private copies of its parameters again."""

@@ -15,12 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rubric import pool
+from rubric import pool, training
 from rubric.cli import main
 from rubric.data import SynthSpec, build_vocab, synth_corpus, write_csv
 from rubric.encoder import POOLING_MODES, ModelSpec, dropout_draws
 from rubric.model import Model
-from rubric import training
 from rubric.tensor import NumericError, Tensor
 from rubric.training import TrainConfig, Trainer, dropout_stream, fit
 
@@ -491,31 +490,27 @@ def test_a_fitted_model_keeps_its_parameters_when_the_pool_runs_another(monkeypa
     assert [parameter_bytes(fitted), parameter_bytes(diverged)] == kept
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_non_finite_adversarial_loss_restores_the_shards_first(monkeypatch):
-    gradients = training.sequence_gradients
-
-    def blow_up_when_perturbed(model, *args):  # workers forked later inherit it
-        loss, grads = gradients(model, *args)
-        wq = model.named_parameters()["enc.layer0.wq"].data
-        return (float("nan") if np.abs(wq).max() > 1e3 else loss), grads
-
-    monkeypatch.setattr(training, "sequence_gradients", blow_up_when_perturbed)
-    messages, weights = [], []
+    messages = []
     for workers in (0, 2):
         monkeypatch.setattr(pool, "_forced_workers", workers)
         model, records = small_model(seed=4)
         before = parameter_bytes(model)
-        trainer = Trainer(model, TrainConfig(batch_size=4, awp_start_epoch=1, adv_lr=1e6,
-                                             adv_eps=1e6, seed=2))
+        # an infinite ascent step in an infinite box makes the perturbed weights
+        # non-finite, which the message would name had they not been restored
+        trainer = Trainer(model, TrainConfig(batch_size=4, awp_start_epoch=1, seed=2,
+                                             adv_lr=float("inf"), adv_eps=float("inf")))
         trainer.pool = pool.get(0.0)
         batch = [(model.encode_record(r), np.asarray(r.scores)) for r in records[:4]]
         with pytest.raises(NumericError) as raised:
             trainer.train_step(batch, epoch=1)
         messages.append(str(raised.value))
-        weights.append(parameter_bytes(model))
-        assert weights[-1] == before  # restored, and no optimizer step
+        assert parameter_bytes(model) == before  # restored, and no optimizer step
         pool.close()
-    assert messages[0] == messages[1] == "non-finite adversarial loss (epoch 1, step 1)"
+    # the forward meets the infinite weights; the message names no tensor
+    assert messages[0] == messages[1]
+    assert messages[0].endswith("non-finite values (epoch 1, step 1)"), messages[0]
 
 
 def test_a_worker_killed_while_it_sums_and_steps_is_named(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from rubric.data import synth_corpus
 from rubric.encoder import ModelSpec
 from rubric.model import Model
-from rubric.optim import AdamW
+from rubric.optim import AdamW, clip_grad_norm
 from rubric import training
 from rubric.tensor import NumericError, Tensor
 from rubric.training import (
@@ -173,11 +173,10 @@ class TestTrainStep:
         trainer.run_epoch(examples, epoch=2)
         assert trainer.awp_snapshots_created == 2  # 10 records / batch 5
 
-    def test_adv_lr_zero_matches_structurally_awp_free_loop(self):
-        # independent oracle: a hand-written clean loop using the documented
-        # rng streams, with no perturbation plumbing at all
-        cfg = TrainConfig(epochs=3, batch_size=4, learning_rate=1e-3,
-                          adv_lr=0.0, adv_eps=0.01, seed=9)
+    def _plain_loop_matches(self, cfg):
+        """Train with ``cfg`` (AWP off), and again with a hand-written loop
+        over the documented rng streams, with one batch graph per step,
+        ``clip_grad_norm`` and ``AdamW``; the weights must agree bit for bit."""
         model_a, records = tiny_model(seed=1)
         trainer = Trainer(model_a, cfg)
         examples = self._examples(model_a, records)
@@ -205,11 +204,25 @@ class TestTrainStep:
                     loss = diff.huber(1.0).mean()
                     total = loss if total is None else total + loss
                 (total / min(cfg.batch_size, len(order) - start)).backward()
+                if cfg.grad_clip_norm is not None:
+                    clip_grad_norm(params, cfg.grad_clip_norm)
                 opt.step()
 
         pa, pb = model_a.named_parameters(), model_b.named_parameters()
         for name in pa:
             assert pa[name].data.tobytes() == pb[name].data.tobytes(), name
+
+    def test_adv_lr_zero_matches_structurally_awp_free_loop(self):
+        # independent oracle: a hand-written clean loop using the documented
+        # rng streams, with no perturbation plumbing at all
+        self._plain_loop_matches(TrainConfig(epochs=3, batch_size=4, learning_rate=1e-3,
+                                             adv_lr=0.0, adv_eps=0.01, seed=9))
+
+    def test_clipped_and_decayed_steps_match_the_plain_loop(self):
+        # the shards' squared norms are added in parameter order, as clip_grad_norm adds them
+        self._plain_loop_matches(TrainConfig(epochs=2, batch_size=4, learning_rate=1e-3,
+                                             weight_decay=0.05, grad_clip_norm=1e-2,
+                                             adv_lr=0.0, seed=9))
 
     def test_awp_on_changes_the_outcome(self):
         cfg_off = TrainConfig(epochs=3, batch_size=4, learning_rate=1e-3,
