@@ -519,13 +519,13 @@ def test_a_worker_killed_while_it_sums_and_steps_is_named(monkeypatch):
     shards = pool.Pool.shards
     victim = []
 
-    def kill_first(self, ops):
-        if not victim:
+    def kill_at_first_reduce(self, ops):
+        if not victim and ops[0][0] == "reduce":
             victim.append(self._workers[0])
             os.kill(victim[0].pid, signal.SIGKILL)
         return shards(self, ops)
 
-    monkeypatch.setattr(pool.Pool, "shards", kill_first)
+    monkeypatch.setattr(pool.Pool, "shards", kill_at_first_reduce)
     with pytest.raises(pool.PoolError) as raised:
         fit(model, records[:9], records[9:], TrainConfig(epochs=1, batch_size=4))
     assert f"worker process {victim[0].pid} was killed by signal 9" in str(raised.value)
