@@ -1,7 +1,8 @@
 """Data-parallel worker processes for training passes and predictions.
 
 A pool runs the per-sequence work of a training pass, or of a batch of
-predictions, on worker processes forked from the parent. The parent maps one
+predictions, on worker processes forked from the parent; a pool with no
+workers runs the same jobs in the parent (``_answer``). The parent maps one
 anonymous shared block and then forks the workers, which share it with no
 file or name: the block holds every parameter, where each worker's copy of
 the model reads them. Workers take their sequences over pipes, longest
@@ -47,6 +48,7 @@ from typing import NoReturn
 
 import numpy as np
 
+from . import training
 from .encoder import ModelSpec
 from .tensor import NumericError, ShapeError
 
@@ -156,23 +158,23 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def get(seconds: float) -> Pool | None:
-    """The pool for a job of about ``seconds`` of in-process work, or None
-    to run the job in-process.
+def get(seconds: float) -> Pool:
+    """The pool for a job of about ``seconds`` of in-process work.
 
     A running pool serves every job. Otherwise one starts, with a worker
     per usable CPU, only when splitting the job saves more than the
     workers' start-up; it then serves the rest of the process, until
-    ``close``. Its workers are forked at its first job. Every job runs
-    in-process if BLAS could not be set to one thread.
+    ``close``. Its workers are forked at its first job. Any other job gets
+    a new pool with no workers, which runs it in-process, as every job
+    runs if BLAS could not be set to one thread.
     """
     global _shared
     if _forced_workers == 0 or not _blas_one_thread:
-        return None
+        return Pool(0)
     if _shared is None:
         n = _forced_workers or usable_cpus()
         if _forced_workers is None and (n < 2 or seconds * (1.0 - 1.0 / n) <= STARTUP_S):
-            return None
+            return Pool(0)
         _shared = Pool(n)
     return _shared
 
@@ -233,6 +235,7 @@ class _Block:
                                     for (name, shape), (a, b) in zip(order, self.spans.values())}
                                    for flat in (self.weights, self.grad))
         self.shards = [self.names]  # the names each worker owns, set by the pool
+        self.shard = None  # this process's training.Shard, made at its first shard job
         self.slots = [(next(arrays), {name: (next(arrays), next(arrays)) for name, _ in tables})
                       for _ in range(n_slots)]  # (dense part, {table: (ids, rows)})
 
@@ -422,14 +425,15 @@ class Pool:
     While a model trains, its parameters and gradients are views into the
     block (``bind``), and each worker owns a shard of the training state:
     it sums its parameters' gradient slots, perturbs and restores them for
-    AWP, and keeps their AdamW moments. One model trains on a pool at a
-    time; a job for another model first gives the bound one private copies.
+    AWP, and keeps their AdamW moments; with no workers, one shard holds
+    every parameter. One model trains on a pool at a time; a job for
+    another model first gives the bound one private copies.
     """
 
     def __init__(self, n_workers: int):
         self._n_workers = n_workers
         self._workers: list[_Worker] = []
-        self._selector = selectors.DefaultSelector()
+        self._selector = selectors.DefaultSelector() if n_workers else None  # an open fd
         self._block: _Block | None = None
         self._spec: ModelSpec | None = None
         self._bound = None  # the model whose parameters are the block's views
@@ -441,7 +445,8 @@ class Pool:
         if _shared is self:
             _shared = None
         self._stop(kill)
-        self._selector.close()
+        if self._selector is not None:
+            self._selector.close()
         self._block = None
 
     def _stop(self, kill: bool = False) -> None:
@@ -464,9 +469,10 @@ class Pool:
         return self._block
 
     def release(self, model) -> None:
-        """Give ``model`` private copies of its parameters; it is bound no
-        longer."""
-        detach(model.named_parameters())
+        """Give ``model`` private copies of its parameters, and no
+        gradients; it is bound no longer."""
+        for p in model.named_parameters().values():
+            p.data, p.grad = p.data.copy(), None
         if self._bound is model:
             self._bound = None
 
@@ -482,19 +488,21 @@ class Pool:
         jobs = [("grad", i, list(ids), np.asarray(targets).tolist(), loss_kind, scale, stream,
                  int(offset))
                 for i, ((ids, targets), offset) in enumerate(zip(batch, offsets))]
-        return self._run(jobs, [len(ids) for ids, _ in batch])
+        return self._run(jobs, [len(ids) for ids, _ in batch], model)
 
     def shards(self, ops: list) -> list:
-        """Run ``ops`` on every worker's shard (see ``training.Shard.run``);
-        returns each shard's result, in worker order."""
-        jobs = [("shard", i, ops) for i in range(len(self._workers))]
-        return [result for (result,) in self._run(jobs)]
+        """Run ``ops`` on every shard (see ``training.Shard.run``); returns
+        each shard's result, in worker order."""
+        jobs = [("shard", i, ops) for i in range(len(self._block.shards))]
+        return [result for (result,) in self._run(jobs, model=self._bound)]
 
     def predict(self, model, id_lists) -> np.ndarray:
-        """Eval-mode raw predictions, one row per token-id list."""
-        self._publish(model, 0)
+        """Eval-mode raw predictions, one row per token-id list; with no
+        workers, from the model's own parameters, with no block."""
+        if self._n_workers:
+            self._publish(model, 0)
         jobs = [("predict", list(ids)) for ids in id_lists]
-        replies = self._run(jobs, [len(ids) for ids in id_lists])
+        replies = self._run(jobs, [len(ids) for ids in id_lists], model)
         return np.array([pred for (pred,) in replies], dtype=np.float64)
 
     def _publish(self, model, n_slots: int, bind: bool = False) -> None:
@@ -514,7 +522,7 @@ class Pool:
             self._stop()
             try:
                 block = _Block((shapes, model.spec.max_seq_len, n_slots))
-                block.shards = partition(block, self._n_workers)
+                block.shards = partition(block, max(self._n_workers, 1))
                 for _ in range(self._n_workers):
                     worker = _fork_worker(model, block)
                     self._workers.append(worker)
@@ -527,15 +535,18 @@ class Pool:
         if bind:
             self._bound = model
 
-    def _run(self, jobs, costs=None) -> list:
+    def _run(self, jobs, costs=None, model=None) -> list:
         """Hand out ``jobs``, largest cost first (ties in job order), to
         whichever workers have fewest queued, or without ``costs`` job i to
         worker i; returns the replies in job order, re-raising the first
-        job's error once all have finished.
+        job's error once all have finished. With no workers, the parent
+        answers them on ``model``, and an error propagates as raised.
 
         Each worker has up to ``_QUEUED`` jobs in its pipe, so it starts its
         next job without waiting for the parent to read its last reply.
         """
+        if not self._n_workers:
+            return [_answer(job, model, self._block) for job in jobs]
         order = sorted(range(len(jobs)), key=lambda i: -costs[i]) if costs else []
         replies = [None] * len(jobs)
         queued = {worker: collections.deque() for worker in self._workers}
@@ -580,35 +591,34 @@ class Pool:
         return PoolError(f"worker process {worker.pid} {how}; its job is lost")
 
 
-def detach(params: dict) -> None:
-    """Give every parameter a private copy of its values, and no gradient."""
-    for p in params.values():
-        p.data, p.grad = p.data.copy(), None
+def _answer(job, model, block: _Block | None) -> tuple:
+    """The job handler, which ``serve`` wraps with a worker's pipes and a
+    pool with no workers calls in the parent: the reply to ``job``, less the
+    "ok" a worker sends before it, on ``model``, whose parameters are
+    ``block``'s while it trains. Worker i's shard holds the parameters in
+    ``block.shards[i]``."""
+    if job[0] == "grad":
+        _, slot, ids, targets, loss_kind, scale, stream, offset = job
+        loss, grads = training.sequence_gradients(model, ids, targets, loss_kind, scale,
+                                                  training.dropout_stream(*stream, offset))
+        return loss, block.write_slot(slot, grads)
+    if job[0] == "shard":
+        _, index, ops = job
+        if block.shard is None:
+            block.shard = training.Shard(block, block.shards[index], model.named_parameters())
+        return (block.shard.run(ops),)
+    return (model.predict_ids(job[1]).tolist(),)  # "predict"
 
 
 def serve(requests: int, replies: int, model, block: _Block) -> None:
-    """A worker's main loop: answer the parent's jobs on ``model``, whose
-    parameters are ``block``'s, read from the ``requests`` pipe, on the
-    ``replies`` pipe until the parent closes ``requests``. A shard job for
-    worker i works on the parameters named in ``block.shards[i]``."""
-    from .training import Shard, dropout_stream, sequence_gradients
-
+    """A worker's main loop: answer the parent's jobs (``_answer``) on
+    ``model``, whose parameters are ``block``'s, read from the ``requests``
+    pipe, on the ``replies`` pipe until the parent closes ``requests``. A
+    job's exception is reported back, for the parent to raise."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers itself
-    shard = None
     while (job := _recv(requests)) is not None:
         try:
-            if job[0] == "grad":
-                _, slot, ids, targets, loss_kind, scale, stream, offset = job
-                loss, grads = sequence_gradients(model, ids, targets, loss_kind, scale,
-                                                 dropout_stream(*stream, offset))
-                reply = ("ok", loss, block.write_slot(slot, grads))
-            elif job[0] == "shard":
-                _, index, ops = job
-                if shard is None:
-                    shard = Shard(block, block.shards[index], model.named_parameters())
-                reply = ("ok", shard.run(ops))
-            else:  # "predict"
-                reply = ("ok", model.predict_ids(job[1]).tolist())
+            reply = ("ok", *_answer(job, model, block))
         except Exception as exc:  # reported to the parent, which raises it there
             reply = ("error", type(exc).__name__, str(exc))
         _send(replies, reply)

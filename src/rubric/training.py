@@ -9,16 +9,17 @@ bit, and only then does the optimizer step on the summed gradients.
 Every sequence of a pass writes its gradients into its own slot of a
 ``pool._Block``, and the rest of a step runs on shards of the block's
 parameters (``Shard``): summing the slots, perturbing and restoring the
-weights, AdamW. On the worker pool each worker owns one shard, with its
-AWP snapshot and AdamW moments; in-process one shard holds every
-parameter. While a model trains, its parameters and gradients are views
-into the block.
+weights, AdamW. A ``pool.Pool`` runs both: on workers, each owns one shard,
+with its AWP snapshot and AdamW moments; a pool with no workers runs the
+same jobs in-process, on one shard that holds every parameter. While a
+model trains, its parameters and gradients are views into the block.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,9 +27,11 @@ from . import pool
 from .data import DataError, EssayRecord
 from .encoder import dropout_draws
 from .metrics import MetricsReport, mcrmse
-from .model import Model
 from .optim import ADAM_BETAS, ADAM_EPS, adamw_update, clip_scale, squared_norm
 from .tensor import NumericError, Tensor
+
+if TYPE_CHECKING:  # model imports pool, which imports this module
+    from .model import Model
 
 LOSS_KINDS = ("smooth_l1", "mse")
 
@@ -196,7 +199,7 @@ def sequence_gradients(
     Returns the unscaled loss and, per parameter name, the one contribution
     backward hands that parameter: a dense array, or ``(ids, rows)`` for an
     embedding table. This is the only place a training loss is computed,
-    in-process and on the worker pool alike.
+    on a pool of any size.
     """
     pred = model.forward(ids, train=True, rng=rng)
     diff = pred - Tensor(targets)
@@ -231,12 +234,12 @@ def _runs(items):
 
 class Shard:
     """The training state of a run of neighbouring parameters in a block's
-    flat order (see ``pool._Block``): one worker's share on the pool, or
-    every parameter in-process. The parameters' data and gradients are
-    views into the block; the AWP snapshot and the AdamW moments, flat over
-    the shard's span of the block, belong to the shard. ``run`` applies a
-    list of operations, so one message to a worker does a whole phase of a
-    step.
+    flat order (see ``pool._Block``): one worker's share of a pool, or every
+    parameter of a pool with no workers. The parameters' data and gradients
+    are views into the block; the AWP snapshot and the AdamW moments, flat
+    over the shard's span of the block, belong to the shard. ``run`` applies
+    a list of operations, so one message to a worker does a whole phase of
+    a step.
     """
 
     def __init__(self, block, names: list[str], params: dict[str, Tensor]):
@@ -334,10 +337,11 @@ class Shard:
 
 
 class Trainer:
-    """Owns the rng streams, the shards and the AWP machinery for one run.
+    """Owns the rng streams, the pool and the AWP machinery for one run.
 
-    In-process, ``opt`` is the one shard, which holds every parameter and
-    its optimizer state; on the pool, each worker owns a shard of them.
+    The pool (``pool.Pool``) runs the passes and the shards: until ``fit``
+    picks one by the job's size (``pool.get``), one with no workers, which
+    runs them in-process.
     """
 
     def __init__(self, model: Model, config: TrainConfig):
@@ -349,57 +353,30 @@ class Trainer:
         )
         self.global_step = 0
         self.awp_snapshots_created = 0
-        self.pool: pool.Pool | None = None  # None runs passes in-process; fit decides
+        self.pool = pool.Pool(0)
         self._block = None  # the block the parameters are views into
-        self._shard: Shard | None = None  # in-process
 
     @property
     def opt(self) -> Shard:
-        """The in-process shard."""
-        return self._local(self.config.batch_size)
-
-    def _local(self, n_slots: int) -> Shard:
-        """The in-process shard, on a block of at least ``n_slots`` slots."""
-        if self._shard is None or len(self._shard.block.slots) < n_slots:
-            shapes = tuple((name, p.shape) for name, p in self.params.items())
-            block = pool._Block((shapes, self.model.spec.max_seq_len, n_slots))
-            if self._shard is None:
-                self._shard = Shard(block, block.names, self.params)
-                self._shard.start(self.config.learning_rate, self.config.weight_decay)
-            self._shard.block = block  # the same spans: the state carries over
-        return self._shard
+        """The one shard of a pool with no workers: every parameter and its
+        optimizer state. None on workers, which each hold their own."""
+        return self._attach().shard
 
     def _awp_active(self, epoch: int) -> bool:
         return self.config.awp_enabled and epoch >= self.config.awp_start_epoch
 
-    def _attach(self, n_slots: int):
-        """The block for a pass of ``n_slots`` sequences, with the model's
-        parameters as views into it."""
+    def _attach(self):
+        """The block for a pass, with ``batch_size`` slots and the model's
+        parameters as views into it; the first one starts the shards."""
         cfg = self.config
-        n_slots = max(n_slots, cfg.batch_size)
-        if self.pool is None:
-            block = self._local(n_slots).block
-            block.publish(self.params, bind=True)
-        else:
-            block = self.pool.bind(self.model, n_slots)
-            if block is not self._block:
-                if self._block is not None:
-                    raise pool.PoolError("the pool's workers were replaced during training, "
-                                         "and with them the optimizer state")
-                self._on_shards([("start", cfg.learning_rate, cfg.weight_decay)])
+        block = self.pool.bind(self.model, cfg.batch_size)
+        if block is not self._block:
+            if self._block is not None:
+                raise pool.PoolError("the pool's workers were replaced during training, "
+                                     "and with them the optimizer state")
+            self.pool.shards([("start", cfg.learning_rate, cfg.weight_decay)])
         self._block = block
         return block
-
-    def _on_shards(self, ops: list) -> list:
-        """Run ``ops`` on every shard; returns each shard's result."""
-        return [self._shard.run(ops)] if self.pool is None else self.pool.shards(ops)
-
-    def release(self) -> None:
-        """Give the model private copies of its parameters again."""
-        if self.pool is not None:
-            self.pool.release(self.model)
-        else:
-            pool.detach(self.params)
 
     def _backward_pass(
         self, batch: list[tuple[list[int], np.ndarray]], pass_idx: int, what: str
@@ -408,27 +385,19 @@ class Trainer:
         block's slots, sequence i's into slot i; returns the loss and each
         slot's rows (see ``pool._Block.write_slot``).
 
-        Each sequence runs ``sequence_gradients`` on its own, in-process or
-        on the worker pool, with the dropout draws the single batch graph
-        would give it. The losses are summed first to last here, and the
-        shards add the gradients last to first, as that graph's backward
-        adds them, so ``.grad`` gets the same bits either way.
+        Each sequence runs ``sequence_gradients`` on its own, on the pool,
+        with the dropout draws the single batch graph would give it. The
+        losses are summed first to last here, and the shards add the
+        gradients last to first, as that graph's backward adds them, so
+        ``.grad`` gets the same bits on any number of workers.
         """
         cfg = self.config
         scale = 1.0 / float(len(batch))
         spec = self.model.spec
         offsets = np.cumsum([0] + [dropout_draws(spec, len(ids)) for ids, _ in batch[:-1]])
         stream = (cfg.seed, self.global_step, pass_idx)
-        block = self._attach(len(batch))
-        if self.pool is None:
-            results = []
-            for i, ((ids, targets), offset) in enumerate(zip(batch, offsets)):
-                loss, grads = sequence_gradients(self.model, ids, targets, cfg.loss_kind, scale,
-                                                 dropout_stream(*stream, int(offset)))
-                results.append((loss, block.write_slot(i, grads)))
-        else:
-            results = self.pool.gradients(self.model, batch, cfg.loss_kind, scale, stream,
-                                          offsets)
+        block = self._attach()
+        results = self.pool.gradients(self.model, batch, cfg.loss_kind, scale, stream, offsets)
         total = results[0][0]
         for loss, _ in results[1:]:
             total = total + loss
@@ -436,10 +405,10 @@ class Trainer:
         if not np.isfinite(value):
             raise NumericError(f"non-finite {what}")
         rows = [r for _, r in results]
-        if self.pool is not None:  # the gradients the workers will sum, as views
-            for name, counts in zip(block.names, zip(*rows)):
-                if max(counts) >= 0:
-                    self.params[name].grad = block.grads[name]
+        # the gradients the shards will sum, as views
+        for name, counts in zip(block.names, zip(*rows)):
+            if max(counts) >= 0:
+                self.params[name].grad = block.grads[name]
         return value, rows
 
     def train_step(self, batch: list[tuple[list[int], np.ndarray]], epoch: int) -> float:
@@ -450,6 +419,9 @@ class Trainer:
         """
         if not batch:
             raise ValueError("train_step got an empty batch")
+        if len(batch) > self.config.batch_size:
+            raise ValueError(f"train_step got a batch of {len(batch)} sequences, more than "
+                             f"batch_size {self.config.batch_size}")
         if epoch < 1:
             raise ValueError(f"epochs are counted from 1, got {epoch}")
         cfg = self.config
@@ -466,21 +438,21 @@ class Trainer:
         if self._awp_active(epoch):
             try:
                 for adv_pass in range(cfg.adv_steps):
-                    self._on_shards(ops + [("perturb", cfg.adv_lr, cfg.adv_eps)])
+                    self.pool.shards(ops + [("perturb", cfg.adv_lr, cfg.adv_eps)])
                     _, rows = self._backward_pass(batch, 1 + adv_pass, "adversarial loss")
                     ops = [("reduce", rows, False)]
             except NumericError as exc:
-                self._on_shards([("restore",)])
+                self.pool.shards([("restore",)])
                 raise NumericError(self._diagnose(str(exc), epoch)) from None
             ops.append(("restore",))
             self.awp_snapshots_created += 1
 
         if cfg.grad_clip_norm is not None:
-            norms = sorted(pair for shard in self._on_shards(ops + [("norms",)])
+            norms = sorted(pair for shard in self.pool.shards(ops + [("norms",)])
                            for pair in shard)
             _, factor = clip_scale([square for _, square in norms], cfg.grad_clip_norm)
             ops = [] if factor is None else [("scale", factor)]
-        failed = [i for i in self._on_shards(ops + [("step",)]) if i is not None]
+        failed = [i for i in self.pool.shards(ops + [("step",)]) if i is not None]
         if failed:
             raise NumericError(
                 f"parameter {list(self.params)[min(failed)]!r} became non-finite after the "
@@ -567,7 +539,7 @@ def fit(
                 report.best_epoch = epoch
                 best_snapshot = model.parameter_snapshot()
     finally:
-        trainer.release()
+        trainer.pool.release(model)
 
     if best_snapshot is not None:
         model.load_snapshot(best_snapshot)

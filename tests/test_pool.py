@@ -629,3 +629,31 @@ def test_forked_workers_inherit_the_heap_setting(monkeypatch):
     pool.close()  # reaped workers count in RUSAGE_CHILDREN
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     assert faults / len(records) <= 300  # about 1,050 with glibc's default thresholds
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_a_batch_longer_than_batch_size_is_rejected_at_every_worker_count(monkeypatch, workers):
+    monkeypatch.setattr(pool, "_forced_workers", workers)
+    model, records = small_model(seed=7)
+    trainer = Trainer(model, TrainConfig(batch_size=4, seed=1))
+    trainer.pool = pool.get(0.0)
+    batch = [(model.encode_record(r), np.asarray(r.scores)) for r in records[:6]]
+    trainer.train_step(batch[:4], epoch=1)  # the pool's block now has batch_size slots
+    with pytest.raises(ValueError, match="batch of 6 sequences, more than batch_size 4"):
+        trainer.train_step(batch, epoch=1)
+    assert trainer.global_step == 1
+    trainer.train_step(batch[4:], epoch=1)  # the trainer still works
+    assert trainer.global_step == 2
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_in_process_jobs_open_no_descriptor_and_start_no_worker(monkeypatch):
+    monkeypatch.setattr(pool, "_forced_workers", 0)
+    model, records = small_model(seed=8)
+    model.predict_records(records[:2])
+    descriptors, started = len(os.listdir("/proc/self/fd")), len(pool._started)
+    for _ in range(200):
+        model.predict_records(records[:2])
+    fit(model, records[:9], records[9:], TrainConfig(epochs=1, batch_size=4))
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+    assert len(pool._started) == started

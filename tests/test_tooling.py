@@ -1,0 +1,48 @@
+"""The benchmark's tracer still finds every name it patches in the program."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from rubric.data import build_vocab, synth_corpus
+from rubric.encoder import ModelSpec
+from rubric.model import Model
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans(monkeypatch):
+    """``perfbench/spans.py`` as a module, read without writing a bytecode
+    cache next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_exists_and_is_patched(monkeypatch):
+    spans = load_spans(monkeypatch)
+    targets = spans.layer_targets()  # a deleted module attribute fails here
+    recorder = spans.Recorder(targets)  # and a deleted function or method here
+    # one wrapper per target, each installed at one site or more
+    assert len({wrapper for *_, wrapper in recorder._patches}) == len(targets)
+
+
+def test_a_traced_prediction_records_its_spans_and_restores_the_program(monkeypatch):
+    spans = load_spans(monkeypatch)
+    records = synth_corpus(3, seed=4)
+    vocab = build_vocab(records)
+    spec = ModelSpec(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16)
+    model = Model.build(spec, seed=0, vocab=vocab)
+    original = Model.predict_records
+    expected = model.predict_records(records)
+    recorder = spans.Recorder(spans.layer_targets())
+    with recorder.tracing():
+        traced = model.predict_records(records)
+    assert Model.predict_records is original
+    assert np.array_equal(traced, expected)
+    names = {span[0] for span in recorder.spans}
+    assert {"model.predict_records", "model.forward", "encoder.encode"} <= names
