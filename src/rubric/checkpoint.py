@@ -96,7 +96,7 @@ def _model_from_header(raw: bytes) -> Model:
         tokens = header.get("vocab_tokens")
         vocab = Vocabulary(tokens) if tokens is not None else None
         return Model.build(spec, seed=0, vocab=vocab)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, MemoryError) as exc:
         raise CheckpointError(f"invalid model_spec or vocabulary in header: {exc}") from None
 
 

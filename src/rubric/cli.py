@@ -3,9 +3,9 @@
 Every command reads an optional config file plus ``--set key=value``
 overrides, echoes the fully resolved configuration into its output
 directory, and is deterministic given (config, seed). Exit codes: 0 on
-success, 1 for usage/config/data problems or a failed worker process, 2
-for numeric failures. A command that starts the worker pool stops it
-before it returns.
+success, 1 for usage/config/data problems, a model too big for memory or a
+failed worker process, 2 for numeric failures. A command that starts the
+worker pool stops it before it returns.
 """
 
 from __future__ import annotations
@@ -356,7 +356,8 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return cmd_synth(cfg, args.output)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, DataError, CheckpointError, OSError, pool.PoolError) as exc:
+    except (ConfigError, DataError, CheckpointError, OSError, pool.PoolError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as exc:

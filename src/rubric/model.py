@@ -28,12 +28,11 @@ class Model:
                 f"vocab size {vocab.size} does not match spec.vocab_size {spec.vocab_size}"
             )
         rng = np.random.default_rng(seed)
-        return cls(
-            spec=spec,
-            encoder=init_parameters(spec, rng),
-            bank=init_head_bank(spec, rng),
-            vocab=vocab,
-        )
+        try:
+            return cls(spec=spec, encoder=init_parameters(spec, rng),
+                       bank=init_head_bank(spec, rng), vocab=vocab)
+        except MemoryError as exc:  # numpy's, naming only an array shape
+            raise MemoryError(f"model spec {spec} does not fit in memory: {exc}") from None
 
     def named_parameters(self) -> dict[str, Tensor]:
         params = self.encoder.named_parameters()
@@ -92,6 +91,8 @@ class Model:
         return {name: p.data.copy() for name, p in self.named_parameters().items()}
 
     def load_snapshot(self, snapshot: dict[str, np.ndarray]) -> None:
+        """Give each parameter a private copy of its snapshot values, and no
+        gradient: one left by training would hold its pool block mapped."""
         params = self.named_parameters()
         for name, values in snapshot.items():
-            params[name].data = values.copy()
+            params[name].data, params[name].grad = values.copy(), None

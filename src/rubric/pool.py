@@ -12,8 +12,8 @@ owns a fixed shard of the parameters, whose slots it sums in a fixed order,
 so results do not depend on how many workers ran or which one took what,
 and which it perturbs, restores and steps with AdamW. While a model trains,
 its parameters are views into the block, so a job copies nothing in. A job
-whose model has another spec, or that needs more gradient slots, gets a new
-block and newly forked workers; the old workers are stopped first. The
+for another model, or that needs more gradient slots, gets a new block and
+newly forked workers; the old workers are stopped first. The
 kernel frees a block when the last process mapping it ends, so nothing is
 left behind, even by a parent that is killed.
 
@@ -236,18 +236,18 @@ class _Block:
                                    for flat in (self.weights, self.grad))
         self.shards = [self.names]  # the names each worker owns, set by the pool
         self.shard = None  # this process's training.Shard, made at its first shard job
+        self.trainer = None  # the training.Trainer that started the shards
         self.slots = [(next(arrays), {name: (next(arrays), next(arrays)) for name, _ in tables})
                       for _ in range(n_slots)]  # (dense part, {table: (ids, rows)})
 
-    def publish(self, params: dict, bind: bool = False) -> None:
-        """Copy each parameter's values into the block, unless they are its
-        view already; with ``bind``, make them that view."""
+    def publish(self, params: dict) -> None:
+        """Make each parameter's values its view into the block, copying
+        them in unless they are that view already."""
         for name, p in params.items():
             view = self.params[name]
             if p.data is not view:
                 np.copyto(view, p.data)
-                if bind:
-                    p.data = view
+                p.data = view
 
     def write_slot(self, slot: int, grads: dict) -> tuple[int, ...]:
         """Copy one sequence's gradients into ``slot``; returns per parameter,
@@ -419,15 +419,14 @@ def _child(requests: int, replies: int, inherited: list[int], model,
 
 class Pool:
     """``n_workers`` worker processes plus the shared block they read and
-    write. The workers are forked anew for each new block, which they
-    inherit along with the model of the job that needed it.
+    write. The block and its workers serve one model, whose parameters are
+    views into the block (``bind``); they are made anew, the workers forked
+    with that model, for each job of another model.
 
-    While a model trains, its parameters and gradients are views into the
-    block (``bind``), and each worker owns a shard of the training state:
-    it sums its parameters' gradient slots, perturbs and restores them for
-    AWP, and keeps their AdamW moments; with no workers, one shard holds
-    every parameter. One model trains on a pool at a time; a job for
-    another model first gives the bound one private copies.
+    Each worker owns a shard of the model's training state: it sums its
+    parameters' gradient slots, perturbs and restores them for AWP, and
+    keeps their AdamW moments; with no workers, one shard holds every
+    parameter.
     """
 
     def __init__(self, n_workers: int):
@@ -435,19 +434,18 @@ class Pool:
         self._workers: list[_Worker] = []
         self._selector = selectors.DefaultSelector() if n_workers else None  # an open fd
         self._block: _Block | None = None
-        self._spec: ModelSpec | None = None
-        self._bound = None  # the model whose parameters are the block's views
+        self._model = None  # the model the block serves
 
     def close(self, kill: bool = False) -> None:
-        """End every worker, and drop the block; with ``kill``, kill the
-        workers first."""
+        """End every worker, and drop the block and its model; with
+        ``kill``, kill the workers first."""
         global _shared
         if _shared is self:
             _shared = None
         self._stop(kill)
         if self._selector is not None:
             self._selector.close()
-        self._block = None
+        self._block = self._model = None
 
     def _stop(self, kill: bool = False) -> None:
         """Close the workers' pipes, which ends an idle worker's loop, and
@@ -463,62 +461,17 @@ class Pool:
         self._workers = []
 
     def bind(self, model, n_slots: int) -> _Block:
-        """Publish ``model`` to a block with ``n_slots`` gradient slots and
-        make its parameters views into it, so later jobs copy nothing."""
-        self._publish(model, n_slots, bind=True)
-        return self._block
-
-    def release(self, model) -> None:
-        """Give ``model`` private copies of its parameters, and no
-        gradients; it is bound no longer."""
-        for p in model.named_parameters().values():
-            p.data, p.grad = p.data.copy(), None
-        if self._bound is model:
-            self._bound = None
-
-    def gradients(self, model, batch, loss_kind: str, scale: float, stream: tuple,
-                  offsets) -> list[tuple[float, tuple[int, ...]]]:
-        """Run ``training.sequence_gradients`` on every (ids, targets) of
-        ``batch`` with the parameters ``model`` has now; sequence i draws
-        dropout from ``dropout_stream(*stream, offsets[i])`` and writes its
-        gradients into slot i. Returns each sequence's (loss, rows), rows as
-        ``_Block.write_slot`` returns them."""
-        self._publish(model, len(batch))
-        # plain lists and floats: pickling them costs a fraction of arrays
-        jobs = [("grad", i, list(ids), np.asarray(targets).tolist(), loss_kind, scale, stream,
-                 int(offset))
-                for i, ((ids, targets), offset) in enumerate(zip(batch, offsets))]
-        return self._run(jobs, [len(ids) for ids, _ in batch], model)
-
-    def shards(self, ops: list) -> list:
-        """Run ``ops`` on every shard (see ``training.Shard.run``); returns
-        each shard's result, in worker order."""
-        jobs = [("shard", i, ops) for i in range(len(self._block.shards))]
-        return [result for (result,) in self._run(jobs, model=self._bound)]
-
-    def predict(self, model, id_lists) -> np.ndarray:
-        """Eval-mode raw predictions, one row per token-id list; with no
-        workers, from the model's own parameters, with no block."""
-        if self._n_workers:
-            self._publish(model, 0)
-        jobs = [("predict", list(ids)) for ids in id_lists]
-        replies = self._run(jobs, [len(ids) for ids in id_lists], model)
-        return np.array([pred for (pred,) in replies], dtype=np.float64)
-
-    def _publish(self, model, n_slots: int, bind: bool = False) -> None:
-        """Copy ``model``'s parameters into the shared block, unless they are
-        its views; with ``bind``, make them its views. At the first job, for
-        a model of another spec (which sets every shape) or for more
-        gradient slots, first stop the workers, make a new block and fork
-        new workers onto it, each with its shard of the parameters
-        (``partition``)."""
-        if self._bound is not None and self._bound is not model:
-            self.release(self._bound)
+        """The block of ``model``, with at least ``n_slots`` gradient slots,
+        whose views ``model``'s parameters now are, so later jobs copy
+        nothing in. At the first job, for another model or for more slots,
+        first stop the workers, make a new block and fork new workers onto
+        it, each with its shard of the parameters (``partition``). A model
+        left behind keeps its views into the old block, which no job of
+        another model touches."""
         params = model.named_parameters()
         block = self._block
-        if block is None or self._spec != model.spec or len(block.slots) < n_slots:
+        if block is None or self._model is not model or len(block.slots) < n_slots:
             shapes = tuple((name, p.shape) for name, p in params.items())
-            n_slots = max(n_slots, len(block.slots) if block is not None else 0)
             self._stop()
             try:
                 block = _Block((shapes, model.spec.max_seq_len, n_slots))
@@ -530,10 +483,38 @@ class Pool:
             except BaseException:
                 self.close(kill=True)
                 raise
-            self._block, self._spec = block, model.spec
-        block.publish(params, bind)
-        if bind:
-            self._bound = model
+            self._block, self._model = block, model
+        block.publish(params)
+        return block
+
+    def gradients(self, model, batch, loss_kind: str, scale: float, stream: tuple,
+                  offsets) -> list[tuple[float, tuple[int, ...]]]:
+        """Run ``training.sequence_gradients`` on every (ids, targets) of
+        ``batch`` with the parameters ``model`` has now; sequence i draws
+        dropout from ``dropout_stream(*stream, offsets[i])`` and writes its
+        gradients into slot i. Returns each sequence's (loss, rows), rows as
+        ``_Block.write_slot`` returns them."""
+        self.bind(model, len(batch))
+        # plain lists and floats: pickling them costs a fraction of arrays
+        jobs = [("grad", i, list(ids), np.asarray(targets).tolist(), loss_kind, scale, stream,
+                 int(offset))
+                for i, ((ids, targets), offset) in enumerate(zip(batch, offsets))]
+        return self._run(jobs, [len(ids) for ids, _ in batch], model)
+
+    def shards(self, ops: list) -> list:
+        """Run ``ops`` on every shard (see ``training.Shard.run``); returns
+        each shard's result, in worker order."""
+        jobs = [("shard", i, ops) for i in range(len(self._block.shards))]
+        return [result for (result,) in self._run(jobs, model=self._model)]
+
+    def predict(self, model, id_lists) -> np.ndarray:
+        """Eval-mode raw predictions, one row per token-id list; with no
+        workers, from the model's own parameters, with no block."""
+        if self._n_workers:
+            self.bind(model, 0)
+        jobs = [("predict", list(ids)) for ids in id_lists]
+        replies = self._run(jobs, [len(ids) for ids in id_lists], model)
+        return np.array([pred for (pred,) in replies], dtype=np.float64)
 
     def _run(self, jobs, costs=None, model=None) -> list:
         """Hand out ``jobs``, largest cost first (ties in job order), to

@@ -341,7 +341,9 @@ class Trainer:
 
     The pool (``pool.Pool``) runs the passes and the shards: until ``fit``
     picks one by the job's size (``pool.get``), one with no workers, which
-    runs them in-process.
+    runs them in-process. The block records the trainer that started its
+    shards; a trainer whose shards another trainer restarted, or whose
+    block was replaced, raises ``pool.PoolError`` at its next pass.
     """
 
     def __init__(self, model: Model, config: TrainConfig):
@@ -354,7 +356,6 @@ class Trainer:
         self.global_step = 0
         self.awp_snapshots_created = 0
         self.pool = pool.Pool(0)
-        self._block = None  # the block the parameters are views into
 
     @property
     def opt(self) -> Shard:
@@ -367,15 +368,16 @@ class Trainer:
 
     def _attach(self):
         """The block for a pass, with ``batch_size`` slots and the model's
-        parameters as views into it; the first one starts the shards."""
+        parameters as views into it; in the first step, the first one starts
+        the shards."""
         cfg = self.config
         block = self.pool.bind(self.model, cfg.batch_size)
-        if block is not self._block:
-            if self._block is not None:
+        if block.trainer is not self:
+            if self.global_step > 1:
                 raise pool.PoolError("the pool's workers were replaced during training, "
                                      "and with them the optimizer state")
             self.pool.shards([("start", cfg.learning_rate, cfg.weight_decay)])
-        self._block = block
+            block.trainer = self
         return block
 
     def _backward_pass(
@@ -494,9 +496,11 @@ def fit(
 ) -> TrainReport:
     """Train, evaluating on the validation set every epoch.
 
-    The best-MCRMSE parameters are restored into the model when training
-    finishes (and written to ``checkpoint_path`` if given). Disjoint,
-    nonempty train and validation sets are required.
+    The best-MCRMSE parameters are restored into the model, as private
+    copies with no gradients, when training finishes (and written to
+    ``checkpoint_path`` if given). Until then the parameters are views into
+    the pool's block, as they stay if training fails. Disjoint, nonempty
+    train and validation sets are required.
     """
     if not train_records or not valid_records:
         raise ValueError("fit needs nonempty train and validation sets")
@@ -518,28 +522,25 @@ def fit(
     report = TrainReport()
     best_snapshot = None
 
-    try:
-        for epoch in range(1, config.epochs + 1):
-            started = time.perf_counter()
-            train_loss = trainer.run_epoch(examples, epoch)
-            valid = evaluate_model(model, valid_records)
-            seconds = time.perf_counter() - started
-            report.rows.append(
-                EpochStats(
-                    epoch=epoch,
-                    train_loss=train_loss,
-                    valid_mcrmse=valid.mcrmse,
-                    per_target_rmse=valid.per_target_rmse,
-                    awp_active=trainer._awp_active(epoch),
-                    seconds=seconds,
-                )
+    for epoch in range(1, config.epochs + 1):
+        started = time.perf_counter()
+        train_loss = trainer.run_epoch(examples, epoch)
+        valid = evaluate_model(model, valid_records)
+        seconds = time.perf_counter() - started
+        report.rows.append(
+            EpochStats(
+                epoch=epoch,
+                train_loss=train_loss,
+                valid_mcrmse=valid.mcrmse,
+                per_target_rmse=valid.per_target_rmse,
+                awp_active=trainer._awp_active(epoch),
+                seconds=seconds,
             )
-            if valid.mcrmse < report.best_valid_mcrmse:
-                report.best_valid_mcrmse = valid.mcrmse
-                report.best_epoch = epoch
-                best_snapshot = model.parameter_snapshot()
-    finally:
-        trainer.pool.release(model)
+        )
+        if valid.mcrmse < report.best_valid_mcrmse:
+            report.best_valid_mcrmse = valid.mcrmse
+            report.best_epoch = epoch
+            best_snapshot = model.parameter_snapshot()
 
     if best_snapshot is not None:
         model.load_snapshot(best_snapshot)

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import os
 import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -34,6 +36,9 @@ from rubric.training import TrainConfig
 from _fuzz import csv_bytes
 from _oracles import reference_synth_corpus
 
+
+# 2**40 positions: numpy refuses the 512 TiB table at once, touching no memory
+HUGE = 2 ** 40
 
 FAST = [
     "--set", "model.d_model=16", "--set", "model.n_layers=1",
@@ -222,6 +227,14 @@ class TestTrainCommand:
         for r in records[5:10]:
             assert repr(r.text_id) in err
 
+    def test_a_model_too_big_for_memory_exits_one_naming_the_spec(self, corpus_csv, tmp_path,
+                                                                  capsys):
+        code = run(["train", "--data", corpus_csv, "--out", tmp_path / "o",
+                    "--set", f"model.max_seq_len={HUGE}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "model spec ModelSpec(" in err and f"max_seq_len={HUGE}" in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_divergence_exits_two(self, corpus_csv, tmp_path, capsys):
         code = run(
@@ -290,6 +303,27 @@ class TestPredictScoreCommands:
         got = mcrmse(truth, preds[rows]).mcrmse
         assert abs(got - metrics["train_mcrmse"]) <= 1e-9
         assert np.isfinite(scored)
+
+    def test_a_checkpoint_too_big_for_memory_exits_one_naming_the_spec(self, corpus_csv,
+                                                                       tmp_path, capsys):
+        records = load_csv(corpus_csv)
+        vocab = build_vocab(records)
+        path = tmp_path / "huge.bin"
+        save_checkpoint(str(path), Model.build(ModelSpec(vocab_size=vocab.size), seed=0,
+                                               vocab=vocab))
+        data = path.read_bytes()
+        (size,) = struct.unpack("<I", data[8:12])
+        header = json.loads(data[12: 12 + size])
+        header["model_spec"]["max_seq_len"] = HUGE
+        raw = json.dumps(header).encode()
+        body = data[:8] + struct.pack("<I", len(raw)) + raw + data[12 + size: -4]
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))  # a valid CRC32
+        code = run(["predict", "--checkpoint", path, "--input", corpus_csv,
+                    "--out", tmp_path / "pred"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "model spec ModelSpec(" in err
+        assert f"max_seq_len={HUGE}" in err
 
     def test_score_mismatched_ids_rejected(self, corpus_csv, tmp_path, capsys):
         from rubric.data import write_predictions

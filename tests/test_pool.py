@@ -172,7 +172,7 @@ def test_killed_worker_is_named_without_hang_or_leftovers(monkeypatch):
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             workers = pool._shared
-            if workers is not None and workers._spec is not None:  # jobs are running
+            if workers is not None and workers._workers:  # jobs are running
                 victim.append(workers._workers[0])
                 os.kill(victim[0].pid, signal.SIGKILL)
                 return
@@ -318,7 +318,7 @@ def test_a_running_pool_forks_new_workers_for_each_new_block(monkeypatch):
 
     jobs = [
         lambda: predict(spec, 0, vocab),
-        lambda: predict(spec, 1, vocab),  # same spec, other parameters: same workers
+        lambda: predict(spec, 1, vocab),  # another model of the same spec: new workers
         train,
         lambda: predict(dataclasses.replace(spec, vocab_size=small.size), 3, small),
     ]
@@ -331,8 +331,12 @@ def test_a_running_pool_forks_new_workers_for_each_new_block(monkeypatch):
         current = [worker.pid for worker in pool._shared._workers]
         assert sorted(workers_left_running()) == sorted(current)
         rounds.append(tuple(current))
-    assert rounds[1] == rounds[0]
-    assert len(set(rounds)) == 3
+    assert len(set(rounds)) == 4
+    model = Model.build(spec, seed=4, vocab=vocab)  # one model's jobs keep their workers
+    model.predict_records(records)
+    workers = list(pool._shared._workers)
+    model.predict_records(records[:3])
+    assert pool._shared._workers == workers
 
 
 def test_without_a_blas_setter_every_job_runs_in_process(monkeypatch, corpus, tmp_path):
@@ -416,7 +420,7 @@ def test_shard_reduction_adds_in_the_reference_order_bit_for_bit(n_shards):
     params = shapes_params()
     shapes = dict(SHAPES)
     block = pool._Block((SHAPES, 6, 4))
-    block.publish(params, bind=True)
+    block.publish(params)
     block.grad[:] = 7  # stale values, which the first contribution must replace
     dense = [name for name in block.names if name not in pool._ROW_SPARSE]
     assert block.names[0] == "enc.tok_emb" and block.names[-1] == "enc.pos_emb"
@@ -478,16 +482,55 @@ def test_a_fitted_model_keeps_its_parameters_when_the_pool_runs_another(monkeypa
     with pytest.raises(NumericError):
         fit(diverged, records[:9], records[9:],
             TrainConfig(epochs=3, batch_size=4, learning_rate=1e100))
-    block = pool._shared._block
-    for model in (fitted, diverged):  # private copies, before any other job
-        for p in model.named_parameters().values():
-            assert not np.shares_memory(p.data, block.weights)
     kept = [parameter_bytes(fitted), parameter_bytes(diverged)]
-    other, _ = small_model(seed=3)  # the same spec: the same block and workers
-    workers = list(pool._shared._workers)
+    other, _ = small_model(seed=3)  # the same spec
     other.predict_records(records)
-    assert pool._shared._workers == workers
     assert [parameter_bytes(fitted), parameter_bytes(diverged)] == kept
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_a_fitted_model_holds_nothing_of_the_pools_block(monkeypatch, workers):
+    monkeypatch.setattr(pool, "_forced_workers", workers)
+    model, records = small_model(seed=6)
+    fit(model, records[:9], records[9:], TrainConfig(epochs=1, batch_size=4))
+    for p in model.named_parameters().values():  # private copies, and no gradients
+        assert p.data.base is None and p.grad is None
+
+
+def trainers_of_one_spec(seeds):
+    """A trainer of each seed's model of one spec, on the pool ``pool.get``
+    gives, and three batches of 4."""
+    _, records = small_model(0)
+    trainers = []
+    for seed in seeds:
+        model, _ = small_model(seed)
+        trainers.append(Trainer(model, TrainConfig(batch_size=4, awp_start_epoch=1, seed=3)))
+        trainers[-1].pool = pool.get(0.0)
+    batches = [[(trainers[0].model.encode_record(r), np.asarray(r.scores))
+                for r in records[start: start + 4]] for start in (0, 4, 8)]
+    return trainers, batches
+
+
+def test_two_trainers_of_one_spec_match_their_solo_runs_or_fail_loudly(monkeypatch):
+    monkeypatch.setattr(pool, "_forced_workers", 0)
+    solo = []
+    for seed in (1, 2):
+        (trainer,), batches = trainers_of_one_spec([seed])
+        for batch in batches:
+            trainer.train_step(batch, epoch=1)
+        solo.append(parameter_bytes(trainer.model))
+    trainers, batches = trainers_of_one_spec([1, 2])
+    for batch in batches:
+        for trainer in trainers:  # in turn
+            trainer.train_step(batch, epoch=1)
+    assert [parameter_bytes(trainer.model) for trainer in trainers] == solo
+    # on workers both share one pool, whose block serves one model at a time
+    monkeypatch.setattr(pool, "_forced_workers", 2)
+    (first, second), batches = trainers_of_one_spec([1, 2])
+    first.train_step(batches[0], epoch=1)
+    second.train_step(batches[0], epoch=1)
+    with pytest.raises(pool.PoolError, match="workers were replaced during training"):
+        first.train_step(batches[1], epoch=1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
