@@ -91,9 +91,12 @@ def _model_from_header(raw: bytes) -> Model:
         raise CheckpointError(
             f"header target_order {header.get('target_order')!r} is not {list(TARGETS)}"
         )
+    tokens = header.get("vocab_tokens")
+    if tokens is not None and not (isinstance(tokens, list)
+                                   and all(isinstance(t, str) for t in tokens)):
+        raise CheckpointError("header vocab_tokens must be null or a list of strings")
     try:
         spec = ModelSpec(**header["model_spec"])
-        tokens = header.get("vocab_tokens")
         vocab = Vocabulary(tokens) if tokens is not None else None
         return Model.build(spec, seed=0, vocab=vocab)
     except (TypeError, ValueError, MemoryError) as exc:

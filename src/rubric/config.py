@@ -174,11 +174,14 @@ def resolve_config(pairs: dict[str, str]) -> RunConfig:
         raise ConfigError(str(exc)) from None
     if not 0.0 < cfg.valid_fraction < 1.0:
         raise ConfigError(f"data.valid_fraction must be in (0, 1), got {cfg.valid_fraction}")
+    if cfg.min_count < 1:
+        raise ConfigError(f"data.min_count must be >= 1, got {cfg.min_count}")
     if cfg.cv_k < 2:
         raise ConfigError(f"cv.k must be >= 2, got {cfg.cv_k}")
-    if not cfg.ablate_seeds or min(cfg.ablate_seeds) < 0:
+    seeds = cfg.ablate_seeds
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise ConfigError(
-            f"ablate.seeds must list one or more nonnegative integers, got {cfg.ablate_seeds}"
+            f"ablate.seeds must list one or more distinct nonnegative integers, got {seeds}"
         )
     return cfg
 

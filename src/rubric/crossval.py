@@ -435,7 +435,9 @@ def run_ablation(
 ) -> AblationResult:
     """Controlled pooling/AWP comparison: per seed, every variant shares the
     same fold plan and derived per-fold seeds; only the configuration cell
-    differs."""
+    differs. Each seed counts once, so a repeated seed raises ValueError."""
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds must be distinct, got {tuple(seeds)}")
     if variants is None:
         variants = default_variants()
     rows: list[AblationRow] = []

@@ -6,16 +6,17 @@ workers runs the same jobs in the parent (``_answer``). The parent maps one
 anonymous shared block and then forks the workers, which share it with no
 file or name: the block holds every parameter, where each worker's copy of
 the model reads them. Workers take their sequences over pipes, longest
-first, and write each sequence's gradient into that sequence's own slot of
-the same block. The rest of a training step runs on the workers too: each
-owns a fixed shard of the parameters, whose slots it sums in a fixed order,
-so results do not depend on how many workers ran or which one took what,
-and which it perturbs, restores and steps with AdamW. While a model trains,
-its parameters are views into the block, so a job copies nothing in. A job
-for another model, or that needs more gradient slots, gets a new block and
-newly forked workers; the old workers are stopped first. The
-kernel frees a block when the last process mapping it ends, so nothing is
-left behind, even by a parent that is killed.
+first, and write each sequence's gradient of every parameter into that
+sequence's own slot of the same block. The rest of a training step runs on
+the workers too: each owns a fixed shard of the parameters, one span of the
+block, whose slots it sums in a fixed order, so results do not depend on how
+many workers ran or which one took what, and which it perturbs, restores
+and steps with AdamW. While a model trains, its parameters are views into
+the block, so a job copies nothing in. A job for another model, or that
+needs more gradient slots, gets a new block and newly forked workers; the
+old workers are stopped first. The kernel frees a block when the last
+process mapping it ends, so nothing is left behind, even by a parent that
+is killed.
 
 A forked worker starts with numpy and this package already imported, and
 shares the parent's memory pages until one of them writes to a page. It
@@ -203,10 +204,12 @@ class _Block:
     The flat order (``names``) puts one embedding table first and the other
     last, with the dense parameters between them in model order, so that
     shards cut at tensor boundaries can give the two scatter-adds to
-    different workers. A slot, one per sequence, also holds ``max_rows`` ids
-    and rows for each embedding table's row-sparse gradient; its dense part
-    at a table's offsets is never touched. ``layout`` is
-    ((name, shape), ...), max_rows, n_slots.
+    different workers. A slot, one per sequence, holds that sequence's
+    gradient of every parameter: the dense ones in its dense part, each
+    embedding table (``tables``) as up to ``max_rows`` ids and rows, with
+    the number of rows in the slot's ``counts``; its dense part at a table's
+    offsets is never touched. ``layout`` is ((name, shape), ...), max_rows,
+    n_slots.
     """
 
     def __init__(self, layout: tuple):
@@ -215,11 +218,12 @@ class _Block:
         tables = [(name, shape) for name, shape in shapes if name in _ROW_SPARSE]
         order = tables[:1] + [(n, s) for n, s in shapes if n not in _ROW_SPARSE] + tables[1:]
         self.names = [name for name, _ in order]
+        self.tables = [name for name, _ in tables]
         self.spans, size = {}, 0
         for name, shape in order:
             self.spans[name] = (size, size + math.prod(shape))
             size += _aligned(math.prod(shape))
-        slot = [((size,), np.float64)]
+        slot = [((size,), np.float64), ((len(tables),), np.int64)]
         for _, shape in tables:
             slot += [((max_rows,), np.int64), ((max_rows, shape[1]), np.float64)]
         entries = [((size,), np.float64)] * 2 + slot * n_slots
@@ -237,8 +241,8 @@ class _Block:
         self.shards = [self.names]  # the names each worker owns, set by the pool
         self.shard = None  # this process's training.Shard, made at its first shard job
         self.trainer = None  # the training.Trainer that started the shards
-        self.slots = [(next(arrays), {name: (next(arrays), next(arrays)) for name, _ in tables})
-                      for _ in range(n_slots)]  # (dense part, {table: (ids, rows)})
+        self.slots = [(next(arrays), next(arrays), [(next(arrays), next(arrays)) for _ in tables])
+                      for _ in range(n_slots)]  # (dense part, counts, [(ids, rows) per table])
 
     def publish(self, params: dict) -> None:
         """Make each parameter's values its view into the block, copying
@@ -249,26 +253,16 @@ class _Block:
                 np.copyto(view, p.data)
                 p.data = view
 
-    def write_slot(self, slot: int, grads: dict) -> tuple[int, ...]:
-        """Copy one sequence's gradients into ``slot``; returns per parameter,
-        in flat order, -1 (no gradient), else the number of rows of a
-        row-sparse gradient (0 for a dense one)."""
-        dense, tables = self.slots[slot]
-        rows = []
+    def write_slot(self, slot: int, grads: dict) -> None:
+        """Copy one sequence's gradient of every parameter into ``slot``."""
+        dense, counts, tables = self.slots[slot]
+        for k, (name, (ids, rows)) in enumerate(zip(self.tables, tables)):
+            n = counts[k] = len(grads[name][0])
+            ids[:n], rows[:n] = grads[name]
         for name in self.names:
-            g = grads.get(name)
-            if g is None:
-                rows.append(-1)
-            elif name in tables:
-                ids, values = g
-                tables[name][0][: len(ids)] = ids
-                tables[name][1][: len(ids)] = values
-                rows.append(len(ids))
-            else:
+            if name not in self.tables:
                 a, b = self.spans[name]
-                np.copyto(dense[a:b].reshape(g.shape), g)
-                rows.append(0)
-        return tuple(rows)
+                np.copyto(dense[a:b].reshape(grads[name].shape), grads[name])
 
 
 # The shard work per element of a slot's embedding rows, counted at their
@@ -488,18 +482,17 @@ class Pool:
         return block
 
     def gradients(self, model, batch, loss_kind: str, scale: float, stream: tuple,
-                  offsets) -> list[tuple[float, tuple[int, ...]]]:
+                  offsets) -> list[float]:
         """Run ``training.sequence_gradients`` on every (ids, targets) of
         ``batch`` with the parameters ``model`` has now; sequence i draws
         dropout from ``dropout_stream(*stream, offsets[i])`` and writes its
-        gradients into slot i. Returns each sequence's (loss, rows), rows as
-        ``_Block.write_slot`` returns them."""
+        gradients into slot i. Returns each sequence's loss."""
         self.bind(model, len(batch))
         # plain lists and floats: pickling them costs a fraction of arrays
         jobs = [("grad", i, list(ids), np.asarray(targets).tolist(), loss_kind, scale, stream,
                  int(offset))
                 for i, ((ids, targets), offset) in enumerate(zip(batch, offsets))]
-        return self._run(jobs, [len(ids) for ids, _ in batch], model)
+        return [loss for (loss,) in self._run(jobs, [len(ids) for ids, _ in batch], model)]
 
     def shards(self, ops: list) -> list:
         """Run ``ops`` on every shard (see ``training.Shard.run``); returns
@@ -582,7 +575,8 @@ def _answer(job, model, block: _Block | None) -> tuple:
         _, slot, ids, targets, loss_kind, scale, stream, offset = job
         loss, grads = training.sequence_gradients(model, ids, targets, loss_kind, scale,
                                                   training.dropout_stream(*stream, offset))
-        return loss, block.write_slot(slot, grads)
+        block.write_slot(slot, grads)
+        return (loss,)
     if job[0] == "shard":
         _, index, ops = job
         if block.shard is None:

@@ -198,8 +198,9 @@ def sequence_gradients(
 
     Returns the unscaled loss and, per parameter name, the one contribution
     backward hands that parameter: a dense array, or ``(ids, rows)`` for an
-    embedding table. This is the only place a training loss is computed,
-    on a pool of any size.
+    embedding table. Every parameter must get exactly one; a model with a
+    parameter that gets none or two raises ``ValueError``. This is the only
+    place a training loss is computed, on a pool of any size.
     """
     pred = model.forward(ids, train=True, rng=rng)
     diff = pred - Tensor(targets)
@@ -216,20 +217,10 @@ def sequence_gradients(
         if name in grads:  # a second one could not be added in the batch graph's order
             raise ValueError(f"parameter {name!r} got two gradients from one sequence")
         grads[name] = grad
+    missing = [name for name in names.values() if name not in grads]
+    if missing:
+        raise ValueError(f"parameters {missing} got no gradient from one sequence")
     return loss.item(), grads
-
-
-def _runs(items):
-    """Each run of neighbouring (key, start, stop) items with one key, as one
-    (key, start of the first, stop of the last); key None is left out."""
-    runs = []
-    for key, start, stop in items:
-        if key is not None and runs and runs[-1][0] == key and runs[-1][2] == last:
-            runs[-1][2] = stop
-        elif key is not None:
-            runs.append([key, start, stop])
-        last = stop
-    return runs
 
 
 class Shard:
@@ -237,18 +228,20 @@ class Shard:
     flat order (see ``pool._Block``): one worker's share of a pool, or every
     parameter of a pool with no workers. The parameters' data and gradients
     are views into the block; the AWP snapshot and the AdamW moments, flat
-    over the shard's span of the block, belong to the shard. ``run`` applies
-    a list of operations, so one message to a worker does a whole phase of
-    a step.
+    over the shard's span of the block, belong to the shard. Its dense
+    parameters lie between its embedding tables, if it has any, so they are
+    summed as one slice of the block, and the whole span is scaled and
+    stepped as one. ``run`` applies a list of operations, so one message to
+    a worker does a whole phase of a step.
     """
 
     def __init__(self, block, names: list[str], params: dict[str, Tensor]):
         self.block = block
-        self.params = {name: params[name] for name in names}
-        order = list(params)
-        # (name, tensor, index in flat order, index in parameter order, span)
-        self.entries = [(name, params[name], block.names.index(name), order.index(name),
-                         block.spans[name]) for name in names]
+        owned = set(names)
+        self.params = {name: p for name, p in params.items() if name in owned}  # model order
+        self.tables = [(k, name) for k, name in enumerate(block.tables) if name in owned]
+        dense = [block.spans[name] for name in names if name not in block.tables]
+        self.dense = (dense[0][0], dense[-1][1]) if dense else (0, 0)
         self.span = (block.spans[names[0]][0], block.spans[names[-1]][1]) if names else (0, 0)
         self.snapshot: AwpSnapshot = {}
 
@@ -267,38 +260,33 @@ class Shard:
         self.m, self.v = (np.zeros(self.span[1] - self.span[0]) for _ in range(2))
         self.snapshot = {}
 
-    def reduce(self, rows: list[tuple[int, ...]], fresh: bool) -> None:
-        """Add the slots' gradients into ``.grad``, last slot first, as
-        ``Tensor.accumulate_grad`` adds them one by one: a parameter's first
-        contribution is copied (a row-sparse one scatter-added into zeros),
-        the rest added in place. ``rows`` holds each slot's ``write_slot``
-        result; ``fresh`` starts from no gradients. Neighbouring dense
-        parameters that take the same step take it as one slice."""
-        block = self.block
+    def reduce(self, n_slots: int, fresh: bool) -> None:
+        """Add the first ``n_slots`` slots' gradients into ``.grad``, last
+        slot first, as ``Tensor.accumulate_grad`` adds them one by one. With
+        ``fresh``, the first one replaces what ``.grad`` held: its dense part
+        is copied and its table rows scatter-added into zeros; every other
+        slot is added in place."""
+        block, (a, b) = self.block, self.dense
         if fresh:
-            self.zero_grad()
-        for slot in reversed(range(len(rows))):
-            dense, tables = block.slots[slot]
-            steps = []
-            for name, p, k, _, (start, stop) in self.entries:
-                n, first = rows[slot][k], p.grad is None
-                if n >= 0 and first:
-                    p.grad = block.grads[name]
-                if n >= 0 and name in tables:
-                    if first:
-                        p.grad.fill(0.0)
-                    # by flat element index, numpy's fast path: the same
-                    # additions in the same order as np.add.at by row
-                    ids, values = tables[name]
-                    cols = p.grad.shape[1]
-                    at = ids[:n, None] * cols + np.arange(cols)
-                    np.add.at(block.grad[start:stop], at.reshape(-1), values[:n].reshape(-1))
-                steps.append((None if n < 0 or name in tables else first, start, stop))
-            for first, start, stop in _runs(steps):
+            for name, p in self.params.items():
+                p.grad = block.grads[name]
+        for slot in reversed(range(n_slots)):
+            dense, counts, tables = block.slots[slot]
+            first = fresh and slot == n_slots - 1
+            if first:
+                np.copyto(block.grad[a:b], dense[a:b])
+            else:
+                block.grad[a:b] += dense[a:b]
+            for k, name in self.tables:
+                start, stop = block.spans[name]
                 if first:
-                    np.copyto(block.grad[start:stop], dense[start:stop])
-                else:
-                    block.grad[start:stop] += dense[start:stop]
+                    block.grad[start:stop] = 0.0
+                # by flat element index, numpy's fast path: the same
+                # additions in the same order as np.add.at by row
+                (ids, values), n = tables[k], counts[k]
+                cols = values.shape[1]
+                at = ids[:n, None] * cols + np.arange(cols)
+                np.add.at(block.grad[start:stop], at.reshape(-1), values[:n].reshape(-1))
 
     def perturb(self, adv_lr: float, adv_eps: float) -> None:
         perturb(self.params, adv_lr, adv_eps, self.snapshot)
@@ -307,33 +295,28 @@ class Shard:
         restore(self.params, self.snapshot)
         self.snapshot = {}
 
-    def norms(self) -> list[tuple[int, float]]:
-        """(parameter index, squared norm) of each gradient."""
-        return [(i, squared_norm(p.grad)) for _, p, _, i, _ in self.entries
-                if p.grad is not None]
+    def norms(self) -> dict[str, float]:
+        """The squared norm of each parameter's gradient."""
+        return {name: squared_norm(p.grad) for name, p in self.params.items()}
 
     def scale(self, factor: float) -> None:
-        for p in self.params.values():
-            if p.grad is not None:
-                p.grad *= factor
+        a, b = self.span
+        self.block.grad[a:b] *= factor
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
-    def step(self) -> int | None:
-        """One AdamW step of each parameter with a gradient, neighbours as
-        one slice (see ``optim.adamw_update``); returns the parameter index
-        of the first parameter that is no longer finite, or None."""
+    def step(self) -> str | None:
+        """One AdamW step of the whole span (see ``optim.adamw_update``);
+        returns the name of the first parameter, in model order, that is no
+        longer finite, or None."""
         self.t += 1
-        w, g, (a, b) = self.block.weights, self.block.grad, self.span
-        for _, start, stop in _runs((p.grad is not None or None, *span)
-                                    for _, p, _, _, span in self.entries):
-            adamw_update(w[start:stop], g[start:stop], self.m[start - a: stop - a],
-                         self.v[start - a: stop - a], self.t, *self.hyper)
+        (a, b), w = self.span, self.block.weights
+        adamw_update(w[a:b], self.block.grad[a:b], self.m, self.v, self.t, *self.hyper)
         if np.isfinite(w[a:b]).all():
             return None
-        return min(i for _, p, _, i, _ in self.entries if not np.isfinite(p.data).all())
+        return next(name for name, p in self.params.items() if not np.isfinite(p.data).all())
 
 
 class Trainer:
@@ -382,10 +365,9 @@ class Trainer:
 
     def _backward_pass(
         self, batch: list[tuple[list[int], np.ndarray]], pass_idx: int, what: str
-    ) -> tuple[float, list[tuple[int, ...]]]:
+    ) -> float:
         """Write one pass's gradients of the batch-mean loss into the
-        block's slots, sequence i's into slot i; returns the loss and each
-        slot's rows (see ``pool._Block.write_slot``).
+        block's slots, sequence i's into slot i; returns the loss.
 
         Each sequence runs ``sequence_gradients`` on its own, on the pool,
         with the dropout draws the single batch graph would give it. The
@@ -399,19 +381,16 @@ class Trainer:
         offsets = np.cumsum([0] + [dropout_draws(spec, len(ids)) for ids, _ in batch[:-1]])
         stream = (cfg.seed, self.global_step, pass_idx)
         block = self._attach()
-        results = self.pool.gradients(self.model, batch, cfg.loss_kind, scale, stream, offsets)
-        total = results[0][0]
-        for loss, _ in results[1:]:
+        losses = self.pool.gradients(self.model, batch, cfg.loss_kind, scale, stream, offsets)
+        total = losses[0]
+        for loss in losses[1:]:
             total = total + loss
         value = total * scale
         if not np.isfinite(value):
             raise NumericError(f"non-finite {what}")
-        rows = [r for _, r in results]
-        # the gradients the shards will sum, as views
-        for name, counts in zip(block.names, zip(*rows)):
-            if max(counts) >= 0:
-                self.params[name].grad = block.grads[name]
-        return value, rows
+        for name, p in self.params.items():  # the gradients the shards will sum, as views
+            p.grad = block.grads[name]
+        return value
 
     def train_step(self, batch: list[tuple[list[int], np.ndarray]], epoch: int) -> float:
         """One optimization step over a prepared batch; returns the clean loss.
@@ -432,17 +411,17 @@ class Trainer:
             p.grad = None
 
         try:
-            loss_value, rows = self._backward_pass(batch, 0, "training loss")
+            loss_value = self._backward_pass(batch, 0, "training loss")
         except NumericError as exc:
             raise NumericError(self._diagnose(str(exc), epoch)) from None
-        ops = [("reduce", rows, True)]
+        ops = [("reduce", len(batch), True)]
 
         if self._awp_active(epoch):
             try:
                 for adv_pass in range(cfg.adv_steps):
                     self.pool.shards(ops + [("perturb", cfg.adv_lr, cfg.adv_eps)])
-                    _, rows = self._backward_pass(batch, 1 + adv_pass, "adversarial loss")
-                    ops = [("reduce", rows, False)]
+                    self._backward_pass(batch, 1 + adv_pass, "adversarial loss")
+                    ops = [("reduce", len(batch), False)]
             except NumericError as exc:
                 self.pool.shards([("restore",)])
                 raise NumericError(self._diagnose(str(exc), epoch)) from None
@@ -450,16 +429,16 @@ class Trainer:
             self.awp_snapshots_created += 1
 
         if cfg.grad_clip_norm is not None:
-            norms = sorted(pair for shard in self.pool.shards(ops + [("norms",)])
-                           for pair in shard)
-            _, factor = clip_scale([square for _, square in norms], cfg.grad_clip_norm)
+            squares = {}
+            for shard in self.pool.shards(ops + [("norms",)]):
+                squares.update(shard)
+            _, factor = clip_scale([squares[name] for name in self.params], cfg.grad_clip_norm)
             ops = [] if factor is None else [("scale", factor)]
-        failed = [i for i in self.pool.shards(ops + [("step",)]) if i is not None]
+        failed = set(self.pool.shards(ops + [("step",)])) - {None}
         if failed:
-            raise NumericError(
-                f"parameter {list(self.params)[min(failed)]!r} became non-finite after the "
-                f"optimizer step at epoch {epoch}, step {self.global_step}"
-            )
+            name = next(name for name in self.params if name in failed)
+            raise NumericError(f"parameter {name!r} became non-finite after the optimizer "
+                               f"step at epoch {epoch}, step {self.global_step}")
         return loss_value
 
     def _diagnose(self, message: str, epoch: int) -> str:

@@ -154,6 +154,19 @@ class TestConfig:
         assert run(["cv", "--data", corpus_csv, "--out", tmp_path / "c", "--folds", 15]) == 1
         assert "cv.k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, key, value", [
+        (["ablate", "--seeds", "0,0", "--folds", "2", "--set", "ablate.full_grid=false"],
+         "ablate.seeds", "(0, 0)"),
+        (["train", "--set", "data.min_count=-3"], "data.min_count", "-3"),
+    ])
+    def test_values_the_run_would_misuse_exit_one(self, argv, key, value, corpus_csv,
+                                                   tmp_path, capsys):
+        # ablate would count seed 0 twice; build_vocab would read -3 as 1
+        code = run(argv + ["--data", corpus_csv, "--out", tmp_path / "o"] + FAST)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert key in err and value in err
+
     def test_one_key_per_field(self):
         fields = [("model", f.name) for f in dataclasses.fields(ModelSpec)
                   if f.name != "vocab_size"]
@@ -304,26 +317,46 @@ class TestPredictScoreCommands:
         assert abs(got - metrics["train_mcrmse"]) <= 1e-9
         assert np.isfinite(scored)
 
-    def test_a_checkpoint_too_big_for_memory_exits_one_naming_the_spec(self, corpus_csv,
-                                                                       tmp_path, capsys):
-        records = load_csv(corpus_csv)
-        vocab = build_vocab(records)
-        path = tmp_path / "huge.bin"
+    @staticmethod
+    def _checkpoint_with_header(path, corpus_csv, edit):
+        """A checkpoint of a model of ``corpus_csv``'s vocabulary whose header
+        ``edit`` changed in place, under a valid CRC32."""
+        vocab = build_vocab(load_csv(corpus_csv))
         save_checkpoint(str(path), Model.build(ModelSpec(vocab_size=vocab.size), seed=0,
                                                vocab=vocab))
         data = path.read_bytes()
         (size,) = struct.unpack("<I", data[8:12])
         header = json.loads(data[12: 12 + size])
-        header["model_spec"]["max_seq_len"] = HUGE
+        edit(header)
         raw = json.dumps(header).encode()
         body = data[:8] + struct.pack("<I", len(raw)) + raw + data[12 + size: -4]
-        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))  # a valid CRC32
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+    def test_a_checkpoint_too_big_for_memory_exits_one_naming_the_spec(self, corpus_csv,
+                                                                       tmp_path, capsys):
+        path = tmp_path / "huge.bin"
+        self._checkpoint_with_header(
+            path, corpus_csv, lambda header: header["model_spec"].update(max_seq_len=HUGE))
         code = run(["predict", "--checkpoint", path, "--input", corpus_csv,
                     "--out", tmp_path / "pred"])
         assert code == 1
         err = capsys.readouterr().err
         assert str(path) in err and "model spec ModelSpec(" in err
         assert f"max_seq_len={HUGE}" in err
+
+    @pytest.mark.parametrize("tokens", [[7, 8, 9], "abc", {"a": 2}, ["a", None]])
+    def test_vocabulary_tokens_other_than_strings_exit_one(self, tokens, corpus_csv,
+                                                           tmp_path, capsys):
+        # integer tokens loaded, and every essay then encoded to unknown ids
+        path = tmp_path / "tokens.bin"
+        self._checkpoint_with_header(
+            path, corpus_csv, lambda header: header.update(vocab_tokens=tokens))
+        code = run(["predict", "--checkpoint", path, "--input", corpus_csv,
+                    "--out", tmp_path / "pred"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "vocab_tokens" in err
+        assert not (tmp_path / "pred" / "predictions.csv").exists()
 
     def test_score_mismatched_ids_rejected(self, corpus_csv, tmp_path, capsys):
         from rubric.data import write_predictions

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,11 @@ class TestAblation:
             assert result.summary[name]["n_seeds"] == 2
         # ordering summary only reported when all three cells are present
         assert result.ordering["cells_present"] is False
+
+    def test_a_repeated_seed_is_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("(0, 0)")):
+            run_ablation(synth_corpus(12, seed=7), fast_spec(), fast_cfg(epochs=1), k=2,
+                         seeds=(0, 0))
 
     def test_awp_column_is_the_only_config_difference(self):
         variants = default_variants()

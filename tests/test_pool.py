@@ -369,13 +369,11 @@ def shapes_params():
     return {name: Tensor(rng.normal(size=shape), requires_grad=True) for name, shape in SHAPES}
 
 
-def random_grads(rng, absent=()):
-    """One sequence's gradients: dense arrays, and (ids, rows) with repeated
-    ids for the token table, with none for the names in ``absent``."""
+def random_grads(rng):
+    """One sequence's gradient of every parameter: dense arrays, and (ids,
+    rows) for the tables, 0-6 rows, with repeated ids for the token table."""
     grads = {}
     for name, shape in SHAPES:
-        if name in absent:
-            continue
         if name in ("enc.tok_emb", "enc.pos_emb"):
             n = int(rng.integers(0, 7))
             ids = rng.integers(0, shape[0], n) if name == "enc.tok_emb" else np.arange(n)
@@ -394,25 +392,21 @@ def test_block_slots_give_back_each_kind_of_gradient_they_were_given():
         return table
 
     block = pool._Block((SHAPES, 6, 2))
-    for array in [block.weights, block.grad] + [part for flat, tables in block.slots
-                                                 for part in [flat, *sum(tables.values(), ())]]:
+    for array in [block.weights, block.grad] + [part for flat, counts, tables in block.slots
+                                                 for part in [flat, counts, *sum(tables, ())]]:
         array[...] = 7  # stale values, which nothing may read back
     rng = np.random.default_rng(0)
-    written = [
-        {"enc.tok_emb": (np.array([3, 1, 3]), rng.normal(size=(3, 4))),
-         "enc.layer0.wq": rng.normal(size=(4, 4))},
-        {"enc.tok_emb": (np.zeros(0, np.int64), np.zeros((0, 4))),
-         "head.cohesion.out_b": rng.normal(size=1), "enc.lnf_g": rng.normal(size=4)},
-    ]
+    written = [random_grads(rng) for _ in range(2)]
+    written[0]["enc.tok_emb"] = (np.array([3, 1, 3]), rng.normal(size=(3, 4)))
+    # no rows, after a sequence that left three behind
+    written[1]["enc.tok_emb"] = (np.zeros(0, np.int64), np.zeros((0, 4)))
     params = shapes_params()
     shard = training.Shard(block, block.names, params)
-    for slot, grads in enumerate(written):
-        rows = block.write_slot(slot, grads)
-        shard.reduce([(-1,) * len(rows)] * slot + [rows], fresh=True)
-        got = {name: p.grad for name, p in params.items() if p.grad is not None}
-        assert got.keys() == grads.keys()
-        for name, want in grads.items():
-            assert np.array_equal(got[name], dense(name, want)), name
+    for grads in written:
+        block.write_slot(0, grads)
+        shard.reduce(1, fresh=True)
+        for name, p in params.items():
+            assert np.array_equal(p.grad, dense(name, grads[name])), name
 
 
 @pytest.mark.parametrize("n_shards", [1, 2, 3])
@@ -432,13 +426,11 @@ def test_shard_reduction_adds_in_the_reference_order_bit_for_bit(n_shards):
     rng = np.random.default_rng(n_shards)
     expected = None
     for fresh in (True, False):  # a clean pass, then an adversarial one adding to it
-        # the last slot, added first, lacks a parameter between two it has
-        passes = [random_grads(rng), random_grads(rng, absent={"enc.layer0.bq"}),
-                  random_grads(rng, absent={"head.syntax.out_b", "enc.pos_emb"}),
-                  random_grads(rng, absent={"head.cohesion.out_w", "enc.tok_emb"})]
-        rows = [block.write_slot(slot, grads) for slot, grads in enumerate(passes)]
+        passes = [random_grads(rng) for _ in range(4)]
+        for slot, grads in enumerate(passes):
+            block.write_slot(slot, grads)
         for shard in shards:
-            shard.reduce(rows, fresh)
+            shard.reduce(len(passes), fresh)
         expected = reference_accumulate(shapes, passes, expected)
         for name, p in params.items():
             assert p.grad.tobytes() == expected[name].tobytes(), (fresh, name)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rubric.data import synth_corpus
-from rubric.encoder import ModelSpec
+from rubric.encoder import POOLING_MODES, ModelSpec
 from rubric.model import Model
 from rubric.optim import AdamW, clip_grad_norm
 from rubric import training
@@ -141,6 +141,27 @@ class TestPerturb:
             "head.x.out_w": Tensor(np.ones((2, 1)), requires_grad=True),
         }
         assert set(perturbable_parameters(params)) == {"enc.w", "head.x.out_w"}
+
+
+class TestSequenceGradients:
+    @pytest.mark.parametrize("mode", POOLING_MODES)
+    @pytest.mark.parametrize("length", [1, 2, 50])
+    def test_every_parameter_gets_one_gradient(self, mode, length):
+        model, _ = tiny_model(mode=mode)
+        ids = np.random.default_rng(length).integers(2, model.spec.vocab_size, length).tolist()
+        _, grads = sequence_gradients(model, ids, np.full(6, 3.0), "smooth_l1", 1.0,
+                                      dropout_stream(0, 1, 0, 0))
+        assert grads.keys() == model.named_parameters().keys()
+
+    def test_a_parameter_without_a_gradient_is_named(self):
+        model, records = tiny_model()
+        params = {**model.named_parameters(),
+                  "head.unused": Tensor(np.zeros(3), requires_grad=True)}
+        model.named_parameters = lambda: params
+        with pytest.raises(ValueError, match="head.unused"):
+            sequence_gradients(model, model.encode_record(records[0]),
+                               np.asarray(records[0].scores), "smooth_l1", 1.0,
+                               dropout_stream(0, 1, 0, 0))
 
 
 class TestTrainStep:
