@@ -160,7 +160,7 @@ def _check_folds(cfg: RunConfig, records) -> None:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -316,7 +316,14 @@ def cmd_score(cfg: RunConfig, truth_path: str, pred_path: str) -> int:
             f"({len(truth_records)})"
         )
     truth = np.array([by_id[i].scores for i in pred_ids], dtype=np.float64)
-    report = mcrmse(truth, preds)
+    with np.errstate(over="ignore"):  # an overflowing sum of squares is rejected below
+        report = mcrmse(truth, preds)
+    for name, value in zip(TARGETS, report.per_target_rmse):
+        if not np.isfinite(value):
+            raise DataError(
+                f"{pred_path}: {name} errors are too large to score "
+                "(their squares overflow float64)"
+            )
     print(f"mcrmse = {report.mcrmse!r}")
     for name, value in zip(TARGETS, report.per_target_rmse):
         print(f"rmse_{name} = {value!r}")

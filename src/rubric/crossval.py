@@ -26,8 +26,8 @@ from .model import Model
 from .training import TrainConfig, TrainReport, fit
 
 _KFOLD_TAG = 0xF01D
-# rows of fold a per block of the swap scan: 128 x 400 float64 matrices at
-# 2,000 essays, k = 5, so the scan's two matrices stay in a 2 MiB L2
+# rows of fold a per block of the swap search: 128 x 400 float64 matrices at
+# 2,000 essays, k = 5, so a block's one matrix stays in a 2 MiB L2
 SWAP_BLOCK = 128
 
 
@@ -81,9 +81,7 @@ def _check_split_inputs(records: list[EssayRecord], k: int, seed: int) -> None:
         raise ValueError("records contain duplicate text_ids")
 
 
-def _audit(records: list[EssayRecord], assignment: dict[str, int], k: int):
-    scores = np.array([r.scores for r in records], dtype=np.float64)
-    fold_of = np.array([assignment[r.text_id] for r in records])
+def _audit(scores: np.ndarray, fold_of: np.ndarray, k: int):
     sizes, means, counts = [], [], []
     for f in range(k):
         fold = scores[fold_of == f]  # record order, which fixes the means' rounding
@@ -97,59 +95,66 @@ def _audit(records: list[EssayRecord], assignment: dict[str, int], k: int):
     return sizes, means, counts
 
 
+def _plan(records: list[EssayRecord], scores: np.ndarray, fold_of: np.ndarray, k: int):
+    assignment = dict(zip((r.text_id for r in records), fold_of.tolist()))
+    return FoldPlan(k, assignment, *_audit(scores, fold_of, k))
+
+
 def stratified_kfold(records: list[EssayRecord], k: int = 5, seed: int = 0) -> FoldPlan:
     """Iterative stratification over the (target, lattice value) indicators."""
     _check_split_inputs(records, k, seed)
     n = len(records)
     rng = np.random.default_rng(np.random.SeedSequence((seed, _KFOLD_TAG)))
+    scores = np.array([r.scores for r in records], dtype=np.float64)
 
-    # each record carries exactly one indicator per target: (j, 2 * score)
-    doubled = np.rint(2.0 * np.array([r.scores for r in records], dtype=np.float64))
-    rec_indicators = [tuple(enumerate(row)) for row in doubled.astype(int).tolist()]
+    # each record carries exactly one indicator per target, (j, 2 * score);
+    # they are numbered in (j, 2 * score) order, so numbers break ties as the
+    # pairs would
+    doubled = np.rint(2.0 * scores).astype(np.int64)
+    low = doubled.min()
+    keys = (doubled - low) + np.arange(doubled.shape[1]) * (doubled.max() - low + 1)
+    _, numbers, totals = np.unique(keys.ravel(), return_inverse=True, return_counts=True)
+    rec_indicators = numbers.reshape(keys.shape).tolist()
+    remaining = totals.tolist()
     capacity = [n // k + (1 if f < n % k else 0) for f in range(k)]
-
-    remaining: dict[tuple, int] = {}
-    for inds in rec_indicators:
-        for ind in inds:
-            remaining[ind] = remaining.get(ind, 0) + 1
-    desired = [
-        {ind: total * capacity[f] / n for ind, total in remaining.items()} for f in range(k)
-    ]
+    # desired[x][f]: fold f's remaining demand for indicator x
+    desired = [[total * capacity[f] / n for f in range(k)] for total in remaining]
 
     order = rng.permutation(n).tolist()  # seeded processing order inside each group
-    holders: dict[tuple, list[int]] = {ind: [] for ind in remaining}  # each in `order`
+    holders: list[list[int]] = [[] for _ in remaining]  # each in `order`
     for i in order:
-        for ind in rec_indicators[i]:
-            holders[ind].append(i)
-    unassigned = set(range(n))
-    assignment: dict[str, int] = {}
+        for x in rec_indicators[i]:
+            holders[x].append(i)
+    fold_of = [-1] * n
+    open_folds = list(range(k))  # the folds with room left, in order
+    unassigned = n
 
     while unassigned:
-        ind_star = min(
-            (ind for ind, cnt in remaining.items() if cnt > 0),
-            key=lambda ind: (remaining[ind], ind),
-        )
-        members = [i for i in holders[ind_star] if i in unassigned]
-        for i in members:
-            candidates = [f for f in range(k) if capacity[f] > 0]
-            best_demand = max(desired[f][ind_star] for f in candidates)
-            candidates = [f for f in candidates if desired[f][ind_star] == best_demand]
+        _, x_star = min((cnt, x) for x, cnt in enumerate(remaining) if cnt > 0)
+        demand = desired[x_star]
+        for i in holders[x_star]:
+            if fold_of[i] >= 0:
+                continue
+            best_demand = max(demand[f] for f in open_folds)
+            candidates = [f for f in open_folds if demand[f] == best_demand]
             if len(candidates) > 1:
                 most_room = max(capacity[f] for f in candidates)
                 candidates = [f for f in candidates if capacity[f] == most_room]
             fold = candidates[int(rng.integers(len(candidates)))] if len(candidates) > 1 \
                 else candidates[0]
 
-            assignment[records[i].text_id] = fold
+            fold_of[i] = fold
             capacity[fold] -= 1
-            unassigned.remove(i)
-            for ind in rec_indicators[i]:
-                desired[fold][ind] -= 1
-                remaining[ind] -= 1
+            if not capacity[fold]:
+                open_folds.remove(fold)
+            unassigned -= 1
+            for x in rec_indicators[i]:
+                desired[x][fold] -= 1
+                remaining[x] -= 1
 
-    _refine_mean_balance(records, assignment, k)
-    sizes, means, counts = _audit(records, assignment, k)
-    return FoldPlan(k, assignment, sizes, means, counts)
+    fold_of = np.array(fold_of)
+    _refine_mean_balance(scores, fold_of, k)
+    return _plan(records, scores, fold_of, k)
 
 
 def _augmented(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,13 +169,81 @@ def _augmented(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack([-2.0 * scores, norms, ones]), np.hstack([scores, ones, norms])
 
 
+def _best_swap(
+    scores_a: np.ndarray,
+    scores_b: np.ndarray,
+    left_a: np.ndarray,
+    right_b: np.ndarray,
+    direction: np.ndarray,
+    curvature: float,
+    buf: np.ndarray,
+) -> tuple[float, int, int]:
+    """The lowest objective change over swaps of a row of fold a with one of b.
+
+    Swapping i (fold a) with j (fold b) moves the objective by
+    2 d.direction + |d|^2 curvature, where d = s_j - s_i. Its exact value is
+    fl(fl(gain_a_i + gain_b_j) + fl(|d|^2 curvature)), with |d|^2 from the
+    product of `_augmented` rows (`left_a`, `right_b`) over blocks of
+    SWAP_BLOCK rows of fold a. Returns (change, row in a, row in b); ties go
+    to the first flat index. `buf` holds one block's (rows, len(b)) matrix.
+
+    A screen first gives each change as one product of 10-column rows,
+    [c (-2 s_i), c |s_i|^2, c, gain_a_i, 1] . [s_j, 1, |s_j|^2, 1, gain_b_j]
+    with c the curvature. Its ten terms add up to at most `scale` in
+    magnitude; the screen is within 11 * 2^-53 * scale of the real change
+    and the exact value within 11 * 2^-53 * scale too (3 on the lattice,
+    where |d|^2 is exact). So every exact minimum screens within the margin
+    2^-39 * scale of the lowest screened value, and only the entries that
+    screen there are evaluated exactly, from their block's product.
+    """
+    rows_a, cols = len(scores_a), len(scores_b)
+    # doubling is exact, so it is done on the small operands
+    gain_a = -2.0 * (scores_a @ direction)
+    gain_b = 2.0 * (scores_b @ direction)
+    screen_a = np.empty((rows_a, 10))
+    np.multiply(left_a, curvature, out=screen_a[:, :8])
+    screen_a[:, 8] = gain_a
+    screen_a[:, 9] = 1.0
+    screen_b = np.empty((10, cols))
+    screen_b[:8] = right_b
+    screen_b[8] = 1.0
+    screen_b[9] = gain_b
+    norms = max(left_a[:, 6].max(), right_b[7].max())  # the |s|^2 columns
+    scale = 4.0 * curvature * norms + np.abs(gain_a).max() + np.abs(gain_b).max()
+    margin = 2.0**-39 * scale
+    lowest = np.inf
+    kept = []  # (first row, rows, lowest screened value, flat indices) per block
+    for start in range(0, rows_a, SWAP_BLOCK):
+        rows = min(SWAP_BLOCK, rows_a - start)
+        screen = buf[: rows * cols].reshape(rows, cols)
+        np.matmul(screen_a[start : start + rows], screen_b, out=screen)
+        low = float(screen.min())
+        if low <= lowest + margin:
+            lowest = min(lowest, low)
+            kept.append((start, rows, low, np.flatnonzero(screen <= lowest + margin)))
+    # blocks in order, the first minimum within one and a strict < across
+    # them, so ties stay on the first flat index
+    found = (np.inf, 0, 0)
+    for start, rows, low, flat in kept:
+        if low > lowest + margin:
+            continue
+        dist2 = buf[: rows * cols].reshape(rows, cols)
+        np.matmul(left_a[start : start + rows], right_b, out=dist2)
+        p, q = np.divmod(flat, cols)
+        exact = (gain_a[start + p] + gain_b[q]) + dist2.flat[flat] * curvature
+        first = int(np.argmin(exact))
+        if exact[first] < found[0]:
+            found = (float(exact[first]), start + int(p[first]), int(q[first]))
+    return found
+
+
 def _refine_mean_balance(
-    records: list[EssayRecord],
-    assignment: dict[str, int],
+    scores: np.ndarray,
+    fold_of: np.ndarray,
     k: int,
     tol: float = 1e-10,
 ) -> None:
-    """Best-improvement swap refinement of per-fold target means.
+    """Best-improvement swap refinement of per-fold target means, in place.
 
     Repeatedly applies the single cross-fold record swap that most reduces
     sum over (fold, target) of (fold mean - global mean)^2, until no swap
@@ -181,50 +254,23 @@ def _refine_mean_balance(
     only the pairs containing a or b are recomputed. The pairs are scanned
     in a fixed order with a strict comparison, so ties go to the first.
     """
-    scores = np.array([r.scores for r in records], dtype=np.float64)
     n, _ = scores.shape
-    fold_of = np.array([assignment[r.text_id] for r in records])
     idx_by_fold = [np.flatnonzero(fold_of == f) for f in range(k)]
     sums = np.stack([scores[idx].sum(axis=0) for idx in idx_by_fold])
     sizes = np.array([len(idx) for idx in idx_by_fold], dtype=np.float64)
     global_mean = scores.mean(axis=0)
     deviation = sums / sizes[:, None] - global_mean
     left, right = _augmented(scores)
+    # each fold's score and augmented rows, in idx_by_fold order
+    rows_by_fold = [(scores[idx], left[idx], right[idx]) for idx in idx_by_fold]
     largest = max(len(idx) for idx in idx_by_fold)
-    block = min(SWAP_BLOCK, largest) * largest
-    buf_dist, buf_delta = np.empty(block), np.empty(block)
+    buf = np.empty(min(SWAP_BLOCK, largest) * largest)
 
     def best_swap_between(a: int, b: int) -> tuple[float, int, int]:
-        ia, ib = idx_by_fold[a], idx_by_fold[b]
-        cols = len(ib)
+        (scores_a, left_a, _), (scores_b, _, right_b) = rows_by_fold[a], rows_by_fold[b]
         direction = deviation[a] / sizes[a] - deviation[b] / sizes[b]
         curvature = 1.0 / sizes[a] ** 2 + 1.0 / sizes[b] ** 2
-        # swapping i (fold a) with j (fold b) moves the objective by
-        # 2 d.direction + |d|^2 curvature, where d = s_j - s_i: the sum of
-        # fl(-2 s_i.direction + 2 s_j.direction) and fl(|d|^2 curvature), in
-        # this order. Doubling is exact, so it is done on the small operands.
-        # Fold a is scanned in row blocks so the two matrices stay in cache;
-        # the strict < keeps ties on the first flat index. Copying a column
-        # and adding a row in place is faster in numpy than a ufunc that
-        # broadcasts a column operand.
-        gain_a = -2.0 * (scores[ia] @ direction)
-        gain_b = 2.0 * (scores[ib] @ direction)
-        left_a, right_b = left[ia], right[ib].T
-        found = (np.inf, 0, 0)
-        for start in range(0, len(ia), SWAP_BLOCK):
-            rows = min(SWAP_BLOCK, len(ia) - start)
-            dist2 = buf_dist[: rows * cols].reshape(rows, cols)
-            delta = buf_delta[: rows * cols].reshape(rows, cols)
-            np.matmul(left_a[start : start + rows], right_b, out=dist2)
-            dist2 *= curvature
-            np.copyto(delta, gain_a[start : start + rows, None])
-            delta += gain_b
-            delta += dist2
-            flat = int(np.argmin(delta))
-            if delta.flat[flat] < found[0]:
-                p, q = divmod(flat, cols)
-                found = (float(delta.flat[flat]), start + p, q)
-        return found
+        return _best_swap(scores_a, scores_b, left_a, right_b.T, direction, curvature, buf)
 
     pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
     best = {pair: best_swap_between(*pair) for pair in pairs}
@@ -241,11 +287,13 @@ def _refine_mean_balance(
         a, b, p, q = best_swap
         i, j = int(idx_by_fold[a][p]), int(idx_by_fold[b][q])
         idx_by_fold[a][p], idx_by_fold[b][q] = j, i
+        fold_of[i], fold_of[j] = b, a
+        for fold, row, record in ((a, p, j), (b, q, i)):
+            for held, source in zip(rows_by_fold[fold], (scores, left, right)):
+                held[row] = source[record]
         move = scores[j] - scores[i]
         sums[a] += move
         sums[b] -= move
-        assignment[records[i].text_id] = b
-        assignment[records[j].text_id] = a
         deviation = sums / sizes[:, None] - global_mean
         for pair in pairs:
             if a in pair or b in pair:
@@ -258,15 +306,14 @@ def random_kfold(records: list[EssayRecord], k: int = 5, seed: int = 0) -> FoldP
     n = len(records)
     rng = np.random.default_rng(np.random.SeedSequence((seed, _KFOLD_TAG)))
     order = rng.permutation(n)
-    assignment = {}
-    sizes = [n // k + (1 if f < n % k else 0) for f in range(k)]
+    fold_of = np.empty(n, dtype=np.int64)
     pos = 0
-    for fold, size in enumerate(sizes):
-        for i in order[pos : pos + size]:
-            assignment[records[i].text_id] = fold
+    for fold in range(k):
+        size = n // k + (1 if fold < n % k else 0)
+        fold_of[order[pos : pos + size]] = fold
         pos += size
-    sizes, means, counts = _audit(records, assignment, k)
-    return FoldPlan(k, assignment, sizes, means, counts)
+    scores = np.array([r.scores for r in records], dtype=np.float64)
+    return _plan(records, scores, fold_of, k)
 
 
 # ----------------------------------------------------------------------

@@ -247,6 +247,37 @@ def reference_stratified_kfold(records, k: int = 5, seed: int = 0):
     return FoldPlan(k, assignment, [len(fold) for fold in by_fold], means, counts)
 
 
+def reference_best_swap(scores_a, scores_b, left_a, right_b, direction, curvature):
+    """Frozen copy of the blocked pair scan before the screened swap search.
+
+    Every block of 128 rows of fold a gets its full squared-distance product,
+    scaled in place, and the change matrix gain_a + gain_b + dist2 * curvature
+    with its first argmin; a strict < across blocks keeps ties on the first
+    flat index. ``rubric.crossval._best_swap`` must return the same
+    (change, p, q) bit for bit.
+    """
+    block, cols = 128, len(scores_b)
+    buf_dist = np.empty(min(block, len(scores_a)) * cols)
+    buf_delta = np.empty_like(buf_dist)
+    gain_a = -2.0 * (scores_a @ direction)
+    gain_b = 2.0 * (scores_b @ direction)
+    found = (np.inf, 0, 0)
+    for start in range(0, len(scores_a), block):
+        rows = min(block, len(scores_a) - start)
+        dist2 = buf_dist[: rows * cols].reshape(rows, cols)
+        delta = buf_delta[: rows * cols].reshape(rows, cols)
+        np.matmul(left_a[start : start + rows], right_b, out=dist2)
+        dist2 *= curvature
+        np.copyto(delta, gain_a[start : start + rows, None])
+        delta += gain_b
+        delta += dist2
+        flat = int(np.argmin(delta))
+        if delta.flat[flat] < found[0]:
+            p, q = divmod(flat, cols)
+            found = (float(delta.flat[flat]), start + p, q)
+    return found
+
+
 def reference_adamw_step(params, m, v, t, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
     """Frozen copy of ``AdamW.step`` before it wrote into scratch buffers.
 

@@ -377,6 +377,18 @@ class TestPredictScoreCommands:
         assert run(["score", corpus_csv, pred_path]) == 1
         assert repr(ids[0]) in capsys.readouterr().err
 
+    def test_score_rejects_errors_whose_squares_overflow(self, tmp_path, capsys):
+        truth_csv = tmp_path / "truth.csv"
+        assert run(["synth", "--n", 20, "--synth-seed", 3, truth_csv]) == 0
+        ids = [r.text_id for r in load_csv(str(truth_csv))]
+        pred_path = tmp_path / "huge.csv"
+        write_predictions(str(pred_path), ids, np.full((len(ids), 6), 1e308))
+        code = run(["score", truth_csv, pred_path, "--out", tmp_path / "scored"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(pred_path) in err and "cohesion" in err
+        assert not (tmp_path / "scored" / "metrics.json").exists()
+
 
 class TestCvCommand:
     def test_cv_artifacts(self, corpus_csv, tmp_path):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rubric.crossval import (
+    SWAP_BLOCK,
     FoldPlan,
     _augmented,
+    _best_swap,
     default_variants,
     mean_baseline_cv,
     random_kfold,
@@ -21,7 +23,11 @@ from rubric.data import LATTICE_TOL, EssayRecord, build_vocab, synth_corpus
 from rubric.encoder import ModelSpec
 from rubric.training import TrainConfig
 
-from _oracles import max_fold_mean_deviation, reference_stratified_kfold
+from _oracles import (
+    max_fold_mean_deviation,
+    reference_best_swap,
+    reference_stratified_kfold,
+)
 
 
 def distinct_records(n):
@@ -162,6 +168,11 @@ class TestMatchesReference:
         for k, seed in ((3, 0), (5, 1), (10, 2)):
             self.assert_same_plan(moved, k, seed)
 
+    def test_same_plan_at_the_benchmark_shape(self):
+        records = synth_corpus(2000, seed=23)
+        for seed in range(4):
+            self.assert_same_plan(records, 5, seed)
+
 
 @st.composite
 def half_point_rows(draw):
@@ -180,6 +191,27 @@ def test_augmented_product_is_exact_on_the_lattice(sa, sb):
     _, right = _augmented(sb)
     plain = ((sa * sa).sum(axis=1)[:, None] + (sb * sb).sum(axis=1)) - 2.0 * (sa @ sb.T)
     assert np.array_equal(left @ right.T, plain)
+
+
+@settings(max_examples=80)
+@given(half_point_rows(), half_point_rows(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_screened_swap_search_matches_the_blocked_scan(sa, sb, jitter, seed):
+    """Same (change, p, q) as the frozen scan, ties and last bits included."""
+    if jitter:
+        rng = np.random.default_rng(seed)
+        sa = sa + rng.uniform(-1.0, 1.0, sa.shape) * LATTICE_TOL
+        sb = sb + rng.uniform(-1.0, 1.0, sb.shape) * LATTICE_TOL
+    # the direction and curvature the refinement forms for a fold pair
+    global_mean = np.concatenate([sa, sb]).mean(axis=0)
+    na, nb = float(len(sa)), float(len(sb))
+    deviation_a = sa.sum(axis=0) / na - global_mean
+    deviation_b = sb.sum(axis=0) / nb - global_mean
+    direction = deviation_a / na - deviation_b / nb
+    curvature = 1.0 / na**2 + 1.0 / nb**2
+    left_a, right_b = _augmented(sa)[0], _augmented(sb)[1].T
+    buf = np.empty(min(SWAP_BLOCK, len(sa)) * len(sb))
+    got = _best_swap(sa, sb, left_a, right_b, direction, curvature, buf)
+    assert got == reference_best_swap(sa, sb, left_a, right_b, direction, curvature)
 
 
 class TestBaseline:

@@ -147,6 +147,7 @@ def test_numeric_error_in_a_worker_keeps_its_message_and_exits_two(
     assert "softmax input contains non-finite values (epoch 1, step 2" in messages[1]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_worker_raising_numeric_error_reaches_the_trainer(monkeypatch):
     records = synth_corpus(6, seed=4)
     vocab = build_vocab(records)
