@@ -174,6 +174,14 @@ def _header(rows, path: str) -> list[str]:
         raise DataError(f"{path}: empty file, expected a header row") from None
 
 
+def _note_row(path: str, first_row: dict[str, int], text_id: str, lineno: int) -> None:
+    """Record ``text_id``'s first row; a ``DataError`` names both rows of a repeat."""
+    if first_row.setdefault(text_id, lineno) != lineno:
+        raise DataError(
+            f"{path}: row {lineno} repeats text_id {text_id!r} of row {first_row[text_id]}"
+        )
+
+
 def load_csv(path: str) -> list[EssayRecord]:
     """Read an essay CSV (RFC-4180 quoting; essays may span lines).
 
@@ -201,12 +209,7 @@ def load_csv(path: str) -> list[EssayRecord]:
                 f"{path}: row {lineno} has {len(row)} fields, header has {len(header)}"
             )
         text_id = row[col["text_id"]]
-        if text_id in first_row:
-            raise DataError(
-                f"{path}: row {lineno} repeats text_id {text_id!r} "
-                f"of row {first_row[text_id]}"
-            )
-        first_row[text_id] = lineno
+        _note_row(path, first_row, text_id, lineno)
         scores = None
         if labeled:
             values = []
@@ -257,7 +260,8 @@ def write_predictions(path: str, text_ids: Sequence[str], preds) -> None:
 
 
 def load_predictions(path: str) -> tuple[list[str], np.ndarray]:
-    """Read a prediction CSV; values must be finite but are not lattice-checked."""
+    """Read a prediction CSV; text_ids must be distinct and values finite but
+    are not lattice-checked."""
     rows = _csv_rows(path)
     header = _header(rows, path)
     col = {name: i for i, name in enumerate(header)}
@@ -265,12 +269,15 @@ def load_predictions(path: str) -> tuple[list[str], np.ndarray]:
         if required not in col:
             raise DataError(f"{path}: missing required column {required!r}")
     ids, values = [], []
+    first_row: dict[str, int] = {}
     for lineno, row in rows:
         if len(row) != len(header):
             raise DataError(
                 f"{path}: row {lineno} has {len(row)} fields, header has {len(header)}"
             )
-        ids.append(row[col["text_id"]])
+        text_id = row[col["text_id"]]
+        _note_row(path, first_row, text_id, lineno)
+        ids.append(text_id)
         try:
             values.append([float(row[col[t]]) for t in TARGETS])
         except ValueError as exc:

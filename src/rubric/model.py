@@ -78,11 +78,10 @@ class Model:
         round_to_lattice: bool = False,
     ) -> np.ndarray:
         """Predictions for many records, on the worker pool when it runs or
-        when the job is big enough to start it, else in-process (see
+        when there are enough records to start it, else in-process (see
         ``rubric.pool.get``)."""
         id_lists = [self.encode_record(r) for r in records]
-        seconds = pool.forward_seconds(self.spec, [len(ids) for ids in id_lists])
-        preds = pool.get(seconds).predict(self, id_lists)
+        preds = pool.get(len(id_lists)).predict(self, id_lists)
         if clip or round_to_lattice:
             preds = clamp_to_score_lattice(preds, round_to_lattice=round_to_lattice)
         return preds

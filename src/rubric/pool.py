@@ -50,27 +50,12 @@ from typing import NoReturn
 import numpy as np
 
 from . import training
-from .encoder import ModelSpec
 from .tensor import NumericError, ShapeError
 
 
 class PoolError(RuntimeError):
     """A worker process died, or failed in a way the parent cannot re-raise."""
 
-
-# What starting the workers adds to a whole small job: a 2-essay `rubric
-# predict` took 25-35 ms on two forked workers against 13-15 ms in-process
-# (2-vCPU VM, medians of 15; forking the workers onto a new block about
-# 4 ms, the job on the new workers about 12 ms). A job must save more.
-STARTUP_S = 0.05
-# In-process forward time: a fixed cost per sequence plus a cost per
-# multiply-add. A training pass costs about three forwards. Eval forwards of
-# 72 tokens took 0.83, 1.08 and 1.64 ms at d_model 16, 32 and 64 (2-vCPU VM),
-# which the constants underestimate at small d_model; they stay until a
-# benchmark change can re-baseline the set-up jobs whose path they decide.
-SECONDS_PER_SEQUENCE = 3.0e-4
-SECONDS_PER_MAC = 3.0e-10
-TRAIN_PASS_FORWARDS = 3
 
 # gradients of the embedding tables arrive row-sparse, as (ids, rows)
 _ROW_SPARSE = ("enc.tok_emb", "enc.pos_emb")
@@ -140,18 +125,6 @@ def _pin_heap(libc) -> bool:
 _heap_pinned = _pin_heap(ctypes.CDLL(None))
 
 
-def forward_seconds(spec: ModelSpec, lengths: list[int]) -> float:
-    """Estimated in-process forward time over sequences of these lengths.
-
-    Per block, the projections and feed-forward make T·(4d² + 2d·d_ff)
-    multiply-adds and attention 2T²d. The estimate depends on nothing but
-    its arguments, so a job takes the same path on every run.
-    """
-    d, f = spec.d_model, spec.d_ff
-    macs = sum(spec.n_layers * (t * (4 * d * d + 2 * d * f) + 2 * t * t * d) for t in lengths)
-    return len(lengths) * SECONDS_PER_SEQUENCE + macs * SECONDS_PER_MAC
-
-
 def usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -159,22 +132,23 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def get(seconds: float) -> Pool:
-    """The pool for a job of about ``seconds`` of in-process work.
+def get(sequences: int) -> Pool:
+    """The pool for a job over ``sequences`` sequences.
 
     A running pool serves every job. Otherwise one starts, with a worker
-    per usable CPU, only when splitting the job saves more than the
-    workers' start-up; it then serves the rest of the process, until
-    ``close``. Its workers are forked at its first job. Any other job gets
-    a new pool with no workers, which runs it in-process, as every job
-    runs if BLAS could not be set to one thread.
+    per usable CPU, only on 2 or more CPUs and for more sequences than the
+    workers' pipes hold at once (``_QUEUED`` each); it then serves the rest
+    of the process, until ``close``, and forks its workers at its first
+    job. Any other job gets a new pool with no workers, which runs it
+    in-process, as every job runs if BLAS could not be set to one thread.
+    Every path gives the same bits, so the rule decides only time.
     """
     global _shared
     if _forced_workers == 0 or not _blas_one_thread:
         return Pool(0)
     if _shared is None:
         n = _forced_workers or usable_cpus()
-        if _forced_workers is None and (n < 2 or seconds * (1.0 - 1.0 / n) <= STARTUP_S):
+        if _forced_workers is None and (n < 2 or sequences <= n * _QUEUED):
             return Pool(0)
         _shared = Pool(n)
     return _shared

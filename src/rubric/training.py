@@ -323,10 +323,11 @@ class Trainer:
     """Owns the rng streams, the pool and the AWP machinery for one run.
 
     The pool (``pool.Pool``) runs the passes and the shards: until ``fit``
-    picks one by the job's size (``pool.get``), one with no workers, which
-    runs them in-process. The block records the trainer that started its
-    shards; a trainer whose shards another trainer restarted, or whose
-    block was replaced, raises ``pool.PoolError`` at its next pass.
+    picks one by its number of training sequences (``pool.get``), one with
+    no workers, which runs them in-process. The block records the trainer
+    that started its shards; a trainer whose shards another trainer
+    restarted, or whose block was replaced, raises ``pool.PoolError`` at
+    its next pass.
     """
 
     def __init__(self, model: Model, config: TrainConfig):
@@ -494,10 +495,7 @@ def fit(
 
     trainer = Trainer(model, config)
     examples = _prepare(model, train_records)
-    epochs = range(1, config.epochs + 1)
-    passes = sum(1 + config.adv_steps * trainer._awp_active(epoch) for epoch in epochs)
-    forward_s = pool.forward_seconds(model.spec, [len(ids) for ids, _ in examples])
-    trainer.pool = pool.get(passes * pool.TRAIN_PASS_FORWARDS * forward_s)
+    trainer.pool = pool.get(len(examples))
     report = TrainReport()
     best_snapshot = None
 

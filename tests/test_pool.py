@@ -147,16 +147,44 @@ def test_numeric_error_in_a_worker_keeps_its_message_and_exits_two(
     assert "softmax input contains non-finite values (epoch 1, step 2" in messages[1]
 
 
+def tiny_model(records, seed=0):
+    vocab = build_vocab(records)
+    spec = ModelSpec(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16)
+    return Model.build(spec, seed=seed, vocab=vocab)
+
+
+@pytest.mark.skipif(pool.usable_cpus() < 2 or not pool._blas_one_thread,
+                    reason="the pool needs two usable CPUs and one BLAS thread")
+def test_the_pool_starts_only_for_more_sequences_than_the_workers_queue():
+    cutoff = pool.usable_cpus() * pool._QUEUED
+    records = synth_corpus(cutoff + 1, seed=8)
+    model = tiny_model(records)
+    started = len(pool._started)
+    model.predict_records(records[:cutoff])
+    assert pool._shared is None
+    assert len(pool._started) == started
+    model.predict_records(records)
+    assert pool._shared is not None
+    assert len(pool._started) == started + pool.usable_cpus()
+
+
+def test_one_usable_cpu_keeps_every_job_in_process(monkeypatch):
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
+    records = synth_corpus(300, seed=8)
+    started = len(pool._started)
+    tiny_model(records).predict_records(records)
+    assert pool._shared is None
+    assert len(pool._started) == started
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_worker_raising_numeric_error_reaches_the_trainer(monkeypatch):
     records = synth_corpus(6, seed=4)
-    vocab = build_vocab(records)
-    spec = ModelSpec(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16)
-    model = Model.build(spec, seed=0, vocab=vocab)
+    model = tiny_model(records)
     model.named_parameters()["enc.layer0.wq"].data[:] = np.inf
     trainer = Trainer(model, TrainConfig(seed=1))
     monkeypatch.setattr(pool, "_forced_workers", 2)
-    trainer.pool = pool.get(0.0)
+    trainer.pool = pool.get(0)
     batch = [(model.encode_record(r), np.asarray(r.scores)) for r in records]
     with pytest.raises(NumericError, match="softmax input contains non-finite values"):
         trainer.train_step(batch, epoch=1)
@@ -457,9 +485,7 @@ def test_every_parameter_belongs_to_exactly_one_shard(n_workers):
 
 def small_model(seed):
     records = synth_corpus(12, seed=5)
-    vocab = build_vocab(records)
-    spec = ModelSpec(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16)
-    return Model.build(spec, seed=seed, vocab=vocab), records
+    return tiny_model(records, seed), records
 
 
 def parameter_bytes(model):
@@ -498,7 +524,7 @@ def trainers_of_one_spec(seeds):
     for seed in seeds:
         model, _ = small_model(seed)
         trainers.append(Trainer(model, TrainConfig(batch_size=4, awp_start_epoch=1, seed=3)))
-        trainers[-1].pool = pool.get(0.0)
+        trainers[-1].pool = pool.get(0)
     batches = [[(trainers[0].model.encode_record(r), np.asarray(r.scores))
                 for r in records[start: start + 4]] for start in (0, 4, 8)]
     return trainers, batches
@@ -537,7 +563,7 @@ def test_a_non_finite_adversarial_loss_restores_the_shards_first(monkeypatch):
         # non-finite, which the message would name had they not been restored
         trainer = Trainer(model, TrainConfig(batch_size=4, awp_start_epoch=1, seed=2,
                                              adv_lr=float("inf"), adv_eps=float("inf")))
-        trainer.pool = pool.get(0.0)
+        trainer.pool = pool.get(0)
         batch = [(model.encode_record(r), np.asarray(r.scores)) for r in records[:4]]
         with pytest.raises(NumericError) as raised:
             trainer.train_step(batch, epoch=1)
@@ -628,9 +654,7 @@ def test_each_worker_has_one_thread(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
 def test_leak_guard_sees_live_and_unreaped_workers(monkeypatch):
     records = synth_corpus(4, seed=3)
-    vocab = build_vocab(records)
-    spec = ModelSpec(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16)
-    model = Model.build(spec, seed=0, vocab=vocab)
+    model = tiny_model(records)
     monkeypatch.setattr(pool, "_forced_workers", 1)
     model.predict_records(records)
     worker = pool._shared._workers[0]
@@ -672,7 +696,7 @@ def test_a_batch_longer_than_batch_size_is_rejected_at_every_worker_count(monkey
     monkeypatch.setattr(pool, "_forced_workers", workers)
     model, records = small_model(seed=7)
     trainer = Trainer(model, TrainConfig(batch_size=4, seed=1))
-    trainer.pool = pool.get(0.0)
+    trainer.pool = pool.get(0)
     batch = [(model.encode_record(r), np.asarray(r.scores)) for r in records[:6]]
     trainer.train_step(batch[:4], epoch=1)  # the pool's block now has batch_size slots
     with pytest.raises(ValueError, match="batch of 6 sequences, more than batch_size 4"):
