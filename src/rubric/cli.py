@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .data import (
 from .metrics import mcrmse
 from .model import Model
 from .tensor import NumericError
-from .training import evaluate_model, fit, train_valid_split
+from .training import TrainReport, evaluate_model, fit, train_valid_split
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -163,6 +164,25 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: str, header: str, rows) -> None:
+    """One line per row, flags as 0/1 and floats as their repr. No report
+    cell holds a comma, a quote or a newline, so none is quoted."""
+    lines = [header] + [",".join(str(int(c)) if isinstance(c, bool) else str(c) for c in row)
+                        for row in rows]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_train_report(path: str, report: TrainReport) -> None:
+    # the seconds column is wall-clock telemetry and is the one field
+    # exempt from the byte-identical rerun guarantee
+    rmse = ",".join(f"rmse_{t}" for t in TARGETS)
+    _write_csv(path, f"epoch,train_loss,valid_mcrmse,{rmse},awp_active,seconds", [
+        (r.epoch, r.train_loss, r.valid_mcrmse, *r.per_target_rmse, r.awp_active, r.seconds)
+        for r in report.rows
+    ])
+
+
 # ----------------------------------------------------------------------
 # commands
 
@@ -189,7 +209,7 @@ def cmd_train(cfg: RunConfig) -> int:
         cfg.train,
         checkpoint_path=os.path.join(out_dir, "checkpoint.bin"),
     )
-    report.to_csv(os.path.join(out_dir, "report.csv"))
+    _write_train_report(os.path.join(out_dir, "report.csv"), report)
     train_metrics = evaluate_model(model, train_recs)
     # fit evaluated these parameters on the validation set at the best epoch,
     # and left the last epoch's (row -1) in place when no epoch was best
@@ -199,9 +219,9 @@ def cmd_train(cfg: RunConfig) -> int:
         {
             "best_epoch": report.best_epoch,
             "train_mcrmse": train_metrics.mcrmse,
-            "train_per_target_rmse": list(train_metrics.per_target_rmse),
+            "train_per_target_rmse": train_metrics.per_target_rmse,
             "valid_mcrmse": best.valid_mcrmse,
-            "valid_per_target_rmse": list(best.per_target_rmse),
+            "valid_per_target_rmse": best.per_target_rmse,
             "n_train": len(train_recs),
             "n_valid": len(valid_recs),
         },
@@ -223,20 +243,20 @@ def cmd_cv(cfg: RunConfig) -> int:
         seed=cfg.train.seed,
         min_count=cfg.min_count,
     )
-    result.plan.save(os.path.join(out_dir, "fold_plan.json"))
+    _write_json(os.path.join(out_dir, "fold_plan.json"), asdict(result.plan))
     ids = [r.text_id for r in records]
     write_predictions(
         os.path.join(out_dir, "oof.csv"), ids, [result.oof[i] for i in ids]
     )
     for fold, report in enumerate(result.train_reports):
-        report.to_csv(os.path.join(out_dir, f"report_fold{fold}.csv"))
+        _write_train_report(os.path.join(out_dir, f"report_fold{fold}.csv"), report)
     _write_json(
         os.path.join(out_dir, "cv_metrics.json"),
         {
-            "pooled": result.pooled.to_dict(),
+            "pooled": asdict(result.pooled),
             "fold_mean_mcrmse": result.fold_mean_mcrmse,
-            "folds": [r.to_dict() for r in result.fold_reports],
-            "mean_baseline": result.baseline.to_dict(),
+            "folds": [asdict(r) for r in result.fold_reports],
+            "mean_baseline": asdict(result.baseline),
         },
     )
     print(
@@ -266,8 +286,10 @@ def cmd_ablate(cfg: RunConfig) -> int:
         variants=variants,
         min_count=cfg.min_count,
     )
-    result.rows_csv(os.path.join(out_dir, "ablation.csv"))
-    result.summary_csv(os.path.join(out_dir, "ablation_summary.csv"))
+    _write_csv(os.path.join(out_dir, "ablation.csv"),
+               "variant,pooling,awp,seed,cv_pooled,cv_fold_mean", map(astuple, result.rows))
+    _write_csv(os.path.join(out_dir, "ablation_summary.csv"), "variant,mean_cv,std_cv,n_seeds",
+               [(v, s["mean"], s["std"], int(s["n_seeds"])) for v, s in result.summary.items()])
     _write_json(
         os.path.join(out_dir, "summary.json"),
         {"summary": result.summary, "ordering": result.ordering},
@@ -287,6 +309,8 @@ def cmd_predict(cfg: RunConfig) -> int:
     if not cfg.input_csv:
         raise ConfigError("predict needs input essays (set data.input_csv or --input)")
     model = load_checkpoint(cfg.predict_checkpoint)
+    if model.vocab is None:
+        raise CheckpointError(f"{cfg.predict_checkpoint}: no vocabulary to encode essays with")
     records = load_csv(cfg.input_csv)
     if not records:
         raise DataError(f"{cfg.input_csv}: no records")
@@ -325,7 +349,7 @@ def cmd_score(cfg: RunConfig, truth_path: str, pred_path: str) -> int:
         print(f"rmse_{name} = {value!r}")
     if cfg.out_dir:
         out_dir = _prepare_out_dir(cfg, "score")
-        _write_json(os.path.join(out_dir, "metrics.json"), report.to_dict())
+        _write_json(os.path.join(out_dir, "metrics.json"), asdict(report))
     return EXIT_OK
 
 

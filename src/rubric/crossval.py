@@ -14,11 +14,11 @@ checks need the fold means tight.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import ConfigError
 from .data import EssayRecord, TARGETS, build_vocab
 from .encoder import ModelSpec
 from .metrics import MetricsReport, mcrmse
@@ -40,30 +40,6 @@ class FoldPlan:
     fold_sizes: list[int]
     fold_target_means: list[list[float]]  # [fold][target]
     lattice_counts: list[dict[str, dict[str, int]]]  # [fold][target][score]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "assignment": self.assignment,
-            "fold_sizes": self.fold_sizes,
-            "fold_target_means": self.fold_target_means,
-            "lattice_counts": self.lattice_counts,
-        }
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FoldPlan":
-        return cls(
-            k=d["k"],
-            assignment=d["assignment"],
-            fold_sizes=d["fold_sizes"],
-            fold_target_means=d["fold_target_means"],
-            lattice_counts=d["lattice_counts"],
-        )
 
 
 def _check_split_inputs(records: list[EssayRecord], k: int, seed: int) -> None:
@@ -451,25 +427,6 @@ class AblationResult:
     ordering: dict
     seed_plans: dict[int, FoldPlan] = field(default_factory=dict)
 
-    def rows_csv(self, path: str) -> None:
-        lines = ["variant,pooling,awp,seed,cv_pooled,cv_fold_mean"]
-        for r in self.rows:
-            lines.append(
-                f"{r.variant},{r.pooling_mode},{int(r.awp)},{r.seed},"
-                f"{r.cv_pooled!r},{r.cv_fold_mean!r}"
-            )
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    def summary_csv(self, path: str) -> None:
-        lines = ["variant,mean_cv,std_cv,n_seeds"]
-        for name, stats in self.summary.items():
-            lines.append(
-                f"{name},{stats['mean']!r},{stats['std']!r},{int(stats['n_seeds'])}"
-            )
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def run_ablation(
     records: list[EssayRecord],
@@ -482,11 +439,22 @@ def run_ablation(
 ) -> AblationResult:
     """Controlled pooling/AWP comparison: per seed, every variant shares the
     same fold plan and derived per-fold seeds; only the configuration cell
-    differs. Each seed counts once, so a repeated seed raises ValueError."""
+    differs. Each seed counts once, so a repeated seed raises ValueError, and
+    an AWP cell that would never perturb raises ConfigError before any fit."""
     if len(set(seeds)) < len(seeds):
         raise ValueError(f"seeds must be distinct, got {tuple(seeds)}")
     if variants is None:
         variants = default_variants()
+    cfg = train_config
+    if any(v.awp for v in variants) and (
+        not cfg.awp_enabled or cfg.awp_start_epoch > cfg.epochs
+    ):
+        raise ConfigError(
+            "the AWP cells would never perturb: they need train.adv_lr > 0 and "
+            f"train.adv_eps > 0 (got {cfg.adv_lr!r} and {cfg.adv_eps!r}) and "
+            f"train.awp_start_epoch <= train.epochs (got {cfg.awp_start_epoch} and "
+            f"{cfg.epochs})"
+        )
     rows: list[AblationRow] = []
     seed_plans: dict[int, FoldPlan] = {}
     for seed in seeds:

@@ -14,14 +14,6 @@ class MetricsReport:
     n_records: int
     n_targets: int
 
-    def to_dict(self) -> dict:
-        return {
-            "mcrmse": self.mcrmse,
-            "per_target_rmse": list(self.per_target_rmse),
-            "n_records": self.n_records,
-            "n_targets": self.n_targets,
-        }
-
 
 def mcrmse(truth, pred) -> MetricsReport:
     """Columnwise root-mean-squared errors and their mean.

@@ -148,23 +148,6 @@ class TrainReport:
     best_epoch: int = 0
     best_valid_mcrmse: float = float("inf")
 
-    CSV_HEADER = (
-        "epoch,train_loss,valid_mcrmse,rmse_cohesion,rmse_syntax,rmse_vocabulary,"
-        "rmse_phraseology,rmse_grammar,rmse_conventions,awp_active,seconds"
-    )
-
-    def to_csv(self, path: str) -> None:
-        # the seconds column is wall-clock telemetry and is the one field
-        # exempt from the byte-identical rerun guarantee
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            cells = [str(r.epoch), repr(r.train_loss), repr(r.valid_mcrmse)]
-            cells += [repr(v) for v in r.per_target_rmse]
-            cells += [str(int(r.awp_active)), repr(r.seconds)]
-            lines.append(",".join(cells))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def evaluate_model(model: Model, records: list[EssayRecord]) -> MetricsReport:
     """MCRMSE of clipped (unrounded) predictions against record labels."""

@@ -4,6 +4,7 @@ import os
 import re
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from rubric.config import (
     render_config,
     resolve_config,
 )
+from rubric.crossval import FoldPlan, stratified_kfold
 from rubric.data import (
     build_vocab,
     load_csv,
@@ -158,10 +160,15 @@ class TestConfig:
         (["ablate", "--seeds", "0,0", "--folds", "2", "--set", "ablate.full_grid=false"],
          "ablate.seeds", "(0, 0)"),
         (["train", "--set", "data.min_count=-3"], "data.min_count", "-3"),
+        (["ablate", "--folds", "2", "--set", "train.awp_start_epoch=3"],
+         "train.awp_start_epoch", "3"),
+        (["ablate", "--folds", "2", "--set", "train.adv_lr=0"], "train.adv_lr", "0.0"),
+        (["ablate", "--folds", "2", "--set", "train.adv_eps=0"], "train.adv_eps", "0.0"),
     ])
     def test_values_the_run_would_misuse_exit_one(self, argv, key, value, corpus_csv,
                                                    tmp_path, capsys):
-        # ablate would count seed 0 twice; build_vocab would read -3 as 1
+        # ablate would count seed 0 twice, or report AWP cells that never
+        # perturbed as AWP runs; build_vocab would read -3 as 1
         code = run(argv + ["--data", corpus_csv, "--out", tmp_path / "o"] + FAST)
         assert code == 1
         err = capsys.readouterr().err
@@ -200,6 +207,13 @@ class TestTrainCommand:
             assert (out / name).exists(), name
         metrics = json.loads((out / "metrics.json").read_text())
         assert 0 <= metrics["valid_mcrmse"] < 5
+        lines = (out / "report.csv").read_text().splitlines()
+        assert lines[0].split(",") == [
+            "epoch", "train_loss", "valid_mcrmse", "rmse_cohesion", "rmse_syntax",
+            "rmse_vocabulary", "rmse_phraseology", "rmse_grammar", "rmse_conventions",
+            "awp_active", "seconds",
+        ]
+        assert len(lines) == 1 + 2  # header + train.epochs rows
         config_echo = (out / "config.txt").read_text()
         assert "train.seed = 5" in config_echo
         assert "model.d_model = 16" in config_echo
@@ -402,7 +416,11 @@ class TestCvCommand:
         metrics = json.loads((out / "cv_metrics.json").read_text())
         assert len(metrics["folds"]) == 2
         ids, _ = load_predictions(str(out / "oof.csv"))
-        assert sorted(ids) == sorted(r.text_id for r in load_csv(corpus_csv))
+        records = load_csv(corpus_csv)
+        assert sorted(ids) == sorted(r.text_id for r in records)
+        # the plan's JSON reloads into the plan itself, every field intact
+        with open(out / "fold_plan.json", encoding="utf-8") as fh:
+            assert FoldPlan(**json.load(fh)) == stratified_kfold(records, k=2, seed=2)
 
 
     def test_repeated_text_id_exits_one(self, repeated_id_csv, tmp_path, capsys):
@@ -426,6 +444,12 @@ class TestAblateCommand:
         assert "matched" in summary["ordering"]
         rows = (out / "ablation.csv").read_text().splitlines()
         assert len(rows) == 1 + 3 * 2  # header + three cells x two seeds
+        assert rows[0] == "variant,pooling,awp,seed,cv_pooled,cv_fold_mean"
+        assert rows[1].startswith("6ap+awp,six_metric_attention,1,0,")
+        summary_rows = (out / "ablation_summary.csv").read_text().splitlines()
+        assert summary_rows[0] == "variant,mean_cv,std_cv,n_seeds"
+        assert [r.split(",")[0] for r in summary_rows[1:]] == ["6ap+awp", "ap+awp", "6ap"]
+        assert all(r.endswith(",2") for r in summary_rows[1:])
 
 
 class TestSynthCommand:
@@ -459,7 +483,7 @@ class TestBadInputFiles:
         lines = pred.read_text().splitlines(keepends=True)
         lines[3] = lines[3].replace("3.0", "nan", 1)
         (tmp_path / "nan.csv").write_text("".join(lines))
-        raw = open(corpus_csv, "rb").read()
+        raw = Path(corpus_csv).read_bytes()
         (tmp_path / "latin1.csv").write_bytes(raw.replace(b"\n", b"\n\xe9", 1))
         (tmp_path / "latin1_pred.csv").write_bytes(pred.read_bytes() + b"x\xe9,1,1,1,1,1,1\n")
         (tmp_path / "latin1.cfg").write_bytes(b"model.d_model = 16\n# caf\xe9\n")
@@ -488,6 +512,18 @@ class TestBadInputFiles:
         write_csv(synth_corpus(1, seed=17), str(path))
         assert run(["train", "--data", path, "--out", tmp_path / "o"] + FAST) == 1
         assert "one.csv: one record" in capsys.readouterr().err
+
+    def test_checkpoint_without_vocabulary_exits_one(self, corpus_csv, tmp_path, capsys):
+        path = tmp_path / "novocab.bin"
+        spec = ModelSpec(vocab_size=10, d_model=8, n_layers=1, n_heads=2, d_ff=16)
+        save_checkpoint(str(path), Model.build(spec, seed=0))
+        code = run(["predict", "--checkpoint", path, "--input", corpus_csv,
+                    "--out", tmp_path / "pred"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "vocabulary" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "pred" / "predictions.csv").exists()
 
     @pytest.fixture(scope="class")
     def fuzz_env(self, tmp_path_factory):

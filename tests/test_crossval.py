@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rubric import crossval
+from rubric.config import ConfigError
 from rubric.crossval import (
     SWAP_BLOCK,
-    FoldPlan,
     _augmented,
     _best_swap,
     default_variants,
@@ -105,17 +106,6 @@ class TestStratifiedKfold:
         )
         assert total == 50 * 6
 
-    def test_json_round_trip(self, tmp_path):
-        import json
-
-        records = synth_corpus(20, seed=4)
-        plan = stratified_kfold(records, k=4, seed=0)
-        path = tmp_path / "plan.json"
-        plan.save(str(path))
-        loaded = FoldPlan.from_json_dict(json.loads(path.read_text()))
-        assert loaded.assignment == plan.assignment
-        assert loaded.fold_sizes == plan.fold_sizes
-
 
 def lattice_records(n, seed):
     """n records with seeded half-point scores bunched around 3, so the
@@ -137,8 +127,7 @@ class TestMatchesReference:
 
     @staticmethod
     def assert_same_plan(records, k, seed):
-        got = stratified_kfold(records, k, seed).to_json_dict()
-        assert got == reference_stratified_kfold(records, k, seed).to_json_dict()
+        assert stratified_kfold(records, k, seed) == reference_stratified_kfold(records, k, seed)
 
     @pytest.mark.parametrize("k", [2, 3, 5, 10])
     def test_same_plan_as_reference(self, k, synth300):
@@ -302,7 +291,8 @@ class TestAblation:
         records = synth_corpus(12, seed=7)
         variants = [v for v in default_variants() if v.name in ("6ap+awp", "6ap")]
         result = run_ablation(
-            records, fast_spec(), fast_cfg(epochs=1), k=2, seeds=(0, 1), variants=variants
+            records, fast_spec(), fast_cfg(epochs=1, awp_start_epoch=1), k=2, seeds=(0, 1),
+            variants=variants,
         )
         assert len(result.rows) == len(variants) * 2
         assert {r.variant for r in result.rows} == {"6ap+awp", "6ap"}
@@ -316,25 +306,32 @@ class TestAblation:
             run_ablation(synth_corpus(12, seed=7), fast_spec(), fast_cfg(epochs=1), k=2,
                          seeds=(0, 0))
 
+    @pytest.mark.parametrize("change", [
+        dict(epochs=1), dict(adv_lr=0.0), dict(adv_eps=0.0),
+    ])
+    def test_awp_cells_that_would_never_perturb_are_rejected(self, change, monkeypatch):
+        # 6ap+awp would train exactly as 6ap does, and the summary would
+        # still credit AWP with the result
+        class Trained(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Trained
+
+        monkeypatch.setattr(crossval, "run_cv", refuse)
+        records, cfg = synth_corpus(12, seed=7), fast_cfg(**change)
+        with pytest.raises(ConfigError) as info:
+            run_ablation(records, fast_spec(), cfg, k=2, seeds=(0, 1))
+        for key in ("train.adv_lr", "train.adv_eps", "train.awp_start_epoch", "train.epochs"):
+            assert key in str(info.value)
+        # a grid without AWP cells needs no perturbation and goes on to train
+        no_awp = [v for v in default_variants() if not v.awp]
+        with pytest.raises(Trained):
+            run_ablation(records, fast_spec(), cfg, k=2, seeds=(0,), variants=no_awp)
+
     def test_awp_column_is_the_only_config_difference(self):
         variants = default_variants()
         by_name = {v.name: v for v in variants}
         assert by_name["6ap+awp"].pooling_mode == by_name["6ap"].pooling_mode
         assert by_name["6ap+awp"].awp and not by_name["6ap"].awp
         assert len(variants) == 6
-
-    def test_csv_emission(self, tmp_path):
-        records = synth_corpus(12, seed=7)
-        variants = [v for v in default_variants() if v.name == "mean"]
-        result = run_ablation(
-            records, fast_spec(pooling_mode="mean"), fast_cfg(epochs=1), k=2,
-            seeds=(0,), variants=variants,
-        )
-        rows_path = tmp_path / "rows.csv"
-        summary_path = tmp_path / "summary.csv"
-        result.rows_csv(str(rows_path))
-        result.summary_csv(str(summary_path))
-        header = rows_path.read_text().splitlines()[0]
-        assert header == "variant,pooling,awp,seed,cv_pooled,cv_fold_mean"
-        assert len(rows_path.read_text().splitlines()) == 2
-        assert summary_path.read_text().splitlines()[0] == "variant,mean_cv,std_cv,n_seeds"

@@ -260,10 +260,10 @@ class TestCheckpoint:
 
     def test_save_load_save_identical_bytes(self, tmp_path):
         model = self._model()
-        p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
-        save_checkpoint(p1, model)
-        save_checkpoint(p2, load_checkpoint(p1))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_checkpoint(str(p1), model)
+        save_checkpoint(str(p2), load_checkpoint(str(p1)))
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
