@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rubric import crossval
+from rubric import cli, crossval
 from rubric.config import ConfigError
 from rubric.crossval import (
     SWAP_BLOCK,
+    FoldPlan,
     _augmented,
     _best_swap,
     default_variants,
@@ -20,7 +21,7 @@ from rubric.crossval import (
     run_cv,
     stratified_kfold,
 )
-from rubric.data import LATTICE_TOL, EssayRecord, build_vocab, synth_corpus
+from rubric.data import LATTICE_TOL, EssayRecord, build_vocab, synth_corpus, write_csv
 from rubric.encoder import ModelSpec
 from rubric.training import TrainConfig
 
@@ -105,6 +106,19 @@ class TestStratifiedKfold:
             sum(col.values()) for fold in plan.lattice_counts for col in fold.values()
         )
         assert total == 50 * 6
+
+    def test_json_round_trip(self, tmp_path):
+        import json
+        from dataclasses import asdict
+
+        records = synth_corpus(20, seed=4)
+        plan = stratified_kfold(records, k=4, seed=0)
+        path = tmp_path / "plan.json"
+        cli._write_json(str(path), asdict(plan))  # how the cv command writes fold_plan.json
+        loaded = FoldPlan(**json.loads(path.read_text()))
+        assert loaded.assignment == plan.assignment
+        assert loaded.fold_sizes == plan.fold_sizes
+        assert loaded == plan
 
 
 def lattice_records(n, seed):
@@ -335,3 +349,22 @@ class TestAblation:
         assert by_name["6ap+awp"].pooling_mode == by_name["6ap"].pooling_mode
         assert by_name["6ap+awp"].awp and not by_name["6ap"].awp
         assert len(variants) == 6
+
+    def test_csv_emission(self, tmp_path, monkeypatch):
+        records = synth_corpus(12, seed=7)
+        variants = [v for v in default_variants() if v.name == "mean"]
+        result = run_ablation(
+            records, fast_spec(pooling_mode="mean"), fast_cfg(epochs=1), k=2,
+            seeds=(0,), variants=variants,
+        )
+        # the ablate command writes the CSVs; hand it this one-cell result
+        monkeypatch.setattr(cli, "run_ablation", lambda *args, **kwargs: result)
+        data = tmp_path / "corpus.csv"
+        write_csv(records, str(data))
+        out = tmp_path / "out"
+        assert cli.main(["ablate", "--data", str(data), "--out", str(out), "--folds", "2"]) == 0
+        rows = (out / "ablation.csv").read_text().splitlines()
+        assert rows[0] == "variant,pooling,awp,seed,cv_pooled,cv_fold_mean"
+        assert len(rows) == 2
+        summary = (out / "ablation_summary.csv").read_text().splitlines()
+        assert summary[0] == "variant,mean_cv,std_cv,n_seeds"

@@ -387,6 +387,22 @@ class TestFit:
         with pytest.raises(ValueError, match="nonempty"):
             fit(model, [], valid_recs, TrainConfig(epochs=1))
 
+    def test_report_csv_columns(self, tmp_path):
+        from rubric import cli
+
+        model, train_recs, valid_recs = self._setup()
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=1)
+        report = fit(model, train_recs, valid_recs, cfg)
+        path = tmp_path / "report.csv"
+        cli._write_train_report(str(path), report)  # how train and cv write report*.csv
+        lines = path.read_text().strip().split("\n")
+        assert lines[0].split(",") == [
+            "epoch", "train_loss", "valid_mcrmse", "rmse_cohesion", "rmse_syntax",
+            "rmse_vocabulary", "rmse_phraseology", "rmse_grammar", "rmse_conventions",
+            "awp_active", "seconds",
+        ]
+        assert len(lines) == 3
+
 
 class TestOptim:
     def test_adamw_first_step_is_signlike(self):
