@@ -289,7 +289,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     _write_csv(os.path.join(out_dir, "ablation.csv"),
                "variant,pooling,awp,seed,cv_pooled,cv_fold_mean", map(astuple, result.rows))
     _write_csv(os.path.join(out_dir, "ablation_summary.csv"), "variant,mean_cv,std_cv,n_seeds",
-               [(v, s["mean"], s["std"], int(s["n_seeds"])) for v, s in result.summary.items()])
+               [(v, s["mean"], s["std"], s["n_seeds"]) for v, s in result.summary.items()])
     _write_json(
         os.path.join(out_dir, "summary.json"),
         {"summary": result.summary, "ordering": result.ordering},

@@ -483,7 +483,7 @@ def run_ablation(
         summary[variant.name] = {
             "mean": float(np.mean(values)),
             "std": float(np.std(values)),
-            "n_seeds": float(len(values)),
+            "n_seeds": len(values),
         }
 
     ordering: dict = {"cells_present": all(c in summary for c in ORDERING_CELLS)}

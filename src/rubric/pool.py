@@ -5,29 +5,29 @@ predictions, on worker processes forked from the parent; a pool with no
 workers runs the same jobs in the parent (``_answer``). The parent maps one
 anonymous shared block and then forks the workers, which share it with no
 file or name: the block holds every parameter, where each worker's copy of
-the model reads them. Workers take their sequences over pipes, longest
-first, and write each sequence's gradient of every parameter into that
-sequence's own slot of the same block. The rest of a training step runs on
-the workers too: each owns a fixed shard of the parameters, one span of the
-block, whose slots it sums in a fixed order, so results do not depend on how
-many workers ran or which one took what, and which it perturbs, restores
-and steps with AdamW. While a model trains, its parameters are views into
-the block, so a job copies nothing in. A job for another model, or that
-needs more gradient slots, gets a new block and newly forked workers; the
-old workers are stopped first. The kernel frees a block when the last
-process mapping it ends, so nothing is left behind, even by a parent that
-is killed.
+the model reads them. Workers take their sequences over pipes
+(``multiprocessing`` connections), longest first, and write each sequence's
+gradient of every parameter into that sequence's own slot of the same block.
+The rest of a training step runs on the workers too: each owns a fixed shard
+of the parameters, one span of the block, whose slots it sums in a fixed
+order, so results do not depend on how many workers ran or which one took
+what, and which it perturbs, restores and steps with AdamW. While a model
+trains, its parameters are views into the block, so a job copies nothing in.
+A job for another model, or that needs more gradient slots, gets a new block
+and newly forked workers; the old workers are stopped first. The kernel
+frees a block when the last process mapping it ends, so nothing is left
+behind, even by a parent that is killed.
 
 A forked worker starts with numpy and this package already imported, and
-shares the parent's memory pages until one of them writes to a page. It
-runs only ``serve`` and leaves through ``os._exit``: it never returns into
-the caller's code, so a script without an ``if __name__ == "__main__"``
-guard is not re-run, and it runs no ``atexit`` handler and flushes none of
-the parent's buffered output. Forking a process that has BLAS threads is
-not safe, so importing this module sets numpy's bundled OpenBLAS to one
-thread for the whole process; where that cannot be done, every job runs
-in-process. Importing it also sets glibc's malloc to keep freed memory in
-the process, so workers inherit that too.
+shares the parent's memory pages until one of them writes to a page. It runs
+only ``serve`` and leaves through ``os._exit``: it never returns into the
+caller's code, so a script without an ``if __name__ == "__main__"`` guard is
+not re-run, and it runs no ``atexit`` handler and flushes none of the
+parent's buffered output, as starting a ``multiprocessing.Process`` would.
+Forking a process that has BLAS threads is not safe, so importing this
+module sets numpy's bundled OpenBLAS to one thread for the whole process;
+where that cannot be done, every job runs in-process. Importing it also sets
+glibc's malloc to keep freed memory in the process, which workers inherit.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ import glob
 import itertools
 import math
 import mmap
+import multiprocessing
 import os
 import pickle
 import selectors
 import signal
-import struct
 import traceback
 from typing import NoReturn
 
@@ -61,7 +61,6 @@ class PoolError(RuntimeError):
 _ROW_SPARSE = ("enc.tok_emb", "enc.pos_emb")
 _ALIGN = 64
 _QUEUED = 2  # jobs in a worker's pipe at once
-_HEADER = struct.Struct("<I")
 
 # Private hook for tests: 0 runs every job in-process, n >= 1 starts n
 # workers whatever a job's size. Not a config key or environment variable.
@@ -270,52 +269,33 @@ def partition(block: _Block, n: int) -> list[list[str]]:
     return [block.names[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _send(fd: int, message) -> None:
-    data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    view = memoryview(_HEADER.pack(len(data)) + data)
-    while view:
-        view = view[os.write(fd, view):]
+def _send(conn, message) -> None:
+    conn.send_bytes(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def _read(fd: int, n: int) -> bytes | None:
-    chunks = []
-    while n:
-        chunk = os.read(fd, n)
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
-
-
-def _recv(fd: int):
-    """The next message on ``fd``, or None at end of file. Only messages
-    from this program's own processes are ever read."""
-    header = _read(fd, _HEADER.size)
-    if header is None:
+def _recv(conn):
+    """The next message on ``conn``, or None at end of file, even mid-message.
+    Only messages from this program's own processes are ever read."""
+    try:
+        return pickle.loads(conn.recv_bytes())
+    except EOFError:
         return None
-    data = _read(fd, _HEADER.unpack(header)[0])
-    return None if data is None else pickle.loads(data)
+    except OSError as exc:  # what a connection raises for a message cut short
+        if exc.args == ("got end of file during message",):
+            return None
+        raise
 
 
 _RERAISED = {"NumericError": NumericError, "ShapeError": ShapeError, "ValueError": ValueError}
 
 
 class _Worker:
-    """The parent's handle on a forked worker: its pid and the parent's ends
-    of its request and reply pipes, each -1 once closed."""
+    """The parent's handle on a forked worker: its pid and the parent's
+    connections that send it jobs (``requests``) and read its ``replies``."""
 
-    def __init__(self, pid: int, requests: int, replies: int):
+    def __init__(self, pid: int, requests, replies):
         self.pid, self.requests, self.replies = pid, requests, replies
         self.returncode: int | None = None  # set once the worker is reaped
-
-    def poll(self) -> int | None:
-        """The exit code if the worker has ended, reaping it; else None."""
-        if self.returncode is None:
-            pid, status = os.waitpid(self.pid, os.WNOHANG)
-            if pid:
-                self.returncode = os.waitstatus_to_exitcode(status)
-        return self.returncode
 
     def wait(self) -> int:
         """The exit code, once the worker has ended and been reaped."""
@@ -327,54 +307,42 @@ class _Worker:
         if self.returncode is None:  # until reaped, the pid is still this worker's
             os.kill(self.pid, signal.SIGKILL)
 
-    def close_requests(self) -> None:
-        """Close the request pipe, which ends the worker's loop once idle."""
-        if self.requests >= 0:
-            os.close(self.requests)
-            self.requests = -1
-
-    def close_replies(self) -> None:
-        if self.replies >= 0:
-            os.close(self.replies)
-            self.replies = -1
-
 
 def _fork_worker(model, block: _Block) -> _Worker:
     """Fork a worker that serves jobs on its copy of ``model``, with the
     parameters in ``block``. Only the parent returns, with the worker's
     handle."""
-    fds = []
+    conns = []
     try:
-        fds += os.pipe()
-        fds += os.pipe()
+        conns += multiprocessing.Pipe(duplex=False)
+        conns += multiprocessing.Pipe(duplex=False)
         pid = os.fork()
     except OSError:
-        for fd in fds:
-            os.close(fd)
+        for conn in conns:
+            conn.close()
         raise
-    requests_in, requests_out, replies_in, replies_out = fds
+    requests_in, requests_out, replies_in, replies_out = conns
     if pid == 0:
         # the parent's ends of this worker's pipes and of every earlier
         # worker's: an end left open here would keep that pipe from closing
         inherited = [requests_out, replies_in]
-        inherited += [fd for w in _started for fd in (w.requests, w.replies) if fd >= 0]
+        inherited += [conn for w in _started for conn in (w.requests, w.replies)]
         _child(requests_in, replies_out, inherited, model, block)
-    os.close(requests_in)
-    os.close(replies_out)
+    requests_in.close()
+    replies_out.close()
     worker = _Worker(pid, requests_out, replies_in)
     _started.append(worker)
     return worker
 
 
-def _child(requests: int, replies: int, inherited: list[int], model,
-           block: _Block) -> NoReturn:
+def _child(requests, replies, inherited: list, model, block: _Block) -> NoReturn:
     """A forked worker's whole life: point the model at the shared
     parameters, serve, then exit without returning into the caller's code,
     running its ``atexit`` handlers or flushing its buffered output."""
     code = 1
     try:
-        for fd in inherited:
-            os.close(fd)
+        for conn in inherited:
+            conn.close()
         for name, p in model.named_parameters().items():
             p.data = block.params[name]
         serve(requests, replies, model, block)
@@ -406,13 +374,15 @@ class Pool:
 
     def close(self, kill: bool = False) -> None:
         """End every worker, and drop the block and its model; with
-        ``kill``, kill the workers first."""
+        ``kill``, kill the workers first. Later jobs run in-process, as on
+        a pool with no workers, so none is forked that no one would stop."""
         global _shared
         if _shared is self:
             _shared = None
         self._stop(kill)
         if self._selector is not None:
             self._selector.close()
+        self._n_workers = 0
         self._block = self._model = None
 
     def _stop(self, kill: bool = False) -> None:
@@ -421,11 +391,11 @@ class Pool:
         for worker in self._workers:
             if kill:
                 worker.kill()
-            worker.close_requests()
+            worker.requests.close()
         for worker in self._workers:
             worker.wait()
             self._selector.unregister(worker.replies)
-            worker.close_replies()
+            worker.replies.close()
         self._workers = []
 
     def bind(self, model, n_slots: int) -> _Block:
@@ -559,10 +529,10 @@ def _answer(job, model, block: _Block | None) -> tuple:
     return (model.predict_ids(job[1]).tolist(),)  # "predict"
 
 
-def serve(requests: int, replies: int, model, block: _Block) -> None:
+def serve(requests, replies, model, block: _Block) -> None:
     """A worker's main loop: answer the parent's jobs (``_answer``) on
     ``model``, whose parameters are ``block``'s, read from the ``requests``
-    pipe, on the ``replies`` pipe until the parent closes ``requests``. A
+    connection, on ``replies`` until the parent closes ``requests``. A
     job's exception is reported back, for the parent to raise."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers itself
     while (job := _recv(requests)) is not None:

@@ -451,6 +451,14 @@ class TestAblateCommand:
         assert [r.split(",")[0] for r in summary_rows[1:]] == ["6ap+awp", "ap+awp", "6ap"]
         assert all(r.endswith(",2") for r in summary_rows[1:])
 
+    def test_one_seed_is_counted_as_an_integer(self, corpus_csv, tmp_path):
+        out = tmp_path / "ablate"
+        assert run(["ablate", "--data", corpus_csv, "--out", out, "--folds", 2, "--seeds", "0",
+                    "--set", "train.epochs=1", "--set", "ablate.full_grid=false"] + FAST[:-4]) == 0
+        counts = [stats["n_seeds"] for stats in
+                  json.loads((out / "summary.json").read_text())["summary"].values()]
+        assert counts and all(type(n) is int and n == 1 for n in counts), counts
+
 
 class TestSynthCommand:
     def test_synth_writes_loadable_corpus(self, tmp_path):

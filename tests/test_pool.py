@@ -216,7 +216,7 @@ def test_killed_worker_is_named_without_hang_or_leftovers(monkeypatch):
     assert not killer.is_alive()
     assert time.monotonic() - started < 30
     assert f"worker process {victim[0].pid} was killed by signal 9" in str(raised.value)
-    assert all(worker.poll() is not None for worker in pool._started)
+    assert all(worker.returncode is not None for worker in pool._started)
     assert pool._shared is None
 
 
@@ -591,9 +591,75 @@ def test_a_worker_killed_while_it_sums_and_steps_is_named(monkeypatch):
     with pytest.raises(pool.PoolError) as raised:
         fit(model, records[:9], records[9:], TrainConfig(epochs=1, batch_size=4))
     assert f"worker process {victim[0].pid} was killed by signal 9" in str(raised.value)
-    assert all(worker.poll() is not None for worker in pool._started)
+    assert all(worker.returncode is not None for worker in pool._started)
     assert not workers_left_running()
     assert pool._shared is None
+
+
+def test_a_closed_pool_runs_its_jobs_in_process(monkeypatch):
+    monkeypatch.setattr(pool, "_forced_workers", 2)
+    model, records = small_model(seed=9)
+    trainer = Trainer(model, TrainConfig(batch_size=4, seed=1))
+    trainer.pool = pool.get(0)
+    batch = [(model.encode_record(r), np.asarray(r.scores)) for r in records[:4]]
+    trainer.train_step(batch, epoch=1)
+    pool.close()
+    started = len(pool._started)
+    with pytest.raises(pool.PoolError, match="workers were replaced during training"):
+        trainer.train_step(batch, epoch=1)
+    closed = pool.Pool(2)
+    closed.close()
+    other, _ = small_model(seed=10)
+    id_lists = [other.encode_record(r) for r in records]
+    assert closed.predict(other, id_lists).tobytes() == \
+        pool.Pool(0).predict(other, id_lists).tobytes()
+    assert len(pool._started) == started
+
+
+def test_a_reply_cut_short_names_its_worker(monkeypatch):
+    def cut_short(requests, replies, model, block):
+        pool._recv(requests)
+        os.write(replies.fileno(), b"\0\0")  # two bytes of a message's length
+        os._exit(3)
+
+    monkeypatch.setattr(pool, "serve", cut_short)
+    monkeypatch.setattr(pool, "_forced_workers", 2)
+    model, records = small_model(seed=11)
+    with pytest.raises(pool.PoolError, match=r"worker process \d+ exited with code 3"):
+        model.predict_records(records)
+    assert not workers_left_running()
+
+
+def pipes_of(pid):
+    """The pipes process ``pid`` holds at descriptors 3 and up, one entry
+    per descriptor; fds 0-2 may be shared stdio pipes."""
+    pipes = []
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            link = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except FileNotFoundError:  # the listing's own descriptor, closed since
+            continue
+        if int(fd) >= 3 and link.startswith("pipe:"):
+            pipes.append(link)
+    return pipes
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_each_worker_holds_only_its_own_two_pipe_ends(monkeypatch):
+    monkeypatch.setattr(pool, "_forced_workers", 2)
+    # the parent's own pipes, such as a saved stdout, which every child inherits
+    inherited = set(pipes_of(os.getpid()))
+    seen = []
+    for seed in (0, 1):  # another model: a new block and newly forked workers
+        model, records = small_model(seed)
+        model.predict_records(records)
+        for worker in pool._shared._workers:
+            own = [os.readlink(f"/proc/self/fd/{conn.fileno()}")
+                   for conn in (worker.requests, worker.replies)]
+            held = [pipe for pipe in pipes_of(worker.pid) if pipe not in inherited]
+            assert sorted(held) == sorted(own), (held, own)
+            seen += own
+    assert len(set(seen)) == 8
 
 
 def test_without_mallopt_jobs_get_the_same_bits(tmp_path):
