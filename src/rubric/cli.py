@@ -4,8 +4,7 @@ Every command reads an optional config file plus ``--set key=value``
 overrides, echoes the fully resolved configuration into its output
 directory, and is deterministic given (config, seed). Exit codes: 0 on
 success, 1 for usage/config/data problems, a model too big for memory or a
-failed worker process, 2 for numeric failures. A command that starts the
-worker pool stops it before it returns.
+failed worker process, 2 for numeric failures.
 """
 
 from __future__ import annotations
@@ -390,8 +389,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    finally:
-        pool.close()
 
 
 if __name__ == "__main__":

@@ -142,11 +142,12 @@ def build_vocab(records: Sequence[EssayRecord], min_count: int = 1) -> Vocabular
 
 
 def read_text(path: str) -> str:
-    """A UTF-8 file's text; invalid UTF-8 raises DataError naming the file and line."""
+    """A UTF-8 file's text, less one leading byte-order mark; invalid UTF-8
+    raises DataError naming the file and line."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    try:
-        return raw.decode("utf-8")
+    try:  # the mark decodes to U+FEFF; the error's byte offset stays the file's
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}: line {line} is not valid UTF-8 (byte {exc.start})") from None

@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pool
 from .data import EssayRecord, Vocabulary
 from .encoder import EncoderState, ModelSpec, encode, init_parameters
 from .heads import HeadBank, clamp_to_score_lattice, init_head_bank, predict_scores
+from .pool import Pool, workers_for
 from .tensor import Tensor, no_grad
 
 
@@ -76,12 +76,17 @@ class Model:
         records,
         clip: bool = True,
         round_to_lattice: bool = False,
+        pool: Pool | None = None,
     ) -> np.ndarray:
-        """Predictions for many records, on the worker pool when it runs or
-        when there are enough records to start it, else in-process (see
-        ``rubric.pool.get``)."""
+        """Predictions for many records, on ``pool`` if given, else on a
+        pool of their own, with workers when there are enough records (see
+        ``rubric.pool.workers_for``), closed before this returns."""
         id_lists = [self.encode_record(r) for r in records]
-        preds = pool.get(len(id_lists)).predict(self, id_lists)
+        if pool is None:
+            with Pool(workers_for(len(id_lists))) as own:
+                preds = own.predict(self, id_lists)
+        else:
+            preds = pool.predict(self, id_lists)
         if clip or round_to_lattice:
             preds = clamp_to_score_lattice(preds, round_to_lattice=round_to_lattice)
         return preds

@@ -2,21 +2,22 @@
 
 A pool runs the per-sequence work of a training pass, or of a batch of
 predictions, on worker processes forked from the parent; a pool with no
-workers runs the same jobs in the parent (``_answer``). The parent maps one
-anonymous shared block and then forks the workers, which share it with no
-file or name: the block holds every parameter, where each worker's copy of
-the model reads them. Workers take their sequences over pipes
+workers runs the same jobs in the parent (``_answer``). A pool lives for one
+job on one model, a ``fit`` or a batch of predictions, as the body of a
+``with``: its first job maps one anonymous shared block and then forks the
+workers, which share it with no file or name, and the end of the ``with``
+stops and reaps them. The block holds every parameter, where each worker's
+copy of the model reads them. Workers take their sequences over pipes
 (``multiprocessing`` connections), longest first, and write each sequence's
 gradient of every parameter into that sequence's own slot of the same block.
 The rest of a training step runs on the workers too: each owns a fixed shard
 of the parameters, one span of the block, whose slots it sums in a fixed
 order, so results do not depend on how many workers ran or which one took
 what, and which it perturbs, restores and steps with AdamW. While a model
-trains, its parameters are views into the block, so a job copies nothing in.
-A job for another model, or that needs more gradient slots, gets a new block
-and newly forked workers; the old workers are stopped first. The kernel
-frees a block when the last process mapping it ends, so nothing is left
-behind, even by a parent that is killed.
+trains, its parameters are views into the block, so a job copies nothing in;
+a prediction job copies them in and leaves the model's own arrays alone. The
+kernel frees a block when the last process mapping it ends, so nothing is
+left behind, even by a parent that is killed.
 
 A forked worker starts with numpy and this package already imported, and
 shares the parent's memory pages until one of them writes to a page. It runs
@@ -32,7 +33,6 @@ glibc's malloc to keep freed memory in the process, which workers inherit.
 
 from __future__ import annotations
 
-import atexit
 import collections
 import ctypes
 import glob
@@ -65,7 +65,6 @@ _QUEUED = 2  # jobs in a worker's pipe at once
 # Private hook for tests: 0 runs every job in-process, n >= 1 starts n
 # workers whatever a job's size. Not a config key or environment variable.
 _forced_workers: int | None = None
-_shared: Pool | None = None
 _started: list[_Worker] = []  # every worker process, for leak checks
 _BLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
                  "openblas_{}_num_threads64_", "openblas_{}_num_threads")
@@ -131,35 +130,21 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def get(sequences: int) -> Pool:
-    """The pool for a job over ``sequences`` sequences.
+def workers_for(sequences: int) -> int:
+    """The workers of a pool for a job over ``sequences`` sequences.
 
-    A running pool serves every job. Otherwise one starts, with a worker
-    per usable CPU, only on 2 or more CPUs and for more sequences than the
-    workers' pipes hold at once (``_QUEUED`` each); it then serves the rest
-    of the process, until ``close``, and forks its workers at its first
-    job. Any other job gets a new pool with no workers, which runs it
-    in-process, as every job runs if BLAS could not be set to one thread.
-    Every path gives the same bits, so the rule decides only time.
+    A worker per usable CPU, only on 2 or more CPUs and for more sequences
+    than the workers' pipes hold at once (``_QUEUED`` each); otherwise none,
+    so the job runs in-process, as every job does if BLAS could not be set
+    to one thread. Every path gives the same bits, so the rule decides only
+    time.
     """
-    global _shared
-    if _forced_workers == 0 or not _blas_one_thread:
-        return Pool(0)
-    if _shared is None:
-        n = _forced_workers or usable_cpus()
-        if _forced_workers is None and (n < 2 or sequences <= n * _QUEUED):
-            return Pool(0)
-        _shared = Pool(n)
-    return _shared
-
-
-def close() -> None:
-    """Stop the running pool's workers, if a pool is running."""
-    if _shared is not None:
-        _shared.close()
-
-
-atexit.register(close)
+    if not _blas_one_thread:
+        return 0
+    if _forced_workers is not None:
+        return _forced_workers
+    n = usable_cpus()
+    return n if n >= 2 and sequences > n * _QUEUED else 0
 
 
 def _aligned(n: int) -> int:
@@ -212,19 +197,20 @@ class _Block:
                                     for (name, shape), (a, b) in zip(order, self.spans.values())}
                                    for flat in (self.weights, self.grad))
         self.shards = [self.names]  # the names each worker owns, set by the pool
-        self.shard = None  # this process's training.Shard, made at its first shard job
-        self.trainer = None  # the training.Trainer that started the shards
+        self.shard = None  # this process's training.Shard, made when it gets the block
         self.slots = [(next(arrays), next(arrays), [(next(arrays), next(arrays)) for _ in tables])
                       for _ in range(n_slots)]  # (dense part, counts, [(ids, rows) per table])
 
     def publish(self, params: dict) -> None:
-        """Make each parameter's values its view into the block, copying
-        them in unless they are that view already."""
+        """Copy each parameter's values into the block, unless they are its
+        view already. A block with gradient slots, which trains the model,
+        makes them that view; a prediction block leaves them the model's."""
         for name, p in params.items():
             view = self.params[name]
             if p.data is not view:
                 np.copyto(view, p.data)
-                p.data = view
+                if self.slots:
+                    p.data = view
 
     def write_slot(self, slot: int, grads: dict) -> None:
         """Copy one sequence's gradient of every parameter into ``slot``."""
@@ -308,10 +294,10 @@ class _Worker:
             os.kill(self.pid, signal.SIGKILL)
 
 
-def _fork_worker(model, block: _Block) -> _Worker:
-    """Fork a worker that serves jobs on its copy of ``model``, with the
-    parameters in ``block``. Only the parent returns, with the worker's
-    handle."""
+def _fork_worker(model, block: _Block, index: int) -> _Worker:
+    """Fork worker ``index``, which serves jobs on its copy of ``model``,
+    with the parameters in ``block``. Only the parent returns, with the
+    worker's handle."""
     conns = []
     try:
         conns += multiprocessing.Pipe(duplex=False)
@@ -327,7 +313,7 @@ def _fork_worker(model, block: _Block) -> _Worker:
         # worker's: an end left open here would keep that pipe from closing
         inherited = [requests_out, replies_in]
         inherited += [conn for w in _started for conn in (w.requests, w.replies)]
-        _child(requests_in, replies_out, inherited, model, block)
+        _child(requests_in, replies_out, inherited, model, block, index)
     requests_in.close()
     replies_out.close()
     worker = _Worker(pid, requests_out, replies_in)
@@ -335,16 +321,19 @@ def _fork_worker(model, block: _Block) -> _Worker:
     return worker
 
 
-def _child(requests, replies, inherited: list, model, block: _Block) -> NoReturn:
+def _child(requests, replies, inherited: list, model, block: _Block, index: int) -> NoReturn:
     """A forked worker's whole life: point the model at the shared
-    parameters, serve, then exit without returning into the caller's code,
-    running its ``atexit`` handlers or flushing its buffered output."""
+    parameters, take shard ``index`` of them, serve, then exit without
+    returning into the caller's code, running its ``atexit`` handlers or
+    flushing its buffered output."""
     code = 1
     try:
         for conn in inherited:
             conn.close()
-        for name, p in model.named_parameters().items():
+        params = model.named_parameters()
+        for name, p in params.items():
             p.data = block.params[name]
+        block.shard = training.Shard(block, block.shards[index], params)
         serve(requests, replies, model, block)
         code = 0
     except BaseException:  # the parent learns of it from the exit code
@@ -355,75 +344,69 @@ def _child(requests, replies, inherited: list, model, block: _Block) -> NoReturn
 
 class Pool:
     """``n_workers`` worker processes plus the shared block they read and
-    write. The block and its workers serve one model, whose parameters are
-    views into the block (``bind``); they are made anew, the workers forked
-    with that model, for each job of another model.
+    write, with ``n_slots`` gradient slots, for one job on one model: use it
+    as the body of a ``with``, which closes it. Its first job makes the
+    block and forks the workers with that model (``bind``).
 
     Each worker owns a shard of the model's training state: it sums its
     parameters' gradient slots, perturbs and restores them for AWP, and
-    keeps their AdamW moments; with no workers, one shard holds every
-    parameter.
+    keeps their AdamW moments; with no workers, one shard in the parent
+    holds every parameter.
     """
 
-    def __init__(self, n_workers: int):
-        self._n_workers = n_workers
+    def __init__(self, n_workers: int, n_slots: int = 0):
+        self._n_workers, self._n_slots = n_workers, n_slots
         self._workers: list[_Worker] = []
         self._selector = selectors.DefaultSelector() if n_workers else None  # an open fd
         self._block: _Block | None = None
-        self._model = None  # the model the block serves
+        self._closed = False
+
+    def __enter__(self) -> Pool:
+        return self
+
+    def __exit__(self, kind, value, traceback) -> None:
+        self.close(kill=kind is not None)
 
     def close(self, kill: bool = False) -> None:
-        """End every worker, and drop the block and its model; with
-        ``kill``, kill the workers first. Later jobs run in-process, as on
-        a pool with no workers, so none is forked that no one would stop."""
-        global _shared
-        if _shared is self:
-            _shared = None
-        self._stop(kill)
-        if self._selector is not None:
-            self._selector.close()
-        self._n_workers = 0
-        self._block = self._model = None
-
-    def _stop(self, kill: bool = False) -> None:
         """Close the workers' pipes, which ends an idle worker's loop, and
-        reap them; with ``kill``, kill them first."""
+        reap them; with ``kill``, kill them first. A closed pool takes no
+        more jobs."""
         for worker in self._workers:
             if kill:
                 worker.kill()
             worker.requests.close()
         for worker in self._workers:
             worker.wait()
-            self._selector.unregister(worker.replies)
             worker.replies.close()
         self._workers = []
+        if self._selector is not None:
+            self._selector.close()
+        self._closed = True
 
-    def bind(self, model, n_slots: int) -> _Block:
-        """The block of ``model``, with at least ``n_slots`` gradient slots,
-        whose views ``model``'s parameters now are, so later jobs copy
-        nothing in. At the first job, for another model or for more slots,
-        first stop the workers, make a new block and fork new workers onto
-        it, each with its shard of the parameters (``partition``). A model
-        left behind keeps its views into the old block, which no job of
-        another model touches."""
+    def bind(self, model) -> _Block:
+        """The block of ``model``, holding its parameters' values now (see
+        ``_Block.publish``). At the first job, make it and fork the workers
+        onto it, each with its shard of the parameters (``partition``)."""
+        if self._closed:
+            raise PoolError("the pool is closed")
         params = model.named_parameters()
-        block = self._block
-        if block is None or self._model is not model or len(block.slots) < n_slots:
+        if self._block is None:
             shapes = tuple((name, p.shape) for name, p in params.items())
-            self._stop()
             try:
-                block = _Block((shapes, model.spec.max_seq_len, n_slots))
+                block = _Block((shapes, model.spec.max_seq_len, self._n_slots))
                 block.shards = partition(block, max(self._n_workers, 1))
-                for _ in range(self._n_workers):
-                    worker = _fork_worker(model, block)
+                if not self._n_workers:
+                    block.shard = training.Shard(block, block.names, params)
+                for index in range(self._n_workers):
+                    worker = _fork_worker(model, block, index)
                     self._workers.append(worker)
                     self._selector.register(worker.replies, selectors.EVENT_READ, worker)
             except BaseException:
                 self.close(kill=True)
                 raise
-            self._block, self._model = block, model
-        block.publish(params)
-        return block
+            self._block = block
+        self._block.publish(params)
+        return self._block
 
     def gradients(self, model, batch, loss_kind: str, scale: float, stream: tuple,
                   offsets) -> list[float]:
@@ -431,7 +414,7 @@ class Pool:
         ``batch`` with the parameters ``model`` has now; sequence i draws
         dropout from ``dropout_stream(*stream, offsets[i])`` and writes its
         gradients into slot i. Returns each sequence's loss."""
-        self.bind(model, len(batch))
+        self.bind(model)
         # plain lists and floats: pickling them costs a fraction of arrays
         jobs = [("grad", i, list(ids), np.asarray(targets).tolist(), loss_kind, scale, stream,
                  int(offset))
@@ -441,14 +424,14 @@ class Pool:
     def shards(self, ops: list) -> list:
         """Run ``ops`` on every shard (see ``training.Shard.run``); returns
         each shard's result, in worker order."""
-        jobs = [("shard", i, ops) for i in range(len(self._block.shards))]
-        return [result for (result,) in self._run(jobs, model=self._model)]
+        jobs = [("shard", ops)] * len(self._block.shards)
+        return [result for (result,) in self._run(jobs)]
 
     def predict(self, model, id_lists) -> np.ndarray:
         """Eval-mode raw predictions, one row per token-id list; with no
         workers, from the model's own parameters, with no block."""
         if self._n_workers:
-            self.bind(model, 0)
+            self.bind(model)
         jobs = [("predict", list(ids)) for ids in id_lists]
         replies = self._run(jobs, [len(ids) for ids in id_lists], model)
         return np.array([pred for (pred,) in replies], dtype=np.float64)
@@ -463,6 +446,8 @@ class Pool:
         Each worker has up to ``_QUEUED`` jobs in its pipe, so it starts its
         next job without waiting for the parent to read its last reply.
         """
+        if self._closed:
+            raise PoolError("the pool is closed")
         if not self._n_workers:
             return [_answer(job, model, self._block) for job in jobs]
         order = sorted(range(len(jobs)), key=lambda i: -costs[i]) if costs else []
@@ -513,8 +498,7 @@ def _answer(job, model, block: _Block | None) -> tuple:
     """The job handler, which ``serve`` wraps with a worker's pipes and a
     pool with no workers calls in the parent: the reply to ``job``, less the
     "ok" a worker sends before it, on ``model``, whose parameters are
-    ``block``'s while it trains. Worker i's shard holds the parameters in
-    ``block.shards[i]``."""
+    ``block``'s while it trains, or on this process's shard of them."""
     if job[0] == "grad":
         _, slot, ids, targets, loss_kind, scale, stream, offset = job
         loss, grads = training.sequence_gradients(model, ids, targets, loss_kind, scale,
@@ -522,10 +506,7 @@ def _answer(job, model, block: _Block | None) -> tuple:
         block.write_slot(slot, grads)
         return (loss,)
     if job[0] == "shard":
-        _, index, ops = job
-        if block.shard is None:
-            block.shard = training.Shard(block, block.shards[index], model.named_parameters())
-        return (block.shard.run(ops),)
+        return (block.shard.run(job[1]),)
     return (model.predict_ids(job[1]).tolist(),)  # "predict"
 
 

@@ -11,8 +11,10 @@ Every sequence of a pass writes its gradients into its own slot of a
 parameters (``Shard``): summing the slots, perturbing and restoring the
 weights, AdamW. A ``pool.Pool`` runs both: on workers, each owns one shard,
 with its AWP snapshot and AdamW moments; a pool with no workers runs the
-same jobs in-process, on one shard that holds every parameter. While a
-model trains, its parameters and gradients are views into the block.
+same jobs in-process, on one shard that holds every parameter. ``fit`` opens
+one pool for the whole run, its validation included, and closes it at the
+end. While a model trains, its parameters and gradients are views into the
+block.
 """
 
 from __future__ import annotations
@@ -149,10 +151,12 @@ class TrainReport:
     best_valid_mcrmse: float = float("inf")
 
 
-def evaluate_model(model: Model, records: list[EssayRecord]) -> MetricsReport:
-    """MCRMSE of clipped (unrounded) predictions against record labels."""
+def evaluate_model(model: Model, records: list[EssayRecord],
+                   pool: pool.Pool | None = None) -> MetricsReport:
+    """MCRMSE of clipped (unrounded) predictions against record labels,
+    made on ``pool`` if given (see ``Model.predict_records``)."""
     truth = np.array([r.scores for r in records], dtype=np.float64)
-    preds = model.predict_records(records, clip=True)
+    preds = model.predict_records(records, clip=True, pool=pool)
     return mcrmse(truth, preds)
 
 
@@ -305,15 +309,17 @@ class Shard:
 class Trainer:
     """Owns the rng streams, the pool and the AWP machinery for one run.
 
-    The pool (``pool.Pool``) runs the passes and the shards: until ``fit``
-    picks one by its number of training sequences (``pool.get``), one with
-    no workers, which runs them in-process. The block records the trainer
-    that started its shards; a trainer whose shards another trainer
-    restarted, or whose block was replaced, raises ``pool.PoolError`` at
-    its next pass.
+    The pool (``pool.Pool``) runs the passes and the shards: the one given,
+    with a gradient slot per sequence of the largest batch, or else one with
+    no workers and ``batch_size`` slots, which runs them in-process. Its
+    caller closes a pool it gave.
     """
 
-    def __init__(self, model: Model, config: TrainConfig):
+    def __init__(self, model: Model, config: TrainConfig, pool: pool.Pool | None = None):
+        if pool is None:
+            from .pool import Pool  # not at the top: pool imports this module
+
+            pool = Pool(0, config.batch_size)
         self.model = model
         self.config = config
         self.params = model.named_parameters()
@@ -322,7 +328,8 @@ class Trainer:
         )
         self.global_step = 0
         self.awp_snapshots_created = 0
-        self.pool = pool.Pool(0)
+        self.pool = pool
+        self._shards_started = False
 
     @property
     def opt(self) -> Shard:
@@ -334,17 +341,12 @@ class Trainer:
         return self.config.awp_enabled and epoch >= self.config.awp_start_epoch
 
     def _attach(self):
-        """The block for a pass, with ``batch_size`` slots and the model's
-        parameters as views into it; in the first step, the first one starts
-        the shards."""
-        cfg = self.config
-        block = self.pool.bind(self.model, cfg.batch_size)
-        if block.trainer is not self:
-            if self.global_step > 1:
-                raise pool.PoolError("the pool's workers were replaced during training, "
-                                     "and with them the optimizer state")
-            self.pool.shards([("start", cfg.learning_rate, cfg.weight_decay)])
-            block.trainer = self
+        """The pool's block, with the model's parameters as views into it;
+        the first call starts the shards."""
+        block = self.pool.bind(self.model)
+        if not self._shards_started:
+            self.pool.shards([("start", self.config.learning_rate, self.config.weight_decay)])
+            self._shards_started = True
         return block
 
     def _backward_pass(
@@ -459,11 +461,15 @@ def fit(
 ) -> TrainReport:
     """Train, evaluating on the validation set every epoch.
 
-    The best-MCRMSE parameters are restored into the model, as private
-    copies with no gradients, when training finishes (and written to
-    ``checkpoint_path`` if given). Until then the parameters are views into
-    the pool's block, as they stay if training fails. Disjoint, nonempty
-    train and validation sets are required.
+    Training and validation run on one pool, opened for the run with
+    workers by the number of training sequences (``pool.workers_for``) and
+    a gradient slot per sequence of the largest batch, and closed at its
+    end, or killed if training fails. The best-MCRMSE parameters are
+    restored into the model, as private copies with no gradients, when
+    training finishes (and written to ``checkpoint_path`` if given). Until
+    then the parameters are views into the pool's block, as they stay if
+    training fails. Disjoint, nonempty train and validation sets are
+    required.
     """
     if not train_records or not valid_records:
         raise ValueError("fit needs nonempty train and validation sets")
@@ -476,31 +482,32 @@ def fit(
         if not r.labeled:
             raise ValueError(f"record {r.text_id!r} has no scores; fit needs labels")
 
-    trainer = Trainer(model, config)
     examples = _prepare(model, train_records)
-    trainer.pool = pool.get(len(examples))
     report = TrainReport()
     best_snapshot = None
 
-    for epoch in range(1, config.epochs + 1):
-        started = time.perf_counter()
-        train_loss = trainer.run_epoch(examples, epoch)
-        valid = evaluate_model(model, valid_records)
-        seconds = time.perf_counter() - started
-        report.rows.append(
-            EpochStats(
-                epoch=epoch,
-                train_loss=train_loss,
-                valid_mcrmse=valid.mcrmse,
-                per_target_rmse=valid.per_target_rmse,
-                awp_active=trainer._awp_active(epoch),
-                seconds=seconds,
+    with pool.Pool(pool.workers_for(len(examples)),
+                   min(config.batch_size, len(examples))) as workers:
+        trainer = Trainer(model, config, workers)
+        for epoch in range(1, config.epochs + 1):
+            started = time.perf_counter()
+            train_loss = trainer.run_epoch(examples, epoch)
+            valid = evaluate_model(model, valid_records, workers)
+            seconds = time.perf_counter() - started
+            report.rows.append(
+                EpochStats(
+                    epoch=epoch,
+                    train_loss=train_loss,
+                    valid_mcrmse=valid.mcrmse,
+                    per_target_rmse=valid.per_target_rmse,
+                    awp_active=trainer._awp_active(epoch),
+                    seconds=seconds,
+                )
             )
-        )
-        if valid.mcrmse < report.best_valid_mcrmse:
-            report.best_valid_mcrmse = valid.mcrmse
-            report.best_epoch = epoch
-            best_snapshot = model.parameter_snapshot()
+            if valid.mcrmse < report.best_valid_mcrmse:
+                report.best_valid_mcrmse = valid.mcrmse
+                report.best_epoch = epoch
+                best_snapshot = model.parameter_snapshot()
 
     if best_snapshot is not None:
         model.load_snapshot(best_snapshot)

@@ -12,18 +12,23 @@ settings.register_profile("rubric", derandomize=True, deadline=None)
 settings.load_profile("rubric")
 
 
-@pytest.fixture(autouse=True)
-def close_worker_pool():
-    """End each test as ``rubric.cli.main`` ends a command: with the worker
-    pool that library calls may have started closed."""
-    yield
-    pool.close()
-
-
 def workers_left_running():
     """The pids of every started worker process never reaped: alive, or
     exited and left a zombie."""
     return [worker.pid for worker in pool._started if worker.returncode is None]
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left_by_the_test():
+    """Fail a test that leaves a worker process alive or unreaped: every
+    pool lives for one job, so none outlives the test that opened it. The
+    leftovers are killed and reaped, so later tests do not fail for them."""
+    yield
+    left = [worker for worker in pool._started if worker.returncode is None]
+    for worker in left:
+        worker.kill()
+        worker.wait()
+    assert not left, f"worker processes left running by this test: {[w.pid for w in left]}"
 
 
 @pytest.fixture(autouse=True, scope="session")

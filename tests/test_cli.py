@@ -100,6 +100,11 @@ class TestConfig:
         assert cfg.train.adv_lr == 0.25  # override wins
         assert cfg.cv_k == 3
 
+    def test_a_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes(b"\xef\xbb\xbftrain.epochs = 3\n")
+        assert load_run_config(str(cfg_file), []).train.epochs == 3
+
     def test_unknown_key_rejected(self):
         from rubric.config import ConfigError
 

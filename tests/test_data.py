@@ -191,6 +191,18 @@ class TestCsv:
         with pytest.raises(DataError, match=r"latin1.csv: line 3 is not valid UTF-8"):
             load_csv(str(path))
 
+    def test_a_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_csv(synth_corpus(3, seed=2), str(plain))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_csv(str(marked)) == load_csv(str(plain))
+
+    def test_invalid_utf8_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "marked.csv"
+        path.write_bytes(b"\xef\xbb\xbftext_id,full_text\na,one\nb,caf\xe9\n")
+        with pytest.raises(DataError, match=r"marked.csv: line 3 is not valid UTF-8 \(byte 32\)"):
+            load_csv(str(path))
+
     def test_oversized_field_names_file_and_row(self, tmp_path):
         path = tmp_path / "huge.csv"
         path.write_text("text_id,full_text\na,one\nb," + "x" * 140_000 + "\n")

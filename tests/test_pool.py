@@ -1,5 +1,6 @@
 """The worker pool: same bits at every worker count, errors, lifetime."""
 
+import contextlib
 import dataclasses
 import os
 import resource
@@ -161,11 +162,10 @@ def test_the_pool_starts_only_for_more_sequences_than_the_workers_queue():
     model = tiny_model(records)
     started = len(pool._started)
     model.predict_records(records[:cutoff])
-    assert pool._shared is None
     assert len(pool._started) == started
     model.predict_records(records)
-    assert pool._shared is not None
     assert len(pool._started) == started + pool.usable_cpus()
+    assert not workers_left_running()  # the call's pool closed with it
 
 
 def test_one_usable_cpu_keeps_every_job_in_process(monkeypatch):
@@ -173,21 +173,19 @@ def test_one_usable_cpu_keeps_every_job_in_process(monkeypatch):
     records = synth_corpus(300, seed=8)
     started = len(pool._started)
     tiny_model(records).predict_records(records)
-    assert pool._shared is None
     assert len(pool._started) == started
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_worker_raising_numeric_error_reaches_the_trainer(monkeypatch):
+def test_a_worker_raising_numeric_error_reaches_the_trainer():
     records = synth_corpus(6, seed=4)
     model = tiny_model(records)
     model.named_parameters()["enc.layer0.wq"].data[:] = np.inf
-    trainer = Trainer(model, TrainConfig(seed=1))
-    monkeypatch.setattr(pool, "_forced_workers", 2)
-    trainer.pool = pool.get(0)
     batch = [(model.encode_record(r), np.asarray(r.scores)) for r in records]
-    with pytest.raises(NumericError, match="softmax input contains non-finite values"):
-        trainer.train_step(batch, epoch=1)
+    with pool.Pool(2, len(batch)) as workers:
+        trainer = Trainer(model, TrainConfig(seed=1), workers)
+        with pytest.raises(NumericError, match="softmax input contains non-finite values"):
+            trainer.train_step(batch, epoch=1)
 
 
 def test_killed_worker_is_named_without_hang_or_leftovers(monkeypatch):
@@ -196,13 +194,13 @@ def test_killed_worker_is_named_without_hang_or_leftovers(monkeypatch):
     model = Model.build(ModelSpec(vocab_size=vocab.size), seed=0, vocab=vocab)
     monkeypatch.setattr(pool, "_forced_workers", 2)
     victim = []
+    before = len(pool._started)
 
     def kill_a_busy_worker():
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
-            workers = pool._shared
-            if workers is not None and workers._workers:  # jobs are running
-                victim.append(workers._workers[0])
+            if len(pool._started) > before:  # fit's pool has forked: jobs are running
+                victim.append(pool._started[before])
                 os.kill(victim[0].pid, signal.SIGKILL)
                 return
             time.sleep(0.01)
@@ -217,7 +215,7 @@ def test_killed_worker_is_named_without_hang_or_leftovers(monkeypatch):
     assert time.monotonic() - started < 30
     assert f"worker process {victim[0].pid} was killed by signal 9" in str(raised.value)
     assert all(worker.returncode is not None for worker in pool._started)
-    assert pool._shared is None
+    assert not workers_left_running()
 
 
 @pytest.mark.skipif(pool.usable_cpus() < 2, reason="the pool needs two usable CPUs")
@@ -234,14 +232,15 @@ def test_script_without_main_guard_runs_to_the_end(tmp_path):
         vocab = build_vocab(records[:80])
         model = Model.build(ModelSpec(vocab_size=vocab.size), seed=0, vocab=vocab)
         fit(model, records[:80], records[80:], TrainConfig(epochs=2, seed=1))
-        print("workers", len(pool._shared._workers))
+        print("workers", len(pool._started), "running", sum(w.returncode is None
+                                                            for w in pool._started))
         print("finished")
     """))
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [f"workers {pool.usable_cpus()}", "finished"]
+    assert done.stdout.splitlines() == [f"workers {pool.usable_cpus()} running 0", "finished"]
 
 
 def run_script(tmp_path, body):
@@ -273,7 +272,6 @@ def test_workers_do_not_flush_the_parents_buffered_output(tmp_path):
     done = run_script(tmp_path, SMALL_MODEL + """
     print("buffered before the pool starts")  # stdout is a pipe: not flushed yet
     model.predict_records(records)
-    pool.close()
     print("finished")
     """)
     assert done.returncode == 0, done.stderr
@@ -356,16 +354,14 @@ def test_a_running_pool_forks_new_workers_for_each_new_block(monkeypatch):
     monkeypatch.setattr(pool, "_forced_workers", 2)
     rounds = []
     for job, want in zip(jobs, expected):
+        started = len(pool._started)
         assert job() == want
-        current = [worker.pid for worker in pool._shared._workers]
-        assert sorted(workers_left_running()) == sorted(current)
-        rounds.append(tuple(current))
+        # one round of two workers per job, the fit's validation included,
+        # stopped and reaped when the job ends
+        rounds.append(tuple(worker.pid for worker in pool._started[started:]))
+        assert len(rounds[-1]) == 2
+        assert not workers_left_running()
     assert len(set(rounds)) == 4
-    model = Model.build(spec, seed=4, vocab=vocab)  # one model's jobs keep their workers
-    model.predict_records(records)
-    workers = list(pool._shared._workers)
-    model.predict_records(records[:3])
-    assert pool._shared._workers == workers
 
 
 def test_without_a_blas_setter_every_job_runs_in_process(monkeypatch, corpus, tmp_path):
@@ -516,60 +512,99 @@ def test_a_fitted_model_holds_nothing_of_the_pools_block(monkeypatch, workers):
         assert p.data.base is None and p.grad is None
 
 
-def trainers_of_one_spec(seeds):
-    """A trainer of each seed's model of one spec, on the pool ``pool.get``
-    gives, and three batches of 4."""
+@pytest.mark.parametrize("workers", [0, 2])
+def test_a_batch_size_above_the_training_set_gets_a_slot_per_training_sequence(
+        monkeypatch, tmp_path, workers):
+    # 60 essays: 48 train, so both sizes make one batch of 48 per epoch
+    corpus = tmp_path / "corpus.csv"
+    write_csv(synth_corpus(60, seed=29), str(corpus))
+    seen = []
+    for batch_size in (48, 100_000):  # 100,000 slots of this model would not fit in memory
+        out = tmp_path / f"b{batch_size}"
+        assert run_with_workers(monkeypatch, workers, [
+            "train", "--data", corpus, "--out", out, *SMALL,
+            "--set", f"train.batch_size={batch_size}"]) == 0
+        seen.append((out / "checkpoint.bin").read_bytes())
+    assert seen[1] == seen[0]
+
+
+def test_a_prediction_leaves_the_models_own_arrays_and_a_trainers_views(monkeypatch):
+    monkeypatch.setattr(pool, "_forced_workers", 2)
+    model, records = small_model(seed=12)
+    private = {name: p.data for name, p in model.named_parameters().items()}
+    before = parameter_bytes(model)
+    model.predict_records(records)
+    for name, p in model.named_parameters().items():
+        assert p.data is private[name] and p.data.base is None, name
+    assert parameter_bytes(model) == before
+    # a trainer built directly trains on its own in-process block
+    trainer = Trainer(model, TrainConfig(batch_size=4, seed=1))
+    batch = [(model.encode_record(r), np.asarray(r.scores)) for r in records[:4]]
+    trainer.train_step(batch, epoch=1)
+    views = {name: p.data for name, p in model.named_parameters().items()}
+    model.predict_records(records)
+    copied = []
+    publish = pool._Block.publish
+
+    def recording_publish(block, params):
+        copied.extend(name for name, p in params.items() if p.data is not block.params[name])
+        publish(block, params)
+
+    monkeypatch.setattr(pool._Block, "publish", recording_publish)
+    trainer.train_step(batch, epoch=1)  # its next pass copies nothing back
+    assert copied == []
+    for name, p in model.named_parameters().items():
+        assert p.data is views[name], name
+
+
+def trainers_of_one_spec(seeds, workers, stack):
+    """A trainer of each seed's model of one spec, each on a pool of its own
+    with ``workers`` workers, closed by ``stack``, and three batches of 4."""
     _, records = small_model(0)
     trainers = []
     for seed in seeds:
         model, _ = small_model(seed)
-        trainers.append(Trainer(model, TrainConfig(batch_size=4, awp_start_epoch=1, seed=3)))
-        trainers[-1].pool = pool.get(0)
+        own = stack.enter_context(pool.Pool(workers, 4))
+        trainers.append(Trainer(model, TrainConfig(batch_size=4, awp_start_epoch=1, seed=3),
+                                own))
     batches = [[(trainers[0].model.encode_record(r), np.asarray(r.scores))
                 for r in records[start: start + 4]] for start in (0, 4, 8)]
     return trainers, batches
 
 
-def test_two_trainers_of_one_spec_match_their_solo_runs_or_fail_loudly(monkeypatch):
-    monkeypatch.setattr(pool, "_forced_workers", 0)
+def test_two_trainers_of_one_spec_match_their_solo_runs_or_fail_loudly():
     solo = []
     for seed in (1, 2):
-        (trainer,), batches = trainers_of_one_spec([seed])
-        for batch in batches:
-            trainer.train_step(batch, epoch=1)
+        with contextlib.ExitStack() as stack:
+            (trainer,), batches = trainers_of_one_spec([seed], 0, stack)
+            for batch in batches:
+                trainer.train_step(batch, epoch=1)
         solo.append(parameter_bytes(trainer.model))
-    trainers, batches = trainers_of_one_spec([1, 2])
-    for batch in batches:
-        for trainer in trainers:  # in turn
-            trainer.train_step(batch, epoch=1)
-    assert [parameter_bytes(trainer.model) for trainer in trainers] == solo
-    # on workers both share one pool, whose block serves one model at a time
-    monkeypatch.setattr(pool, "_forced_workers", 2)
-    (first, second), batches = trainers_of_one_spec([1, 2])
-    first.train_step(batches[0], epoch=1)
-    second.train_step(batches[0], epoch=1)
-    with pytest.raises(pool.PoolError, match="workers were replaced during training"):
-        first.train_step(batches[1], epoch=1)
+    for workers in (0, 2):  # two pools at once, stepped in turn
+        with contextlib.ExitStack() as stack:
+            trainers, batches = trainers_of_one_spec([1, 2], workers, stack)
+            for batch in batches:
+                for trainer in trainers:
+                    trainer.train_step(batch, epoch=1)
+        assert [parameter_bytes(trainer.model) for trainer in trainers] == solo, workers
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_non_finite_adversarial_loss_restores_the_shards_first(monkeypatch):
+def test_a_non_finite_adversarial_loss_restores_the_shards_first():
     messages = []
     for workers in (0, 2):
-        monkeypatch.setattr(pool, "_forced_workers", workers)
         model, records = small_model(seed=4)
         before = parameter_bytes(model)
         # an infinite ascent step in an infinite box makes the perturbed weights
         # non-finite, which the message would name had they not been restored
-        trainer = Trainer(model, TrainConfig(batch_size=4, awp_start_epoch=1, seed=2,
-                                             adv_lr=float("inf"), adv_eps=float("inf")))
-        trainer.pool = pool.get(0)
         batch = [(model.encode_record(r), np.asarray(r.scores)) for r in records[:4]]
-        with pytest.raises(NumericError) as raised:
-            trainer.train_step(batch, epoch=1)
+        with pool.Pool(workers, 4) as on:
+            trainer = Trainer(model, TrainConfig(batch_size=4, awp_start_epoch=1, seed=2,
+                                                 adv_lr=float("inf"), adv_eps=float("inf")), on)
+            with pytest.raises(NumericError) as raised:
+                trainer.train_step(batch, epoch=1)
         messages.append(str(raised.value))
         assert parameter_bytes(model) == before  # restored, and no optimizer step
-        pool.close()
     # the forward meets the infinite weights; the message names no tensor
     assert messages[0] == messages[1]
     assert messages[0].endswith("non-finite values (epoch 1, step 1)"), messages[0]
@@ -593,27 +628,23 @@ def test_a_worker_killed_while_it_sums_and_steps_is_named(monkeypatch):
     assert f"worker process {victim[0].pid} was killed by signal 9" in str(raised.value)
     assert all(worker.returncode is not None for worker in pool._started)
     assert not workers_left_running()
-    assert pool._shared is None
 
 
-def test_a_closed_pool_runs_its_jobs_in_process(monkeypatch):
-    monkeypatch.setattr(pool, "_forced_workers", 2)
+def test_a_closed_pool_takes_no_job_and_forks_no_worker():
     model, records = small_model(seed=9)
-    trainer = Trainer(model, TrainConfig(batch_size=4, seed=1))
-    trainer.pool = pool.get(0)
     batch = [(model.encode_record(r), np.asarray(r.scores)) for r in records[:4]]
-    trainer.train_step(batch, epoch=1)
-    pool.close()
-    started = len(pool._started)
-    with pytest.raises(pool.PoolError, match="workers were replaced during training"):
-        trainer.train_step(batch, epoch=1)
-    closed = pool.Pool(2)
-    closed.close()
-    other, _ = small_model(seed=10)
-    id_lists = [other.encode_record(r) for r in records]
-    assert closed.predict(other, id_lists).tobytes() == \
-        pool.Pool(0).predict(other, id_lists).tobytes()
-    assert len(pool._started) == started
+    for workers in (0, 2):
+        with pool.Pool(workers, 4) as used:
+            trainer = Trainer(model, TrainConfig(batch_size=4, seed=1), used)
+            trainer.train_step(batch, epoch=1)
+        started = len(pool._started)
+        with pytest.raises(pool.PoolError, match="the pool is closed"):
+            trainer.train_step(batch, epoch=1)
+        never_used = pool.Pool(workers)
+        never_used.close()
+        with pytest.raises(pool.PoolError, match="the pool is closed"):
+            never_used.predict(model, [model.encode_record(r) for r in records])
+        assert len(pool._started) == started, workers
 
 
 def test_a_reply_cut_short_names_its_worker(monkeypatch):
@@ -645,15 +676,15 @@ def pipes_of(pid):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-def test_each_worker_holds_only_its_own_two_pipe_ends(monkeypatch):
-    monkeypatch.setattr(pool, "_forced_workers", 2)
+def test_each_worker_holds_only_its_own_two_pipe_ends():
     # the parent's own pipes, such as a saved stdout, which every child inherits
     inherited = set(pipes_of(os.getpid()))
     seen = []
-    for seed in (0, 1):  # another model: a new block and newly forked workers
-        model, records = small_model(seed)
-        model.predict_records(records)
-        for worker in pool._shared._workers:
+    with pool.Pool(2) as first, pool.Pool(2) as second:  # the second forks while the first runs
+        for seed, on in ((0, first), (1, second)):
+            model, records = small_model(seed)
+            model.predict_records(records, pool=on)
+        for worker in first._workers + second._workers:
             own = [os.readlink(f"/proc/self/fd/{conn.fileno()}")
                    for conn in (worker.requests, worker.replies)]
             held = [pipe for pipe in pipes_of(worker.pid) if pipe not in inherited]
@@ -670,7 +701,6 @@ def test_without_mallopt_jobs_get_the_same_bits(tmp_path):
     for workers in (0, 2):
         pool._forced_workers = workers
         print(model.predict_records(records, clip=False).tobytes().hex())
-        pool.close()
     """
     pinned = run_script(tmp_path, predict)
     # a libc handle without mallopt leaves glibc's defaults in force
@@ -703,32 +733,29 @@ def test_long_sequences_get_the_same_bits_in_process_and_on_workers(monkeypatch)
     for workers in (0, 2):
         monkeypatch.setattr(pool, "_forced_workers", workers)
         seen[workers] = model.predict_records(records, clip=False).tobytes()
-        pool.close()
     assert seen[2] == seen[0]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
 @pytest.mark.skipif(not pool._blas_one_thread, reason="no bundled OpenBLAS to pin")
-def test_each_worker_has_one_thread(monkeypatch):
+def test_each_worker_has_one_thread():
     model, records = long_essays()
-    monkeypatch.setattr(pool, "_forced_workers", 2)
-    model.predict_records(records)
-    workers = pool._shared._workers
-    assert [len(os.listdir(f"/proc/{w.pid}/task")) for w in workers] == [1, 1]
+    with pool.Pool(2) as on:
+        model.predict_records(records, pool=on)
+        assert [len(os.listdir(f"/proc/{w.pid}/task")) for w in on._workers] == [1, 1]
 
 
 @pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
-def test_leak_guard_sees_live_and_unreaped_workers(monkeypatch):
+def test_leak_guard_sees_live_and_unreaped_workers():
     records = synth_corpus(4, seed=3)
     model = tiny_model(records)
-    monkeypatch.setattr(pool, "_forced_workers", 1)
-    model.predict_records(records)
-    worker = pool._shared._workers[0]
-    assert worker.pid in workers_left_running()
-    os.kill(worker.pid, signal.SIGKILL)
-    os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)  # exited, not reaped
-    assert worker.pid in workers_left_running()
-    pool.close()
+    with pool.Pool(1) as on:
+        model.predict_records(records, pool=on)
+        worker = on._workers[0]
+        assert worker.pid in workers_left_running()
+        os.kill(worker.pid, signal.SIGKILL)
+        os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)  # exited, not reaped
+        assert worker.pid in workers_left_running()
     assert worker.pid not in workers_left_running()
 
 
@@ -751,25 +778,23 @@ def test_forked_workers_inherit_the_heap_setting(monkeypatch):
     model, records = long_essays()
     monkeypatch.setattr(pool, "_forced_workers", 2)
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-    model.predict_records(records)
-    pool.close()  # reaped workers count in RUSAGE_CHILDREN
+    model.predict_records(records)  # its pool's workers are reaped, so they count
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     assert faults / len(records) <= 300  # about 1,050 with glibc's default thresholds
 
 
 @pytest.mark.parametrize("workers", [0, 2])
-def test_a_batch_longer_than_batch_size_is_rejected_at_every_worker_count(monkeypatch, workers):
-    monkeypatch.setattr(pool, "_forced_workers", workers)
+def test_a_batch_longer_than_batch_size_is_rejected_at_every_worker_count(workers):
     model, records = small_model(seed=7)
-    trainer = Trainer(model, TrainConfig(batch_size=4, seed=1))
-    trainer.pool = pool.get(0)
     batch = [(model.encode_record(r), np.asarray(r.scores)) for r in records[:6]]
-    trainer.train_step(batch[:4], epoch=1)  # the pool's block now has batch_size slots
-    with pytest.raises(ValueError, match="batch of 6 sequences, more than batch_size 4"):
-        trainer.train_step(batch, epoch=1)
-    assert trainer.global_step == 1
-    trainer.train_step(batch[4:], epoch=1)  # the trainer still works
-    assert trainer.global_step == 2
+    with pool.Pool(workers, 4) as on:  # a block of batch_size slots
+        trainer = Trainer(model, TrainConfig(batch_size=4, seed=1), on)
+        trainer.train_step(batch[:4], epoch=1)
+        with pytest.raises(ValueError, match="batch of 6 sequences, more than batch_size 4"):
+            trainer.train_step(batch, epoch=1)
+        assert trainer.global_step == 1
+        trainer.train_step(batch[4:], epoch=1)  # the trainer still works
+        assert trainer.global_step == 2
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
