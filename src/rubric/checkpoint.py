@@ -138,6 +138,8 @@ def _read_model(data: bytes) -> Model:
         # shape is checked first, so corrupt dims never size this read
         payload = _read_exact(fh, params[name].data.size * 8, f"payload of {name}")
         arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"parameter {name!r} holds a non-finite value")
         params[name].data = np.ascontiguousarray(arr, dtype=np.float64)
         seen.add(name)
     missing = set(params) - seen

@@ -334,8 +334,8 @@ def run_cv(
     """Train one model per fold and score the held-out predictions.
 
     Per fold, the vocabulary is rebuilt from the training split only, the
-    model trains with the held-out fold as its validation set, and the best
-    checkpoint predicts the held-out records. The aggregate score pools all
+    model trains with the held-out fold as its validation set, and ``fit``
+    reports the fold's out-of-fold predictions. The aggregate score pools all
     out-of-fold predictions; the mean of per-fold scores is also reported.
     """
     if plan is None:
@@ -359,12 +359,10 @@ def run_cv(
         fold_seed = _fold_seed(seed, fold)
         model = Model.build(spec, seed=fold_seed, vocab=vocab)
         config = replace(train_config, seed=fold_seed)
-        train_reports.append(fit(model, train_recs, valid_recs, config))
-
-        preds = model.predict_records(valid_recs, clip=True)
-        truth = np.array([r.scores for r in valid_recs], dtype=np.float64)
-        fold_reports.append(mcrmse(truth, preds))
-        for rec, row in zip(valid_recs, preds):
+        report = fit(model, train_recs, valid_recs, config)
+        train_reports.append(report)
+        fold_reports.append(report.valid)
+        for rec, row in zip(valid_recs, report.valid_predictions):
             oof[rec.text_id] = tuple(float(v) for v in row)
 
     truth_all = np.array([r.scores for r in records], dtype=np.float64)

@@ -310,9 +310,11 @@ def _fork_worker(model, block: _Block, index: int) -> _Worker:
     requests_in, requests_out, replies_in, replies_out = conns
     if pid == 0:
         # the parent's ends of this worker's pipes and of every earlier
-        # worker's: an end left open here would keep that pipe from closing
+        # worker not yet reaped (a reaped one's are closed already): an end
+        # left open here would keep that pipe from closing
         inherited = [requests_out, replies_in]
-        inherited += [conn for w in _started for conn in (w.requests, w.replies)]
+        inherited += [conn for w in _started if w.returncode is None
+                      for conn in (w.requests, w.replies)]
         _child(requests_in, replies_out, inherited, model, block, index)
     requests_in.close()
     replies_out.close()
@@ -414,6 +416,9 @@ class Pool:
         ``batch`` with the parameters ``model`` has now; sequence i draws
         dropout from ``dropout_stream(*stream, offsets[i])`` and writes its
         gradients into slot i. Returns each sequence's loss."""
+        if len(batch) > self._n_slots:
+            raise ValueError(f"a batch of {len(batch)} sequences needs more gradient slots "
+                             f"than the pool's {self._n_slots}")
         self.bind(model)
         # plain lists and floats: pickling them costs a fraction of arrays
         jobs = [("grad", i, list(ids), np.asarray(targets).tolist(), loss_kind, scale, stream,

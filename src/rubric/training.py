@@ -149,15 +149,15 @@ class TrainReport:
     rows: list[EpochStats] = field(default_factory=list)
     best_epoch: int = 0
     best_valid_mcrmse: float = float("inf")
+    # the validation score and clipped predictions of the parameters fit returns
+    valid: MetricsReport | None = None
+    valid_predictions: np.ndarray | None = None
 
 
-def evaluate_model(model: Model, records: list[EssayRecord],
-                   pool: pool.Pool | None = None) -> MetricsReport:
-    """MCRMSE of clipped (unrounded) predictions against record labels,
-    made on ``pool`` if given (see ``Model.predict_records``)."""
+def evaluate_model(model: Model, records: list[EssayRecord]) -> MetricsReport:
+    """MCRMSE of clipped (unrounded) predictions against record labels."""
     truth = np.array([r.scores for r in records], dtype=np.float64)
-    preds = model.predict_records(records, clip=True, pool=pool)
-    return mcrmse(truth, preds)
+    return mcrmse(truth, model.predict_records(records, clip=True))
 
 
 def dropout_stream(seed: int, step: int, pass_idx: int, offset: int) -> np.random.Generator:
@@ -466,10 +466,11 @@ def fit(
     a gradient slot per sequence of the largest batch, and closed at its
     end, or killed if training fails. The best-MCRMSE parameters are
     restored into the model, as private copies with no gradients, when
-    training finishes (and written to ``checkpoint_path`` if given). Until
-    then the parameters are views into the pool's block, as they stay if
-    training fails. Disjoint, nonempty train and validation sets are
-    required.
+    training finishes (and written to ``checkpoint_path`` if given); with
+    no best epoch, the last epoch's stay. The report keeps the validation
+    results of those parameters. Until training finishes the parameters are
+    views into the pool's block, as they stay if it fails. Disjoint,
+    nonempty train and validation sets are required.
     """
     if not train_records or not valid_records:
         raise ValueError("fit needs nonempty train and validation sets")
@@ -483,6 +484,7 @@ def fit(
             raise ValueError(f"record {r.text_id!r} has no scores; fit needs labels")
 
     examples = _prepare(model, train_records)
+    truth = np.array([r.scores for r in valid_records], dtype=np.float64)
     report = TrainReport()
     best_snapshot = None
 
@@ -492,7 +494,8 @@ def fit(
         for epoch in range(1, config.epochs + 1):
             started = time.perf_counter()
             train_loss = trainer.run_epoch(examples, epoch)
-            valid = evaluate_model(model, valid_records, workers)
+            preds = model.predict_records(valid_records, clip=True, pool=workers)
+            valid = mcrmse(truth, preds)
             seconds = time.perf_counter() - started
             report.rows.append(
                 EpochStats(
@@ -508,6 +511,8 @@ def fit(
                 report.best_valid_mcrmse = valid.mcrmse
                 report.best_epoch = epoch
                 best_snapshot = model.parameter_snapshot()
+            if report.best_epoch in (0, epoch):  # the parameters fit will leave
+                report.valid, report.valid_predictions = valid, preds
 
     if best_snapshot is not None:
         model.load_snapshot(best_snapshot)

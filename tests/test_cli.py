@@ -538,6 +538,23 @@ class TestBadInputFiles:
         assert "Traceback" not in err
         assert not (tmp_path / "pred" / "predictions.csv").exists()
 
+    def test_checkpoint_with_a_non_finite_parameter_exits_one(self, corpus_csv, tmp_path,
+                                                               capsys):
+        # it loaded, and every essay's cohesion was predicted as nan
+        vocab = build_vocab(load_csv(corpus_csv))
+        spec = ModelSpec(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16)
+        model = Model.build(spec, seed=0, vocab=vocab)
+        model.named_parameters()["head.cohesion.out_b"].data[0] = np.nan
+        path = tmp_path / "nan.bin"
+        save_checkpoint(str(path), model)
+        code = run(["predict", "--checkpoint", path, "--input", corpus_csv,
+                    "--out", tmp_path / "pred"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "parameter 'head.cohesion.out_b'" in err
+        assert "non-finite" in err and "Traceback" not in err
+        assert not (tmp_path / "pred" / "predictions.csv").exists()
+
     @pytest.fixture(scope="class")
     def fuzz_env(self, tmp_path_factory):
         """A truth CSV, predictions covering it, and an untrained checkpoint."""

@@ -18,6 +18,7 @@ import pytest
 
 from rubric import pool, training
 from rubric.cli import main
+from rubric.crossval import run_cv
 from rubric.data import SynthSpec, build_vocab, synth_corpus, write_csv
 from rubric.encoder import POOLING_MODES, ModelSpec, dropout_draws
 from rubric.model import Model
@@ -795,6 +796,46 @@ def test_a_batch_longer_than_batch_size_is_rejected_at_every_worker_count(worker
         assert trainer.global_step == 1
         trainer.train_step(batch[4:], epoch=1)  # the trainer still works
         assert trainer.global_step == 2
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_a_batch_longer_than_the_pools_gradient_slots_is_named_before_any_job(workers):
+    model, records = small_model(seed=7)
+    batch = [(model.encode_record(r), np.asarray(r.scores)) for r in records[:6]]
+    with pool.Pool(workers, 4) as on:
+        trainer = Trainer(model, TrainConfig(batch_size=8, seed=1), on)
+        with pytest.raises(ValueError, match="a batch of 6 sequences needs more gradient "
+                                             "slots than the pool's 4"):
+            trainer.train_step(batch, epoch=1)
+        trainer.train_step(batch[:4], epoch=1)  # the pool still works
+
+
+def test_a_fork_leaves_the_connections_of_reaped_workers_alone(monkeypatch):
+    class Closed:  # a reaped worker's connection, closed already
+        def close(self):
+            raise OSError("closed twice")
+
+    reaped = pool._Worker(0, Closed(), Closed())
+    reaped.returncode = 0
+    model, records = small_model(seed=12)
+    monkeypatch.setattr(pool, "_forced_workers", 0)
+    expected = model.predict_records(records)
+    monkeypatch.setattr(pool, "_forced_workers", 2)
+    pool._started.append(reaped)
+    try:
+        assert model.predict_records(records).tobytes() == expected.tobytes()
+    finally:
+        pool._started.remove(reaped)
+
+
+def test_cross_validation_forks_one_round_of_workers_per_fold(monkeypatch):
+    # each fold's fit makes the out-of-fold predictions on its own workers
+    records = synth_corpus(12, seed=5)
+    spec = ModelSpec(vocab_size=2, d_model=8, n_layers=1, n_heads=2, d_ff=16)
+    monkeypatch.setattr(pool, "_forced_workers", 2)
+    started = len(pool._started)
+    run_cv(records, spec, TrainConfig(epochs=1, batch_size=4), k=3, seed=0)
+    assert len(pool._started) == started + 3 * 2
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 
+from rubric import training
 from rubric.data import build_vocab, synth_corpus
 from rubric.encoder import ModelSpec
 from rubric.model import Model
+from rubric.training import TrainConfig
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -46,3 +48,24 @@ def test_a_traced_prediction_records_its_spans_and_restores_the_program(monkeypa
     assert np.array_equal(traced, expected)
     names = {span[0] for span in recorder.spans}
     assert {"model.predict_records", "model.forward", "encoder.encode"} <= names
+
+
+def test_a_traced_fit_records_one_validation_prediction_per_epoch(monkeypatch):
+    spans = load_spans(monkeypatch)
+    records = synth_corpus(9, seed=4)
+    vocab = build_vocab(records[:6])
+    spec = ModelSpec(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16)
+    model = Model.build(spec, seed=0, vocab=vocab)
+    recorder = spans.Recorder(spans.layer_targets())
+    with recorder.tracing():
+        training.fit(model, records[:6], records[6:], TrainConfig(epochs=3, batch_size=4))
+    names = [span[0] for span in recorder.spans]
+    fit_span = names.index("training.fit")
+
+    def under_fit(index):
+        while index >= 0 and index != fit_span:
+            index = recorder.spans[index][1]
+        return index == fit_span
+
+    predictions = [i for i, name in enumerate(names) if name == "model.predict_records"]
+    assert len(predictions) == 3 and all(map(under_fit, predictions))

@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 
 from rubric.data import synth_corpus
 from rubric.encoder import POOLING_MODES, ModelSpec
+from rubric.metrics import mcrmse
 from rubric.model import Model
 from rubric.optim import AdamW, clip_grad_norm
-from rubric import training
+from rubric import pool, training
 from rubric.tensor import NumericError, Tensor
 from rubric.training import (
     TrainConfig,
@@ -358,6 +360,29 @@ class TestFit:
         assert abs(evaluate_model(model, valid_recs).mcrmse - report.best_valid_mcrmse) < 1e-12
         for row in report.rows:
             assert np.isfinite(row.train_loss)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_the_report_keeps_the_validation_results_of_the_returned_model(
+            self, monkeypatch, workers):
+        monkeypatch.setattr(pool, "_forced_workers", workers)
+        model, train_recs, valid_recs = self._setup()
+        cfg = TrainConfig(epochs=3, batch_size=4, learning_rate=1e-3, seed=7)
+        report = fit(model, train_recs, valid_recs, cfg)
+        assert report.valid_predictions.tobytes() == model.predict_records(valid_recs).tobytes()
+        assert report.valid == evaluate_model(model, valid_recs)
+        assert report.valid.mcrmse == report.best_valid_mcrmse
+
+    def test_with_no_best_epoch_the_report_keeps_the_last_epochs_results(self, monkeypatch):
+        def never_better(truth, preds):  # a NaN score is never below the last best
+            return dataclasses.replace(mcrmse(truth, preds), mcrmse=float("nan"))
+
+        monkeypatch.setattr(training, "mcrmse", never_better)
+        model, train_recs, valid_recs = self._setup()
+        report = fit(model, train_recs, valid_recs, TrainConfig(epochs=2, batch_size=4, seed=7))
+        assert report.best_epoch == 0
+        # the last epoch's parameters stay in the model, and its scores in the report
+        assert report.valid_predictions.tobytes() == model.predict_records(valid_recs).tobytes()
+        assert report.valid.per_target_rmse == report.rows[-1].per_target_rmse
 
     def test_identical_seeds_identical_reports(self):
         results = []
