@@ -34,7 +34,7 @@ from .data import (
 from .metrics import mcrmse
 from .model import Model
 from .tensor import NumericError
-from .training import TrainReport, evaluate_model, fit, train_valid_split
+from .training import TrainReport, evaluate_model, fit, fit_pool, train_valid_split
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -201,15 +201,11 @@ def cmd_train(cfg: RunConfig) -> int:
         )
     vocab = build_vocab(train_recs, min_count=cfg.min_count)
     model = Model.build(cfg.model_spec(vocab.size), seed=cfg.train.seed, vocab=vocab)
-    report = fit(
-        model,
-        train_recs,
-        valid_recs,
-        cfg.train,
-        checkpoint_path=os.path.join(out_dir, "checkpoint.bin"),
-    )
+    with fit_pool(cfg.train, len(train_recs)) as workers:  # one round of workers for both
+        report = fit(model, train_recs, valid_recs, cfg.train, pool=workers,
+                     checkpoint_path=os.path.join(out_dir, "checkpoint.bin"))
+        train_metrics = evaluate_model(model, train_recs, pool=workers)
     _write_train_report(os.path.join(out_dir, "report.csv"), report)
-    train_metrics = evaluate_model(model, train_recs)
     _write_json(
         os.path.join(out_dir, "metrics.json"),
         {

@@ -3,10 +3,10 @@
 A pool runs the per-sequence work of a training pass, or of a batch of
 predictions, on worker processes forked from the parent; a pool with no
 workers runs the same jobs in the parent (``_answer``). A pool lives for one
-job on one model, a ``fit`` or a batch of predictions, as the body of a
-``with``: its first job maps one anonymous shared block and then forks the
-workers, which share it with no file or name, and the end of the ``with``
-stops and reaps them. The block holds every parameter, where each worker's
+job on one model, a ``fit`` (with any scoring after it) or a batch of
+predictions, as the body of a ``with``: its first job maps one anonymous
+shared block and then forks the workers, which share it with no file or
+name, and the end of the ``with`` stops and reaps them. The block holds every parameter, where each worker's
 copy of the model reads them. Workers take their sequences over pipes
 (``multiprocessing`` connections), longest first, and write each sequence's
 gradient of every parameter into that sequence's own slot of the same block.
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import collections
 import ctypes
+import errno
 import glob
 import itertools
 import math
@@ -189,7 +190,13 @@ class _Block:
         for shape, _ in entries:  # each array 64-byte aligned; both dtypes take 8 bytes
             offsets.append(nbytes)
             nbytes += _aligned(math.prod(shape)) * 8
-        self.map = mmap.mmap(-1, nbytes)  # MAP_SHARED: forked children share it
+        try:
+            self.map = mmap.mmap(-1, nbytes)  # MAP_SHARED: forked children share it
+        except OSError as exc:
+            if exc.errno != errno.ENOMEM:
+                raise
+            raise MemoryError(f"a block of {n_slots} gradient slots needs "
+                              f"{nbytes / 2**20:.1f} MiB, more than can be mapped") from None
         arrays = iter(np.ndarray(shape, dtype, buffer=self.map, offset=offset)
                       for (shape, dtype), offset in zip(entries, offsets))
         self.weights, self.grad = next(arrays), next(arrays)
@@ -413,12 +420,9 @@ class Pool:
     def gradients(self, model, batch, loss_kind: str, scale: float, stream: tuple,
                   offsets) -> list[float]:
         """Run ``training.sequence_gradients`` on every (ids, targets) of
-        ``batch`` with the parameters ``model`` has now; sequence i draws
-        dropout from ``dropout_stream(*stream, offsets[i])`` and writes its
-        gradients into slot i. Returns each sequence's loss."""
-        if len(batch) > self._n_slots:
-            raise ValueError(f"a batch of {len(batch)} sequences needs more gradient slots "
-                             f"than the pool's {self._n_slots}")
+        ``batch``, at most one per slot, with the parameters ``model`` has now;
+        sequence i draws dropout from ``dropout_stream(*stream, offsets[i])``
+        and writes its gradients into slot i. Returns each sequence's loss."""
         self.bind(model)
         # plain lists and floats: pickling them costs a fraction of arrays
         jobs = [("grad", i, list(ids), np.asarray(targets).tolist(), loss_kind, scale, stream,

@@ -11,14 +11,15 @@ Every sequence of a pass writes its gradients into its own slot of a
 parameters (``Shard``): summing the slots, perturbing and restoring the
 weights, AdamW. A ``pool.Pool`` runs both: on workers, each owns one shard,
 with its AWP snapshot and AdamW moments; a pool with no workers runs the
-same jobs in-process, on one shard that holds every parameter. ``fit`` opens
-one pool for the whole run, its validation included, and closes it at the
-end. While a model trains, its parameters and gradients are views into the
-block.
+same jobs in-process, on one shard that holds every parameter. ``fit`` runs
+on one pool for the whole run, its validation included: the one its caller
+gives, or one it opens for the run and closes at its end. While a model
+trains, its parameters and gradients are views into the block.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -154,10 +155,11 @@ class TrainReport:
     valid_predictions: np.ndarray | None = None
 
 
-def evaluate_model(model: Model, records: list[EssayRecord]) -> MetricsReport:
-    """MCRMSE of clipped (unrounded) predictions against record labels."""
+def evaluate_model(model: Model, records: list[EssayRecord],
+                   pool: pool.Pool | None = None) -> MetricsReport:
+    """MCRMSE of clipped (unrounded) predictions against record labels, on ``pool`` if given."""
     truth = np.array([r.scores for r in records], dtype=np.float64)
-    return mcrmse(truth, model.predict_records(records, clip=True))
+    return mcrmse(truth, model.predict_records(records, clip=True, pool=pool))
 
 
 def dropout_stream(seed: int, step: int, pass_idx: int, offset: int) -> np.random.Generator:
@@ -311,8 +313,9 @@ class Trainer:
 
     The pool (``pool.Pool``) runs the passes and the shards: the one given,
     with a gradient slot per sequence of the largest batch, or else one with
-    no workers and ``batch_size`` slots, which runs them in-process. Its
-    caller closes a pool it gave.
+    no workers and ``batch_size`` slots, which runs them in-process (give
+    ``Pool(0, n)`` for fewer). Building the trainer binds the model to the
+    block, as views, and starts the shards. Its caller closes a pool it gave.
     """
 
     def __init__(self, model: Model, config: TrainConfig, pool: pool.Pool | None = None):
@@ -329,25 +332,12 @@ class Trainer:
         self.global_step = 0
         self.awp_snapshots_created = 0
         self.pool = pool
-        self._shards_started = False
-
-    @property
-    def opt(self) -> Shard:
-        """The one shard of a pool with no workers: every parameter and its
-        optimizer state. None on workers, which each hold their own."""
-        return self._attach().shard
+        self.block = pool.bind(model)
+        pool.shards([("start", config.learning_rate, config.weight_decay)])
+        self.opt: Shard | None = self.block.shard  # every parameter's; None on workers
 
     def _awp_active(self, epoch: int) -> bool:
         return self.config.awp_enabled and epoch >= self.config.awp_start_epoch
-
-    def _attach(self):
-        """The pool's block, with the model's parameters as views into it;
-        the first call starts the shards."""
-        block = self.pool.bind(self.model)
-        if not self._shards_started:
-            self.pool.shards([("start", self.config.learning_rate, self.config.weight_decay)])
-            self._shards_started = True
-        return block
 
     def _backward_pass(
         self, batch: list[tuple[list[int], np.ndarray]], pass_idx: int, what: str
@@ -366,7 +356,6 @@ class Trainer:
         spec = self.model.spec
         offsets = np.cumsum([0] + [dropout_draws(spec, len(ids)) for ids, _ in batch[:-1]])
         stream = (cfg.seed, self.global_step, pass_idx)
-        block = self._attach()
         losses = self.pool.gradients(self.model, batch, cfg.loss_kind, scale, stream, offsets)
         total = losses[0]
         for loss in losses[1:]:
@@ -375,20 +364,24 @@ class Trainer:
         if not np.isfinite(value):
             raise NumericError(f"non-finite {what}")
         for name, p in self.params.items():  # the gradients the shards will sum, as views
-            p.grad = block.grads[name]
+            p.grad = self.block.grads[name]
         return value
 
     def train_step(self, batch: list[tuple[list[int], np.ndarray]], epoch: int) -> float:
         """One optimization step over a prepared batch; returns the clean loss.
 
         Each phase after a pass is one message to every shard: sum the
-        pass's slots, then perturb, or restore and step.
+        pass's slots, then perturb, or restore and step. A rejected batch
+        moves no state.
         """
         if not batch:
             raise ValueError("train_step got an empty batch")
         if len(batch) > self.config.batch_size:
             raise ValueError(f"train_step got a batch of {len(batch)} sequences, more than "
                              f"batch_size {self.config.batch_size}")
+        if len(batch) > len(self.block.slots):
+            raise ValueError(f"a batch of {len(batch)} sequences needs more gradient slots "
+                             f"than the pool's {len(self.block.slots)}")
         if epoch < 1:
             raise ValueError(f"epochs are counted from 1, got {epoch}")
         cfg = self.config
@@ -452,19 +445,26 @@ def _prepare(model: Model, records: list[EssayRecord]) -> list[tuple[list[int], 
     ]
 
 
+def fit_pool(config: TrainConfig, sequences: int) -> pool.Pool:
+    """``fit``'s own pool for ``sequences`` training sequences: workers by
+    their number (``pool.workers_for``), a slot per sequence of a batch."""
+    return pool.Pool(pool.workers_for(sequences), min(config.batch_size, sequences))
+
+
 def fit(
     model: Model,
     train_records: list[EssayRecord],
     valid_records: list[EssayRecord],
     config: TrainConfig,
     checkpoint_path: str | None = None,
+    pool: pool.Pool | None = None,
 ) -> TrainReport:
     """Train, evaluating on the validation set every epoch.
 
-    Training and validation run on one pool, opened for the run with
-    workers by the number of training sequences (``pool.workers_for``) and
-    a gradient slot per sequence of the largest batch, and closed at its
-    end, or killed if training fails. The best-MCRMSE parameters are
+    Training and validation run on one pool: ``pool`` if given, which its
+    caller opened and closes and may run more jobs on, or else
+    ``fit_pool(config, len(train_records))``, opened for the run and closed
+    at its end, or killed if training fails. The best-MCRMSE parameters are
     restored into the model, as private copies with no gradients, when
     training finishes (and written to ``checkpoint_path`` if given); with
     no best epoch, the last epoch's stay. The report keeps the validation
@@ -488,8 +488,8 @@ def fit(
     report = TrainReport()
     best_snapshot = None
 
-    with pool.Pool(pool.workers_for(len(examples)),
-                   min(config.batch_size, len(examples))) as workers:
+    own = fit_pool(config, len(examples)) if pool is None else contextlib.nullcontext(pool)
+    with own as workers:
         trainer = Trainer(model, config, workers)
         for epoch in range(1, config.epochs + 1):
             started = time.perf_counter()

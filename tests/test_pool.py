@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import errno
 import os
 import resource
 import signal
@@ -807,7 +808,22 @@ def test_a_batch_longer_than_the_pools_gradient_slots_is_named_before_any_job(wo
         with pytest.raises(ValueError, match="a batch of 6 sequences needs more gradient "
                                              "slots than the pool's 4"):
             trainer.train_step(batch, epoch=1)
+        assert trainer.global_step == 0  # rejected before any state moved
         trainer.train_step(batch[:4], epoch=1)  # the pool still works
+    fresh, _ = small_model(seed=7)
+    with pool.Pool(workers, 4) as on:
+        Trainer(fresh, TrainConfig(batch_size=8, seed=1), on).train_step(batch[:4], epoch=1)
+    assert parameter_bytes(model) == parameter_bytes(fresh)  # the same dropout streams
+
+
+def test_a_block_too_big_to_map_names_its_slots_and_size(monkeypatch):
+    def no_memory(*args):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    model, _ = small_model(seed=7)
+    monkeypatch.setattr(pool.mmap, "mmap", no_memory)
+    with pytest.raises(MemoryError, match=r"a block of 20000 gradient slots needs [\d.]+ MiB"):
+        Trainer(model, TrainConfig(batch_size=20000))
 
 
 def test_a_fork_leaves_the_connections_of_reaped_workers_alone(monkeypatch):
@@ -836,6 +852,15 @@ def test_cross_validation_forks_one_round_of_workers_per_fold(monkeypatch):
     started = len(pool._started)
     run_cv(records, spec, TrainConfig(epochs=1, batch_size=4), k=3, seed=0)
     assert len(pool._started) == started + 3 * 2
+
+
+def test_train_forks_one_round_of_workers(monkeypatch, corpus, tmp_path):
+    # the fit, its validation and the training-set score share one pool
+    started = len(pool._started)
+    assert run_with_workers(monkeypatch, 2, ["train", "--data", corpus,
+                                             "--out", tmp_path / "out", *SMALL]) == 0
+    assert len(pool._started) == started + 2
+    assert not workers_left_running()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
-from rubric import training
-from rubric.data import build_vocab, synth_corpus
+from rubric import cli, pool, training
+from rubric.data import build_vocab, synth_corpus, write_csv
 from rubric.encoder import ModelSpec
 from rubric.model import Model
 from rubric.training import TrainConfig
@@ -69,3 +69,21 @@ def test_a_traced_fit_records_one_validation_prediction_per_epoch(monkeypatch):
 
     predictions = [i for i, name in enumerate(names) if name == "model.predict_records"]
     assert len(predictions) == 3 and all(map(under_fit, predictions))
+
+
+def test_a_traced_train_command_records_one_fit_and_one_training_set_score(
+        monkeypatch, tmp_path):
+    spans = load_spans(monkeypatch)
+    monkeypatch.setattr(pool, "_forced_workers", 0)  # in-process
+    write_csv(synth_corpus(9, seed=4), str(tmp_path / "corpus.csv"))
+    recorder = spans.Recorder(spans.layer_targets())
+    with recorder.tracing():
+        code = cli.main(["train", "--data", str(tmp_path / "corpus.csv"),
+                         "--out", str(tmp_path / "out"),
+                         "--set", "model.d_model=8", "--set", "model.n_layers=1",
+                         "--set", "model.n_heads=2", "--set", "model.d_ff=16",
+                         "--set", "train.epochs=2", "--set", "train.batch_size=4"])
+    assert code == 0
+    names = [span[0] for span in recorder.spans]
+    assert names.count("training.fit") == 1
+    assert names.count("training.evaluate") == 1
