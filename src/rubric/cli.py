@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, astuple
+from dataclasses import asdict
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .data import (
     synth_corpus,
     write_csv,
     write_predictions,
+    write_rows,
     build_vocab,
 )
 from .metrics import mcrmse
@@ -58,8 +59,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="override one configuration key (repeatable)",
     )
-    parser.add_argument("--out", help="output directory (overrides out.dir)")
-    parser.add_argument("--seed", type=int, help="override train.seed")
+    parser.add_argument("--out", dest="out.dir", metavar="DIR",
+                        help="output directory (overrides out.dir)")
+    parser.add_argument("--seed", dest="train.seed", type=int, metavar="SEED",
+                        help="override train.seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,30 +72,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one model on a train/valid split")
     _add_common(p)
-    p.add_argument("--data", help="labeled training CSV (overrides data.train_csv)")
-    p.add_argument("--valid", help="labeled validation CSV (overrides data.valid_csv)")
+    p.add_argument("--data", dest="data.train_csv", metavar="CSV",
+                   help="labeled training CSV (overrides data.train_csv)")
+    p.add_argument("--valid", dest="data.valid_csv", metavar="CSV",
+                   help="labeled validation CSV (overrides data.valid_csv)")
 
     p = sub.add_parser("cv", help="stratified k-fold cross-validation")
     _add_common(p)
-    p.add_argument("--data", help="labeled training CSV")
-    p.add_argument("--folds", type=int, help="number of folds (overrides cv.k)")
+    p.add_argument("--data", dest="data.train_csv", metavar="CSV",
+                   help="labeled training CSV (overrides data.train_csv)")
+    p.add_argument("--folds", dest="cv.k", type=int, metavar="K",
+                   help="number of folds (overrides cv.k)")
 
     p = sub.add_parser("ablate", help="pooling-mode x AWP comparison grid")
     _add_common(p)
-    p.add_argument("--data", help="labeled training CSV")
-    p.add_argument("--folds", type=int, help="number of folds (overrides cv.k)")
-    p.add_argument("--seeds", help="comma-separated replication seeds")
+    p.add_argument("--data", dest="data.train_csv", metavar="CSV",
+                   help="labeled training CSV (overrides data.train_csv)")
+    p.add_argument("--folds", dest="cv.k", type=int, metavar="K",
+                   help="number of folds (overrides cv.k)")
+    p.add_argument("--seeds", dest="ablate.seeds", metavar="SEEDS",
+                   help="comma-separated replication seeds (overrides ablate.seeds)")
 
     p = sub.add_parser("predict", help="score unlabeled essays with a checkpoint")
     _add_common(p)
-    p.add_argument("--checkpoint", help="checkpoint file (overrides predict.checkpoint)")
-    p.add_argument("--input", help="input CSV (overrides data.input_csv)")
-    p.add_argument(
-        "--round",
-        action="store_true",
-        default=None,
-        help="snap predictions to the half-point lattice",
-    )
+    p.add_argument("--checkpoint", dest="predict.checkpoint", metavar="FILE",
+                   help="checkpoint file (overrides predict.checkpoint)")
+    p.add_argument("--input", dest="data.input_csv", metavar="CSV",
+                   help="input CSV (overrides data.input_csv)")
+    p.add_argument("--round", dest="predict.round", action="store_true", default=None,
+                   help="snap predictions to the half-point lattice (sets predict.round)")
 
     p = sub.add_parser("score", help="MCRMSE between a labeled CSV and predictions")
     _add_common(p)
@@ -101,33 +109,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="materialize a synthetic corpus CSV")
     _add_common(p)
-    p.add_argument("--n", type=int, help="number of essays (overrides synth.n)")
-    p.add_argument("--synth-seed", type=int, help="generator seed (overrides synth.seed)")
+    p.add_argument("--n", dest="synth.n", type=int, metavar="N",
+                   help="number of essays (overrides synth.n)")
+    p.add_argument("--synth-seed", dest="synth.seed", type=int, metavar="SEED",
+                   help="generator seed (overrides synth.seed)")
     p.add_argument("output", help="destination CSV path")
 
     return parser
 
 
 def _resolve(args) -> RunConfig:
-    overrides = list(args.overrides)
-    flag_map = {
-        "data": "data.train_csv",
-        "valid": "data.valid_csv",
-        "folds": "cv.k",
-        "seeds": "ablate.seeds",
-        "checkpoint": "predict.checkpoint",
-        "input": "data.input_csv",
-        "round": "predict.round",
-        "out": "out.dir",
-        "seed": "train.seed",
-        "n": "synth.n",
-        "synth_seed": "synth.seed",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides.append(f"{key}={value}")
-    return load_run_config(args.config, overrides)
+    """Each flag's dest is the key it sets; a flag given wins over --set."""
+    flags = [f"{key}={value}" for key, value in vars(args).items()
+             if "." in key and value is not None]
+    return load_run_config(args.config, args.overrides + flags)
 
 
 def _prepare_out_dir(cfg: RunConfig, command: str) -> str:
@@ -163,21 +158,13 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    """One line per row, flags as 0/1 and floats as their repr. No report
-    cell holds a comma, a quote or a newline, so none is quoted."""
-    lines = [header] + [",".join(str(int(c)) if isinstance(c, bool) else str(c) for c in row)
-                        for row in rows]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _write_train_report(path: str, report: TrainReport) -> None:
     # the seconds column is wall-clock telemetry and is the one field
     # exempt from the byte-identical rerun guarantee
-    rmse = ",".join(f"rmse_{t}" for t in TARGETS)
-    _write_csv(path, f"epoch,train_loss,valid_mcrmse,{rmse},awp_active,seconds", [
-        (r.epoch, r.train_loss, r.valid_mcrmse, *r.per_target_rmse, r.awp_active, r.seconds)
+    header = ["epoch", "train_loss", "valid_mcrmse", *(f"rmse_{t}" for t in TARGETS),
+              "awp_active", "seconds"]
+    write_rows(path, header, [
+        (r.epoch, r.train_loss, r.valid_mcrmse, *r.per_target_rmse, int(r.awp_active), r.seconds)
         for r in report.rows
     ])
 
@@ -278,9 +265,12 @@ def cmd_ablate(cfg: RunConfig) -> int:
         variants=variants,
         min_count=cfg.min_count,
     )
-    _write_csv(os.path.join(out_dir, "ablation.csv"),
-               "variant,pooling,awp,seed,cv_pooled,cv_fold_mean", map(astuple, result.rows))
-    _write_csv(os.path.join(out_dir, "ablation_summary.csv"), "variant,mean_cv,std_cv,n_seeds",
+    write_rows(os.path.join(out_dir, "ablation.csv"),
+               "variant,pooling,awp,seed,cv_pooled,cv_fold_mean".split(","),
+               [(r.variant, r.pooling_mode, int(r.awp), r.seed, r.cv_pooled, r.cv_fold_mean)
+                for r in result.rows])
+    write_rows(os.path.join(out_dir, "ablation_summary.csv"),
+               "variant,mean_cv,std_cv,n_seeds".split(","),
                [(v, s["mean"], s["std"], s["n_seeds"]) for v, s in result.summary.items()])
     _write_json(
         os.path.join(out_dir, "summary.json"),

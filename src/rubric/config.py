@@ -3,7 +3,8 @@
 Grammar: one ``key = value`` pair per line; blank lines and ``#`` comments
 are ignored. Keys mirror the dataclass fields they configure
 (``model.d_model``, ``train.adv_lr``, ...). Precedence, lowest to highest:
-built-in defaults, config file, ``--set`` overrides. The fully resolved
+built-in defaults, config file, ``--set`` overrides, then the CLI flags
+that name one key each (``--seed`` sets ``train.seed``). The fully resolved
 configuration is echoed into every output directory.
 """
 

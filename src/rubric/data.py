@@ -153,34 +153,59 @@ def read_text(path: str) -> str:
         raise DataError(f"{path}: line {line} is not valid UTF-8 (byte {exc.start})") from None
 
 
-def _csv_rows(path: str):
-    """Yield (row number, fields) of a CSV file; the header is row 1.
+def _read_table(path: str, required: Sequence[str]) -> tuple[dict[str, int], list]:
+    """The header's column index and the (row number, fields) of each data
+    row of a CSV file; the header is row 1.
 
-    A row the csv module rejects, such as one with a field over its size
-    limit, raises DataError naming the file and row.
+    The header must name each column once and name ``text_id`` and every
+    ``required`` column; each row must have the header's field count and a
+    ``text_id`` no earlier row has. A row the csv module rejects, such as
+    one with a field over its size limit, raises DataError naming the file
+    and row.
     """
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    lines = enumerate(csv.reader(io.StringIO(read_text(path), newline="")), start=1)
     rowno = 0
     try:
-        for rowno, row in enumerate(reader, start=1):
-            yield rowno, row
+        rowno, header = next(lines, (0, None))
+        if header is None:
+            raise DataError(f"{path}: empty file, expected a header row")
+        col: dict[str, int] = {}
+        for i, name in enumerate(header):
+            if col.setdefault(name, i) != i:
+                raise DataError(f"{path}: the header names column {name!r} twice")
+        for name in ("text_id", *required):
+            if name not in col:
+                raise DataError(f"{path}: missing required column {name!r}")
+        id_col, rows, first_row = col["text_id"], [], {}
+        for rowno, row in lines:
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: row {rowno} has {len(row)} fields, header has {len(header)}"
+                )
+            first = first_row.setdefault(row[id_col], rowno)
+            if first != rowno:
+                raise DataError(
+                    f"{path}: row {rowno} repeats text_id {row[id_col]!r} of row {first}"
+                )
+            rows.append((rowno, row))
     except csv.Error as exc:
         raise DataError(f"{path}: row {rowno + 1}: {exc}") from None
+    return col, rows
 
 
-def _header(rows, path: str) -> list[str]:
-    try:
-        return next(rows)[1]
-    except StopIteration:
-        raise DataError(f"{path}: empty file, expected a header row") from None
-
-
-def _note_row(path: str, first_row: dict[str, int], text_id: str, lineno: int) -> None:
-    """Record ``text_id``'s first row; a ``DataError`` names both rows of a repeat."""
-    if first_row.setdefault(text_id, lineno) != lineno:
-        raise DataError(
-            f"{path}: row {lineno} repeats text_id {text_id!r} of row {first_row[text_id]}"
-        )
+def _scores(path: str, rowno: int, row: list[str], col: dict[str, int]) -> list[float]:
+    """A row's six TARGETS values; one that is not a number raises DataError
+    naming the file, row, ``text_id`` and column."""
+    values = []
+    for t in TARGETS:
+        raw = row[col[t]]
+        try:
+            values.append(float(raw))
+        except ValueError:
+            raise DataError(
+                f"{path}: row {rowno} ({row[col['text_id']]!r}): bad {t} value {raw!r}"
+            ) from None
+    return values
 
 
 def load_csv(path: str) -> list[EssayRecord]:
@@ -190,44 +215,29 @@ def load_csv(path: str) -> list[EssayRecord]:
     columns are either all present (in any order) or all absent. Each
     ``text_id`` may appear only once.
     """
-    rows = _csv_rows(path)
-    header = _header(rows, path)
-    col = {name: i for i, name in enumerate(header)}
-    for required in ("text_id", "full_text"):
-        if required not in col:
-            raise DataError(f"{path}: missing required column {required!r}")
+    col, rows = _read_table(path, ("full_text",))
     present = [t for t in TARGETS if t in col]
     if present and len(present) != len(TARGETS):
         missing = [t for t in TARGETS if t not in col]
         raise DataError(f"{path}: incomplete score columns, missing {missing}")
-    labeled = bool(present)
-
+    id_col, text_col = col["text_id"], col["full_text"]
     records = []
-    first_row: dict[str, int] = {}
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {lineno} has {len(row)} fields, header has {len(header)}"
-            )
-        text_id = row[col["text_id"]]
-        _note_row(path, first_row, text_id, lineno)
-        scores = None
-        if labeled:
-            values = []
-            for t in TARGETS:
-                raw = row[col[t]]
-                try:
-                    values.append(float(raw))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {lineno} ({text_id!r}): bad {t} value {raw!r}"
-                    ) from None
-            scores = tuple(values)
+    for rowno, row in rows:
+        scores = tuple(_scores(path, rowno, row, col)) if present else None
         try:
-            records.append(EssayRecord(text_id, row[col["full_text"]], scores))
+            records.append(EssayRecord(row[id_col], row[text_col], scores))
         except DataError as exc:
-            raise DataError(f"{path}: row {lineno}: {exc}") from None
+            raise DataError(f"{path}: row {rowno}: {exc}") from None
     return records
+
+
+def write_rows(path: str, header: Sequence[str], rows) -> None:
+    """Write a UTF-8 CSV file: the header, then each row, a cell as its
+    ``str()``, quoted only where it holds a comma, quote or line break."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_csv(records: Sequence[EssayRecord], path: str) -> None:
@@ -236,14 +246,7 @@ def write_csv(records: Sequence[EssayRecord], path: str) -> None:
     if any(labeled) and not all(labeled):
         raise DataError("cannot mix labeled and unlabeled records in one file")
     header = ["text_id", "full_text"] + (list(TARGETS) if all(labeled) and records else [])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for rec in records:
-            row = [rec.text_id, rec.full_text]
-            if rec.scores is not None:
-                row.extend(repr(s) for s in rec.scores)
-            writer.writerow(row)
+    write_rows(path, header, ([r.text_id, r.full_text, *(r.scores or ())] for r in records))
 
 
 def write_predictions(path: str, text_ids: Sequence[str], preds) -> None:
@@ -253,39 +256,21 @@ def write_predictions(path: str, text_ids: Sequence[str], preds) -> None:
         raise DataError(
             f"predictions must be ({len(text_ids)}, {len(TARGETS)}), got {arr.shape}"
         )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["text_id"] + list(TARGETS))
-        for tid, row in zip(text_ids, arr):
-            writer.writerow([tid] + [repr(float(v)) for v in row])
+    write_rows(path, ["text_id", *TARGETS],
+               ([tid, *row] for tid, row in zip(text_ids, arr.tolist())))
 
 
 def load_predictions(path: str) -> tuple[list[str], np.ndarray]:
     """Read a prediction CSV; text_ids must be distinct and values finite but
     are not lattice-checked."""
-    rows = _csv_rows(path)
-    header = _header(rows, path)
-    col = {name: i for i, name in enumerate(header)}
-    for required in ("text_id",) + TARGETS:
-        if required not in col:
-            raise DataError(f"{path}: missing required column {required!r}")
+    col, rows = _read_table(path, TARGETS)
     ids, values = [], []
-    first_row: dict[str, int] = {}
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {lineno} has {len(row)} fields, header has {len(header)}"
-            )
-        text_id = row[col["text_id"]]
-        _note_row(path, first_row, text_id, lineno)
-        ids.append(text_id)
-        try:
-            values.append([float(row[col[t]]) for t in TARGETS])
-        except ValueError as exc:
-            raise DataError(f"{path}: row {lineno}: {exc}") from None
+    for rowno, row in rows:
+        ids.append(row[col["text_id"]])
+        values.append(_scores(path, rowno, row, col))
         for t, v in zip(TARGETS, values[-1]):
             if not math.isfinite(v):
-                raise DataError(f"{path}: row {lineno}: {t} value {row[col[t]]!r} is not finite")
+                raise DataError(f"{path}: row {rowno}: {t} value {row[col[t]]!r} is not finite")
     return ids, np.asarray(values, dtype=np.float64).reshape(len(ids), len(TARGETS))
 
 

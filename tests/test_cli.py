@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from rubric.checkpoint import save_checkpoint
-from rubric.cli import main
+from rubric.cli import _resolve, build_parser, main
 from rubric.config import (
     KEYS,
     ConfigError,
@@ -196,6 +196,32 @@ class TestConfig:
         path = tmp_path / "echo.cfg"
         path.write_text(text)
         assert render_config(resolve_config(parse_config_file(str(path)))) == text
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["train", "--data", "a.csv"], "data.train_csv", "a.csv"),
+        (["train", "--valid", "b.csv"], "data.valid_csv", "b.csv"),
+        (["train", "--seed", "7"], "train.seed", 7),
+        (["train", "--out", "runs/x"], "out.dir", "runs/x"),
+        (["cv", "--data", "a.csv"], "data.train_csv", "a.csv"),
+        (["cv", "--folds", "3"], "cv.k", 3),
+        (["ablate", "--data", "a.csv"], "data.train_csv", "a.csv"),
+        (["ablate", "--folds", "4"], "cv.k", 4),
+        (["ablate", "--seeds", "7,8"], "ablate.seeds", (7, 8)),
+        (["predict", "--checkpoint", "m.bin"], "predict.checkpoint", "m.bin"),
+        (["predict", "--input", "c.csv"], "data.input_csv", "c.csv"),
+        (["predict", "--round"], "predict.round", True),
+        (["score", "t.csv", "p.csv", "--out", "runs/s"], "out.dir", "runs/s"),
+        (["synth", "--n", "20", "o.csv"], "synth.n", 20),
+        (["synth", "--synth-seed", "4", "o.csv"], "synth.seed", 4),
+        (["synth", "--seed", "5", "o.csv"], "train.seed", 5),
+        (["train", "--set", "train.seed=1", "--seed", "2"], "train.seed", 2),  # flags win
+    ])
+    def test_each_flag_sets_its_key_and_no_other(self, argv, key, value):
+        cfg = _resolve(build_parser().parse_args(argv))
+        section, attr, _ = KEYS[key]
+        assert getattr(cfg.train if section == "train" else cfg, attr) == value
+        lines = set(render_config(cfg).splitlines()) - set(render_config(RunConfig()).splitlines())
+        assert {line.split(" = ")[0] for line in lines} == {key}
 
 
 class TestTrainCommand:
@@ -384,6 +410,18 @@ class TestPredictScoreCommands:
         write_predictions(str(pred_path), ["ghost"], np.full((1, 6), 3.0))
         assert run(["score", corpus_csv, pred_path]) == 1
         assert "ghost" in capsys.readouterr().err
+
+    def test_score_rejects_a_header_naming_a_column_twice(self, corpus_csv, tmp_path, capsys):
+        # a second cohesion column after the six must not replace the first
+        ids = [r.text_id for r in load_csv(corpus_csv)]
+        pred_path = tmp_path / "twice.csv"
+        write_predictions(str(pred_path), ids, np.full((len(ids), 6), 3.0))
+        header, *rows = pred_path.read_text().splitlines()
+        pred_path.write_text("".join(line + "\n" for line in
+                                     [header + ",cohesion"] + [row + ",1.0" for row in rows]))
+        assert run(["score", corpus_csv, pred_path]) == 1
+        err = capsys.readouterr().err
+        assert f"{pred_path}: the header names column 'cohesion' twice" in err
 
     def test_score_repeated_id_rejected(self, corpus_csv, tmp_path, capsys):
         from rubric.data import write_predictions

@@ -136,6 +136,17 @@ class TestCsv:
         with pytest.raises(DataError, match=r"preds.csv: row 4 repeats text_id 'a' of row 2"):
             load_predictions(str(path))
 
+    @pytest.mark.parametrize("reader, name, text", [
+        (load_csv, "full_text", "text_id,full_text,full_text\na,one,two\n"),
+        (load_predictions, "cohesion",
+         "text_id,cohesion," + ",".join(TARGETS) + "\na,1,3,3,3,3,3,3\n"),
+    ], ids=["load_csv", "load_predictions"])
+    def test_a_header_naming_a_column_twice_is_rejected(self, tmp_path, reader, name, text):
+        path = tmp_path / "twice.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"twice.csv: the header names column '{name}' twice"):
+            reader(str(path))
+
     def test_quoted_multiline_text_round_trips(self, tmp_path):
         record = EssayRecord("m1", 'line one\nline "two", with comma\n\nline three',
                              (3.0, 3.5, 2.0, 4.0, 1.5, 5.0))
@@ -180,10 +191,17 @@ class TestCsv:
         try:
             records = load_csv(str(path))
         except DataError:
+            pass
+        else:
+            assert all(isinstance(r, EssayRecord) and r.full_text for r in records)
+            assert len({r.text_id for r in records}) == len(records)
+            assert len({r.labeled for r in records}) <= 1
+        try:
+            ids, values = load_predictions(str(path))
+        except DataError:
             return
-        assert all(isinstance(r, EssayRecord) and r.full_text for r in records)
-        assert len({r.text_id for r in records}) == len(records)
-        assert len({r.labeled for r in records}) <= 1
+        assert len(set(ids)) == len(ids)
+        assert values.shape == (len(ids), len(TARGETS)) and np.isfinite(values).all()
 
     def test_invalid_utf8_names_file_and_line(self, tmp_path):
         path = tmp_path / "latin1.csv"
@@ -214,6 +232,13 @@ class TestCsv:
         write_predictions(str(path), ["a", "b"], np.full((2, 6), 3.0))
         path.write_text(path.read_text().replace("3.0\n", "inf\n", 2))
         with pytest.raises(DataError, match=r"preds.csv: row 2: conventions value 'inf'"):
+            load_predictions(str(path))
+
+    def test_bad_prediction_value_names_row_and_column(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        write_predictions(str(path), ["a", "b", "c"], np.full((3, 6), 3.0))
+        path.write_text(path.read_text().replace("c,3.0,", "c,abc,"))
+        with pytest.raises(DataError, match=r"preds.csv: row 4 \('c'\): bad cohesion value 'abc'"):
             load_predictions(str(path))
 
     def test_predictions_round_trip(self, tmp_path):
