@@ -18,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, pool
-from .checkpoint import CheckpointError, load_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config, render_config
 from .crossval import ORDERING_CELLS, default_variants, run_ablation, run_cv
 from .data import (
@@ -49,80 +49,48 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a key = value configuration file")
-    parser.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one configuration key (repeatable)",
-    )
-    parser.add_argument("--out", dest="out.dir", metavar="DIR",
-                        help="output directory (overrides out.dir)")
-    parser.add_argument("--seed", dest="train.seed", type=int, metavar="SEED",
-                        help="override train.seed")
+# flag -> (the key it sets, metavar, help); a flag with no metavar takes no
+# value and sets its key to "true". Values reach their keys as written.
+FLAGS = {
+    "--out": ("out.dir", "DIR", "output directory"),
+    "--seed": ("train.seed", "SEED", "training seed"),
+    "--data": ("data.train_csv", "CSV", "labeled training CSV"),
+    "--valid": ("data.valid_csv", "CSV", "labeled validation CSV"),
+    "--folds": ("cv.k", "K", "number of folds"),
+    "--seeds": ("ablate.seeds", "SEEDS", "comma-separated replication seeds"),
+    "--checkpoint": ("predict.checkpoint", "FILE", "checkpoint file"),
+    "--input": ("data.input_csv", "CSV", "input CSV"),
+    "--round": ("predict.round", None, "snap predictions to the half-point lattice"),
+    "--n": ("synth.n", "N", "number of essays"),
+    "--synth-seed": ("synth.seed", "SEED", "generator seed"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rubric", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rubric {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train one model on a train/valid split")
-    _add_common(p)
-    p.add_argument("--data", dest="data.train_csv", metavar="CSV",
-                   help="labeled training CSV (overrides data.train_csv)")
-    p.add_argument("--valid", dest="data.valid_csv", metavar="CSV",
-                   help="labeled validation CSV (overrides data.valid_csv)")
-
-    p = sub.add_parser("cv", help="stratified k-fold cross-validation")
-    _add_common(p)
-    p.add_argument("--data", dest="data.train_csv", metavar="CSV",
-                   help="labeled training CSV (overrides data.train_csv)")
-    p.add_argument("--folds", dest="cv.k", type=int, metavar="K",
-                   help="number of folds (overrides cv.k)")
-
-    p = sub.add_parser("ablate", help="pooling-mode x AWP comparison grid")
-    _add_common(p)
-    p.add_argument("--data", dest="data.train_csv", metavar="CSV",
-                   help="labeled training CSV (overrides data.train_csv)")
-    p.add_argument("--folds", dest="cv.k", type=int, metavar="K",
-                   help="number of folds (overrides cv.k)")
-    p.add_argument("--seeds", dest="ablate.seeds", metavar="SEEDS",
-                   help="comma-separated replication seeds (overrides ablate.seeds)")
-
-    p = sub.add_parser("predict", help="score unlabeled essays with a checkpoint")
-    _add_common(p)
-    p.add_argument("--checkpoint", dest="predict.checkpoint", metavar="FILE",
-                   help="checkpoint file (overrides predict.checkpoint)")
-    p.add_argument("--input", dest="data.input_csv", metavar="CSV",
-                   help="input CSV (overrides data.input_csv)")
-    p.add_argument("--round", dest="predict.round", action="store_true", default=None,
-                   help="snap predictions to the half-point lattice (sets predict.round)")
-
-    p = sub.add_parser("score", help="MCRMSE between a labeled CSV and predictions")
-    _add_common(p)
-    p.add_argument("truth", help="labeled CSV with true scores")
-    p.add_argument("pred", help="prediction CSV")
-
-    p = sub.add_parser("synth", help="materialize a synthetic corpus CSV")
-    _add_common(p)
-    p.add_argument("--n", dest="synth.n", type=int, metavar="N",
-                   help="number of essays (overrides synth.n)")
-    p.add_argument("--synth-seed", dest="synth.seed", type=int, metavar="SEED",
-                   help="generator seed (overrides synth.seed)")
-    p.add_argument("output", help="destination CSV path")
-
+    for command, (_, summary, flags, positionals) in COMMANDS.items():
+        # no abbreviations: "ablate --seed" would silently read as --seeds
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
+        p.add_argument("--config", help="path to a key = value configuration file")
+        p.add_argument("--set", dest="overrides", action="append", default=[],
+                       metavar="KEY=VALUE", help="override one configuration key (repeatable)")
+        for flag in ("--out", *flags):
+            key, metavar, words = FLAGS[flag]
+            takes = {"metavar": metavar} if metavar else {"action": "store_const", "const": "true"}
+            p.add_argument(flag, dest=key, help=f"{words} (sets {key})", **takes)
+        for name, words in positionals:
+            p.add_argument(name, help=words)
     return parser
 
 
 def _resolve(args) -> RunConfig:
-    """Each flag's dest is the key it sets; a flag given wins over --set."""
-    flags = [f"{key}={value}" for key, value in vars(args).items()
-             if "." in key and value is not None]
-    return load_run_config(args.config, args.overrides + flags)
+    """Each flag's dest is the key it sets; a flag given wins over --set,
+    and its value reaches the key as written."""
+    flags = {key: value for key, value in vars(args).items()
+             if "." in key and value is not None}
+    return load_run_config(args.config, args.overrides, flags)
 
 
 def _prepare_out_dir(cfg: RunConfig, command: str) -> str:
@@ -189,8 +157,8 @@ def cmd_train(cfg: RunConfig) -> int:
     vocab = build_vocab(train_recs, min_count=cfg.min_count)
     model = Model.build(cfg.model_spec(vocab.size), seed=cfg.train.seed, vocab=vocab)
     with fit_pool(cfg.train, len(train_recs)) as workers:  # one round of workers for both
-        report = fit(model, train_recs, valid_recs, cfg.train, pool=workers,
-                     checkpoint_path=os.path.join(out_dir, "checkpoint.bin"))
+        report = fit(model, train_recs, valid_recs, cfg.train, pool=workers)
+        save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), model)
         train_metrics = evaluate_model(model, train_recs, pool=workers)
     _write_train_report(os.path.join(out_dir, "report.csv"), report)
     _write_json(
@@ -347,24 +315,30 @@ def cmd_synth(cfg: RunConfig, output: str) -> int:
     return EXIT_OK
 
 
+# command -> (handler, help, the flags it reads besides --config, --set and
+# --out, its positional arguments as (name, help)); the handler takes the
+# resolved config and then the positional values
+COMMANDS = {
+    "train": (cmd_train, "train one model on a train/valid split",
+              ("--data", "--valid", "--seed"), ()),
+    "cv": (cmd_cv, "stratified k-fold cross-validation", ("--data", "--folds", "--seed"), ()),
+    "ablate": (cmd_ablate, "pooling-mode x AWP comparison grid",
+               ("--data", "--folds", "--seeds"), ()),
+    "predict": (cmd_predict, "score unlabeled essays with a checkpoint",
+                ("--checkpoint", "--input", "--round"), ()),
+    "score": (cmd_score, "MCRMSE between a labeled CSV and predictions", (),
+              (("truth", "labeled CSV with true scores"), ("pred", "prediction CSV"))),
+    "synth": (cmd_synth, "materialize a synthetic corpus CSV", ("--n", "--synth-seed"),
+              (("output", "destination CSV path"),)),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _resolve(args)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "cv":
-            return cmd_cv(cfg)
-        if args.command == "ablate":
-            return cmd_ablate(cfg)
-        if args.command == "predict":
-            return cmd_predict(cfg)
-        if args.command == "score":
-            return cmd_score(cfg, args.truth, args.pred)
-        if args.command == "synth":
-            return cmd_synth(cfg, args.output)
-        raise ConfigError(f"unknown command {args.command!r}")
+        handler, _, _, positionals = COMMANDS[args.command]
+        return handler(_resolve(args), *(getattr(args, name) for name, _ in positionals))
     except (ConfigError, DataError, CheckpointError, OSError, pool.PoolError,
             MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,14 @@
 """Run configuration: dotted-key text files plus command-line overrides.
 
 Grammar: one ``key = value`` pair per line; blank lines and ``#`` comments
-are ignored. Keys mirror the dataclass fields they configure
-(``model.d_model``, ``train.adv_lr``, ...). Precedence, lowest to highest:
-built-in defaults, config file, ``--set`` overrides, then the CLI flags
-that name one key each (``--seed`` sets ``train.seed``). The fully resolved
+are ignored, values are stripped, a key may appear once per file, and
+``none`` (or an empty value) unsets a key whose field admits None. Keys
+mirror the dataclass fields they configure (``model.d_model``,
+``train.adv_lr``, ...). ``--set key=value`` overrides use the same value
+grammar, and a repeated one wins. Precedence, lowest to highest: built-in
+defaults, config file, ``--set`` overrides, then the CLI flags that name
+one key each (``--seed`` sets ``train.seed``), whose values are taken as
+written: ``--out none`` is the directory ``none``. The fully resolved
 configuration is echoed into every output directory.
 """
 
@@ -72,10 +76,6 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-def _optional(parse):
-    return lambda raw: None if raw.lower() in ("", "none") else parse(raw)
-
-
 def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(",") if part.strip())
 
@@ -90,14 +90,13 @@ def _render(value) -> str:
     return str(value)
 
 
-# value parser per field annotation (annotations are strings here)
+# value parser per field annotation (annotations are strings here); an
+# optional field's value parses as the annotation without " | None"
 _PARSERS = {
     "int": int,
     "float": _parse_float,
-    "float | None": _optional(_parse_float),
     "bool": _parse_bool,
     "str": str,
-    "str | None": _optional(str),
     "tuple[int, ...]": _parse_int_list,
 }
 
@@ -119,22 +118,20 @@ _RUN_KEYS = {
 }
 _RUN_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
-# key -> (section, attribute, parser). "model" keys fill RunConfig.model
+# key -> (section, attribute, annotation). "model" keys fill RunConfig.model
 # (model.vocab_size is always derived from the training data), "train" keys
-# build the TrainConfig, "run" keys are RunConfig attributes. A field whose
-# annotation has no parser fails here, at import.
-KEYS: dict[str, tuple] = {
-    **{
-        f"model.{f.name}": ("model", f.name, _PARSERS[f.type])
-        for f in dataclasses.fields(ModelSpec)
-        if f.name != "vocab_size"
-    },
-    **{
-        f"train.{f.name}": ("train", f.name, _PARSERS[f.type])
-        for f in dataclasses.fields(TrainConfig)
-    },
-    **{key: ("run", attr, _PARSERS[_RUN_TYPES[attr]]) for key, attr in _RUN_KEYS.items()},
+# build the TrainConfig, "run" keys are RunConfig attributes.
+_FIELDS = {
+    **{f"model.{f.name}": ("model", f.name, f.type)
+       for f in dataclasses.fields(ModelSpec) if f.name != "vocab_size"},
+    **{f"train.{f.name}": ("train", f.name, f.type) for f in dataclasses.fields(TrainConfig)},
+    **{key: ("run", attr, _RUN_TYPES[attr]) for key, attr in _RUN_KEYS.items()},
 }
+# key -> (section, attribute, parser); an annotation with no parser fails at import
+KEYS: dict[str, tuple] = {key: (section, attr, _PARSERS[kind.removesuffix(" | None")])
+                          for key, (section, attr, kind) in _FIELDS.items()}
+# the keys whose field admits None, which config text unsets with "none"
+_UNSETTABLE = {key for key, (*_, kind) in _FIELDS.items() if kind.endswith(" | None")}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -145,26 +142,40 @@ def parse_config_file(path: str) -> dict[str, str]:
     except DataError as exc:
         raise ConfigError(str(exc)) from None
     pairs: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        pairs[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key in lines:
+            raise ConfigError(f"{path}: key {key!r} is set twice, on lines {lines[key]} "
+                              f"and {lineno}")
+        lines[key] = lineno
+        pairs[key] = value
     return pairs
 
 
-def resolve_config(pairs: dict[str, str]) -> RunConfig:
-    """Turn raw key/value strings into a validated RunConfig."""
+def _from_text(key: str, raw: str) -> str | None:
+    """A config-file or ``--set`` value, stripped; "none" or "" unsets an optional key."""
+    raw = raw.strip()
+    return None if key in _UNSETTABLE and raw.lower() in ("", "none") else raw
+
+
+def resolve_config(pairs: dict[str, str], flags: dict[str, str] | None = None) -> RunConfig:
+    """Turn config-text ``pairs`` and CLI ``flags``, whose values are taken
+    as written and win over ``pairs``, into a validated RunConfig."""
+    given = {key: _from_text(key, raw) for key, raw in pairs.items()}
+    given.update(flags or {})
     values: dict[str, dict] = {"model": {}, "train": {}, "run": {}}
-    for key, raw in pairs.items():
+    for key, raw in given.items():
         if key not in KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
         section, attr, parse = KEYS[key]
         try:
-            values[section][attr] = parse(raw.strip())
+            values[section][attr] = None if raw is None else parse(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from None
     try:
@@ -196,14 +207,14 @@ def render_config(cfg: RunConfig) -> str:
     )
 
 
-def load_run_config(config_path: str | None, overrides: list[str]) -> RunConfig:
-    """Merge file pairs and ``key=value`` override strings, then resolve."""
-    pairs: dict[str, str] = {}
-    if config_path:
-        pairs.update(parse_config_file(config_path))
+def load_run_config(config_path: str | None, overrides: list[str],
+                    flags: dict[str, str] | None = None) -> RunConfig:
+    """Merge file pairs and ``key=value`` override strings, the last of a
+    repeated key winning, then resolve them under ``flags``."""
+    pairs = parse_config_file(config_path) if config_path else {}
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key, _, value = item.partition("=")
-        pairs[key.strip()] = value.strip()
-    return resolve_config(pairs)
+        pairs[key.strip()] = value
+    return resolve_config(pairs, flags)

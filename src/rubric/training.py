@@ -456,7 +456,6 @@ def fit(
     train_records: list[EssayRecord],
     valid_records: list[EssayRecord],
     config: TrainConfig,
-    checkpoint_path: str | None = None,
     pool: pool.Pool | None = None,
 ) -> TrainReport:
     """Train, evaluating on the validation set every epoch.
@@ -466,11 +465,10 @@ def fit(
     ``fit_pool(config, len(train_records))``, opened for the run and closed
     at its end, or killed if training fails. The best-MCRMSE parameters are
     restored into the model, as private copies with no gradients, when
-    training finishes (and written to ``checkpoint_path`` if given); with
-    no best epoch, the last epoch's stay. The report keeps the validation
-    results of those parameters. Until training finishes the parameters are
-    views into the pool's block, as they stay if it fails. Disjoint,
-    nonempty train and validation sets are required.
+    training finishes; with no best epoch, the last epoch's stay. The
+    report keeps the validation results of those parameters. Until training
+    finishes the parameters are views into the pool's block, as they stay
+    if it fails. Disjoint, nonempty train and validation sets are required.
     """
     if not train_records or not valid_records:
         raise ValueError("fit needs nonempty train and validation sets")
@@ -516,10 +514,6 @@ def fit(
 
     if best_snapshot is not None:
         model.load_snapshot(best_snapshot)
-    if checkpoint_path is not None:
-        from .checkpoint import save_checkpoint
-
-        save_checkpoint(checkpoint_path, model)
     return report
 
 

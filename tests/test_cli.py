@@ -213,7 +213,7 @@ class TestConfig:
         (["score", "t.csv", "p.csv", "--out", "runs/s"], "out.dir", "runs/s"),
         (["synth", "--n", "20", "o.csv"], "synth.n", 20),
         (["synth", "--synth-seed", "4", "o.csv"], "synth.seed", 4),
-        (["synth", "--seed", "5", "o.csv"], "train.seed", 5),
+        (["cv", "--seed", "5"], "train.seed", 5),
         (["train", "--set", "train.seed=1", "--seed", "2"], "train.seed", 2),  # flags win
     ])
     def test_each_flag_sets_its_key_and_no_other(self, argv, key, value):
@@ -222,6 +222,77 @@ class TestConfig:
         assert getattr(cfg.train if section == "train" else cfg, attr) == value
         lines = set(render_config(cfg).splitlines()) - set(render_config(RunConfig()).splitlines())
         assert {line.split(" = ")[0] for line in lines} == {key}
+
+    @pytest.mark.parametrize("argv", [
+        ["ablate"], ["predict"], ["score", "t.csv", "p.csv"], ["synth", "o.csv"],
+    ])
+    def test_seed_is_rejected_where_no_command_reads_it(self, argv, tmp_path, capsys):
+        assert run(argv + ["--seed", "9", "--out", tmp_path / "o"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flag, key", [
+        ("cv", "--folds", "cv.k"),
+        ("ablate", "--seeds", "ablate.seeds"),
+    ])
+    def test_a_flag_value_that_does_not_parse_exits_one_naming_it(self, command, flag, key,
+                                                                  capsys):
+        assert run([command, flag, "x"]) == 1
+        err = capsys.readouterr().err
+        assert flag in err or key in err
+
+    def test_flag_values_reach_their_keys_as_written(self, corpus_csv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["synth", "--n", 3, "--out", "none", "o.csv"]) == 0
+        assert "out.dir = none\n" in (tmp_path / "none" / "config.txt").read_text()
+        # the file name keeps its leading space; "x.csv" does not exist
+        os.rename(corpus_csv, tmp_path / " x.csv")
+        assert run(["train", "--data", " x.csv", "--out", "t"] + FAST) == 0
+        assert "data.train_csv =  x.csv\n" in (tmp_path / "t" / "config.txt").read_text()
+        # "none" unsets a key in --set and config files only
+        assert _resolve(build_parser().parse_args(
+            ["synth", "o.csv", "--set", "out.dir=none"])).out_dir is None
+
+    @pytest.mark.parametrize("command, keys", [
+        ("train", {"--out": "out.dir", "--data": "data.train_csv",
+                   "--valid": "data.valid_csv", "--seed": "train.seed"}),
+        ("cv", {"--out": "out.dir", "--data": "data.train_csv", "--folds": "cv.k",
+                "--seed": "train.seed"}),
+        ("ablate", {"--out": "out.dir", "--data": "data.train_csv", "--folds": "cv.k",
+                    "--seeds": "ablate.seeds"}),
+        ("predict", {"--out": "out.dir", "--checkpoint": "predict.checkpoint",
+                     "--input": "data.input_csv", "--round": "predict.round"}),
+        ("score", {"--out": "out.dir"}),
+        ("synth", {"--out": "out.dir", "--n": "synth.n", "--synth-seed": "synth.seed"}),
+    ])
+    def test_each_commands_help_names_the_key_of_each_of_its_flags(self, command, keys,
+                                                                  capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per option
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        named = {line.split()[0]: line for line in lines if "(sets " in line}
+        assert named.keys() == keys.keys()
+        for flag, key in keys.items():
+            assert f"(sets {key})" in named[flag]
+
+    def test_the_readme_example_config_resolves(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        path = tmp_path / "example.cfg"
+        path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+        cfg = resolve_config(parse_config_file(str(path)))
+        assert cfg.model["d_model"] == 64 and cfg.train.adv_lr == 1.0
+        assert cfg.out_dir == "runs/example"
+
+    def test_a_key_set_twice_in_a_file_is_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("train.epochs = 3\n# again\ntrain.epochs = 5\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config_file(str(path))
+        assert str(exc.value) == f"{path}: key 'train.epochs' is set twice, on lines 1 and 3"
+        # a repeated --set override still wins
+        assert load_run_config(None, ["train.epochs=3", "train.epochs=5"]).train.epochs == 5
 
 
 class TestTrainCommand:

@@ -1,4 +1,5 @@
-"""The benchmark's tracer still finds every name it patches in the program."""
+"""The benchmark's tracer still finds every name it patches in the program,
+and the CLI still takes the command lines the benchmark passes."""
 
 import importlib.util
 import sys
@@ -7,26 +8,52 @@ from pathlib import Path
 import numpy as np
 
 from rubric import cli, pool, training
+from rubric.config import render_config
 from rubric.data import build_vocab, synth_corpus, write_csv
 from rubric.encoder import ModelSpec
 from rubric.model import Model
 from rubric.training import TrainConfig
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_spans(monkeypatch):
-    """``perfbench/spans.py`` as a module, read without writing a bytecode
-    cache next to it."""
+def load_perfbench(monkeypatch, name):
+    """``perfbench/<name>.py`` as a module, read without writing a bytecode
+    cache next to it, and listed in ``sys.modules`` for the test only (its
+    dataclasses look their module up there)."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
 
+def test_the_benchmark_command_lines_parse_and_resolve(monkeypatch):
+    workloads = load_perfbench(monkeypatch, "workloads")
+    cases = [
+        (workloads.Train(5, "w").argv("corpus.csv", "run"),
+         {"data.train_csv": "corpus.csv", "out.dir": "run", "train.seed": 5,
+          "train.epochs": workloads.Train.EPOCHS}),
+        # the shapes predict-mixed passes: its checkpoint's training, predict, score
+        (["train", "--data", "ckpt.csv", "--out", "ckpt", "--seed", 5,
+          "--set", "train.epochs=1"],
+         {"data.train_csv": "ckpt.csv", "out.dir": "ckpt", "train.seed": 5, "train.epochs": 1}),
+        (["predict", "--checkpoint", "ckpt/checkpoint.bin", "--input", "essays.csv",
+          "--out", "run"],
+         {"predict.checkpoint": "ckpt/checkpoint.bin", "data.input_csv": "essays.csv",
+          "out.dir": "run"}),
+        (["score", "essays.csv", "run/predictions.csv", "--out", "run/score"],
+         {"out.dir": "run/score"}),
+    ]
+    for argv, expected in cases:
+        cfg = cli._resolve(cli.build_parser().parse_args([str(a) for a in argv]))
+        echo = set(render_config(cfg).splitlines())
+        assert {f"{key} = {value}" for key, value in expected.items()} <= echo, argv
+
+
 def test_every_traced_name_exists_and_is_patched(monkeypatch):
-    spans = load_spans(monkeypatch)
+    spans = load_perfbench(monkeypatch, "spans")
     targets = spans.layer_targets()  # a deleted module attribute fails here
     recorder = spans.Recorder(targets)  # and a deleted function or method here
     # one wrapper per target, each installed at one site or more
@@ -34,7 +61,7 @@ def test_every_traced_name_exists_and_is_patched(monkeypatch):
 
 
 def test_a_traced_prediction_records_its_spans_and_restores_the_program(monkeypatch):
-    spans = load_spans(monkeypatch)
+    spans = load_perfbench(monkeypatch, "spans")
     records = synth_corpus(3, seed=4)
     vocab = build_vocab(records)
     spec = ModelSpec(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16)
@@ -51,7 +78,7 @@ def test_a_traced_prediction_records_its_spans_and_restores_the_program(monkeypa
 
 
 def test_a_traced_fit_records_one_validation_prediction_per_epoch(monkeypatch):
-    spans = load_spans(monkeypatch)
+    spans = load_perfbench(monkeypatch, "spans")
     records = synth_corpus(9, seed=4)
     vocab = build_vocab(records[:6])
     spec = ModelSpec(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16)
@@ -73,7 +100,7 @@ def test_a_traced_fit_records_one_validation_prediction_per_epoch(monkeypatch):
 
 def test_a_traced_train_command_records_one_fit_and_one_training_set_score(
         monkeypatch, tmp_path):
-    spans = load_spans(monkeypatch)
+    spans = load_perfbench(monkeypatch, "spans")
     monkeypatch.setattr(pool, "_forced_workers", 0)  # in-process
     write_csv(synth_corpus(9, seed=4), str(tmp_path / "corpus.csv"))
     recorder = spans.Recorder(spans.layer_targets())
