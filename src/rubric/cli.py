@@ -50,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # flag -> (the key it sets, metavar, help); a flag with no metavar takes no
-# value and sets its key to "true". Values reach their keys as written.
+# value and sets its key to "true".
 FLAGS = {
     "--out": ("out.dir", "DIR", "output directory"),
     "--seed": ("train.seed", "SEED", "training seed"),
@@ -86,11 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args) -> RunConfig:
-    """Each flag's dest is the key it sets; a flag given wins over --set,
-    and its value reaches the key as written."""
-    flags = {key: value for key, value in vars(args).items()
-             if "." in key and value is not None}
-    return load_run_config(args.config, args.overrides, flags)
+    """Each flag's dest is the key it sets; a flag given is one more
+    ``key=value`` override after the --set ones, so it wins."""
+    flags = [f"{key}={value}" for key, value in vars(args).items()
+             if "." in key and value is not None]
+    return load_run_config(args.config, args.overrides + flags)
 
 
 def _prepare_out_dir(cfg: RunConfig, command: str) -> str:
@@ -101,9 +101,10 @@ def _prepare_out_dir(cfg: RunConfig, command: str) -> str:
     return out_dir
 
 
-def _load_labeled(path: str | None, what: str):
-    if not path:
-        raise ConfigError(f"{what} CSV is required (set data.train_csv or pass --data)")
+def _load_labeled(path: str | None, missing: str = "a training CSV is required: pass --data "
+                  "or set data.train_csv (a value of none or an empty one unsets a key)"):
+    if not path:  # ``missing`` names how the command is given this CSV
+        raise ConfigError(missing)
     records = load_csv(path)
     if not records:
         raise DataError(f"{path}: no records")
@@ -143,9 +144,9 @@ def _write_train_report(path: str, report: TrainReport) -> None:
 
 def cmd_train(cfg: RunConfig) -> int:
     out_dir = _prepare_out_dir(cfg, "train")
-    records = _load_labeled(cfg.train_csv, "training")
+    records = _load_labeled(cfg.train_csv)
     if cfg.valid_csv:
-        train_recs, valid_recs = records, _load_labeled(cfg.valid_csv, "validation")
+        train_recs, valid_recs = records, _load_labeled(cfg.valid_csv)
     else:
         if len(records) < 2:
             raise DataError(
@@ -180,7 +181,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_cv(cfg: RunConfig) -> int:
     out_dir = _prepare_out_dir(cfg, "cv")
-    records = _load_labeled(cfg.train_csv, "training")
+    records = _load_labeled(cfg.train_csv)
     _check_folds(cfg, records)
     result = run_cv(
         records,
@@ -217,7 +218,7 @@ def cmd_cv(cfg: RunConfig) -> int:
 
 def cmd_ablate(cfg: RunConfig) -> int:
     out_dir = _prepare_out_dir(cfg, "ablate")
-    records = _load_labeled(cfg.train_csv, "training")
+    records = _load_labeled(cfg.train_csv)
     _check_folds(cfg, records)
     if cfg.ablate_full_grid:
         variants = default_variants()
@@ -274,7 +275,7 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def cmd_score(cfg: RunConfig, truth_path: str, pred_path: str) -> int:
-    truth_records = _load_labeled(truth_path, "truth")
+    truth_records = _load_labeled(truth_path, "a truth CSV is required: pass it as TRUTH")
     pred_ids, preds = load_predictions(pred_path)
     by_id = {r.text_id: r for r in truth_records}
     missing = [i for i in pred_ids if i not in by_id]

@@ -1,15 +1,16 @@
 """Run configuration: dotted-key text files plus command-line overrides.
 
 Grammar: one ``key = value`` pair per line; blank lines and ``#`` comments
-are ignored, values are stripped, a key may appear once per file, and
-``none`` (or an empty value) unsets a key whose field admits None. Keys
-mirror the dataclass fields they configure (``model.d_model``,
-``train.adv_lr``, ...). ``--set key=value`` overrides use the same value
-grammar, and a repeated one wins. Precedence, lowest to highest: built-in
-defaults, config file, ``--set`` overrides, then the CLI flags that name
-one key each (``--seed`` sets ``train.seed``), whose values are taken as
-written: ``--out none`` is the directory ``none``. The fully resolved
-configuration is echoed into every output directory.
+are ignored, and a key may appear once per file. Keys mirror the dataclass
+fields they configure (``model.d_model``, ``train.adv_lr``, ...). Every
+value, from a file, a ``--set key=value`` override or a CLI flag, is read
+the same way: stripped, with ``none`` (or an empty value) unsetting a key
+whose field admits None. A value may not hold a line break or a character
+UTF-8 cannot encode, since the resolved configuration is echoed into every
+output directory as a ``config.txt`` in this grammar, which reads back to
+the same run. Precedence, lowest to highest: built-in defaults, config
+file, ``--set`` overrides, then the CLI flags that name one key each
+(``--seed`` sets ``train.seed``); a flag is the last override of its key.
 """
 
 from __future__ import annotations
@@ -158,24 +159,20 @@ def parse_config_file(path: str) -> dict[str, str]:
     return pairs
 
 
-def _from_text(key: str, raw: str) -> str | None:
-    """A config-file or ``--set`` value, stripped; "none" or "" unsets an optional key."""
-    raw = raw.strip()
-    return None if key in _UNSETTABLE and raw.lower() in ("", "none") else raw
-
-
-def resolve_config(pairs: dict[str, str], flags: dict[str, str] | None = None) -> RunConfig:
-    """Turn config-text ``pairs`` and CLI ``flags``, whose values are taken
-    as written and win over ``pairs``, into a validated RunConfig."""
-    given = {key: _from_text(key, raw) for key, raw in pairs.items()}
-    given.update(flags or {})
+def resolve_config(pairs: dict[str, str]) -> RunConfig:
+    """Turn config-text ``pairs`` into a validated RunConfig."""
     values: dict[str, dict] = {"model": {}, "train": {}, "run": {}}
-    for key, raw in given.items():
+    for key, raw in pairs.items():
         if key not in KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
         section, attr, parse = KEYS[key]
+        value = raw.strip()
         try:
-            values[section][attr] = None if raw is None else parse(raw)
+            if "\n" in raw or "\r" in raw:  # config.txt holds one key per line
+                raise ValueError("a line break cannot be echoed to config.txt")
+            value.encode("utf-8")  # nor a lone surrogate: config.txt is UTF-8
+            unset = key in _UNSETTABLE and value.lower() in ("", "none")
+            values[section][attr] = None if unset else parse(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from None
     try:
@@ -207,14 +204,13 @@ def render_config(cfg: RunConfig) -> str:
     )
 
 
-def load_run_config(config_path: str | None, overrides: list[str],
-                    flags: dict[str, str] | None = None) -> RunConfig:
+def load_run_config(config_path: str | None, overrides: list[str]) -> RunConfig:
     """Merge file pairs and ``key=value`` override strings, the last of a
-    repeated key winning, then resolve them under ``flags``."""
+    repeated key winning, and resolve them."""
     pairs = parse_config_file(config_path) if config_path else {}
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key, _, value = item.partition("=")
         pairs[key.strip()] = value
-    return resolve_config(pairs, flags)
+    return resolve_config(pairs)

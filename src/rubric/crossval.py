@@ -494,7 +494,7 @@ def run_ablation(
         ordering["note"] = (
             "orderings matched"
             if ordering["matched"]
-            else "documented deviation: toy-scale ordering differs; margins are within noise"
+            else "documented deviation: toy-scale ordering differs"
         )
     return AblationResult(rows=rows, summary=summary, ordering=ordering,
                           seed_plans=seed_plans)

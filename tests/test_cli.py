@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rubric.checkpoint import save_checkpoint
-from rubric.cli import _resolve, build_parser, main
+from rubric.cli import COMMANDS, FLAGS, _resolve, build_parser, main
 from rubric.config import (
     KEYS,
     ConfigError,
@@ -64,6 +65,40 @@ NON_DEFAULT = {
     "ablate.seeds": "7,8", "ablate.full_grid": "false", "predict.checkpoint": "m.bin",
     "predict.round": "true", "synth.n": "20", "synth.seed": "4", "out.dir": "runs/x",
 }
+
+
+# values a grammar may read other than as written: padded, unsetting,
+# holding "=" or "#", non-ASCII, or split by str.splitlines but not by a file
+AWKWARD = [" x.csv", "x.csv\t", "none", " None ", "", " ", "a=b", "#x", "x # y", "é.csv",
+           "数据.csv", "\u00a0y\u3000", "p\u2028q\x85r", "d\nx", "\r"]
+
+
+@st.composite
+def given_values(draw):
+    """A command's argv whose keys are each given by flag, ``--set`` or
+    config file; the same argv with ``--set`` in place of each flag; the
+    lines of that file; and the command's positional arguments."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = {FLAGS[flag][0]: (flag, FLAGS[flag][1]) for flag in ("--out", *COMMANDS[command][2])}
+    argv, as_set, lines = [command], [command], []
+    for key in draw(st.lists(st.sampled_from(sorted(KEYS)), max_size=4, unique=True)):
+        value = draw(st.sampled_from([NON_DEFAULT[key], *AWKWARD]) | st.text(max_size=6))
+        source = draw(st.sampled_from(["flag", "set", "file"]))
+        if source == "flag" and key in flags:
+            flag, metavar = flags[key]
+            argv.append(f"{flag}={value}" if metavar else flag)
+            as_set.append(f"--set={key}={value if metavar else 'true'}")
+        elif source == "file" and "\n" not in value and "\r" not in value:
+            lines.append(f"{key} = {value}\n")
+        else:
+            argv.append(f"--set={key}={value}")
+            as_set.append(argv[-1])
+    return argv, as_set, lines, [name for name, _ in COMMANDS[command][3]]
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config")
 
 
 @pytest.fixture()
@@ -241,17 +276,68 @@ class TestConfig:
         err = capsys.readouterr().err
         assert flag in err or key in err
 
-    def test_flag_values_reach_their_keys_as_written(self, corpus_csv, tmp_path, monkeypatch):
+    def test_a_flag_is_read_as_the_last_set_of_its_key(self, corpus_csv, tmp_path,
+                                                        monkeypatch):
         monkeypatch.chdir(tmp_path)
+        # "none" unsets out.dir, so synth writes no config.txt anywhere
         assert run(["synth", "--n", 3, "--out", "none", "o.csv"]) == 0
-        assert "out.dir = none\n" in (tmp_path / "none" / "config.txt").read_text()
-        # the file name keeps its leading space; "x.csv" does not exist
-        os.rename(corpus_csv, tmp_path / " x.csv")
+        assert sorted(os.listdir(tmp_path)) == ["corpus.csv", "o.csv"]
+        # values are stripped: " x.csv" reads x.csv
+        os.rename(corpus_csv, tmp_path / "x.csv")
         assert run(["train", "--data", " x.csv", "--out", "t"] + FAST) == 0
-        assert "data.train_csv =  x.csv\n" in (tmp_path / "t" / "config.txt").read_text()
-        # "none" unsets a key in --set and config files only
+        assert "data.train_csv = x.csv\n" in (tmp_path / "t" / "config.txt").read_text()
+        # a flag comes after every --set, wherever it stands in argv
         assert _resolve(build_parser().parse_args(
-            ["synth", "o.csv", "--set", "out.dir=none"])).out_dir is None
+            ["synth", "o.csv", "--out", "d", "--set", "out.dir=none"])).out_dir == "d"
+
+    @given(given_values())
+    @settings(max_examples=300)
+    def test_every_source_reads_one_grammar_and_config_txt_reads_back(self, config_dir, case):
+        argv, as_set, lines, positionals = case
+        given_file = config_dir / "given.cfg"
+        given_file.write_text("".join(lines), encoding="utf-8")
+        resolve = lambda args: _resolve(build_parser().parse_args(
+            args + ["--config", str(given_file)] + positionals))
+        try:
+            cfg = resolve(argv)
+        except ConfigError:
+            with pytest.raises(ConfigError):
+                resolve(as_set)
+            return
+        assert not any("\n" in arg or "\r" in arg for arg in argv)
+        text = render_config(cfg)
+        assert render_config(resolve(as_set)) == text
+        # the run's config.txt, given back, resolves to the same run
+        given_file.write_text(text, encoding="utf-8")
+        assert render_config(resolve([argv[0]])) == text
+
+    @pytest.mark.parametrize("argv, key", [
+        (["synth", "--n", "2", "--out", "d\nx", "o.csv"], "out.dir"),
+        (["synth", "--n", "2", "--set", "out.dir=d\rx", "o.csv"], "out.dir"),
+        (["train", "--data", "a.csv\n"], "data.train_csv"),
+        (["synth", "--n", "2", "--out", "\udcff", "o.csv"], "out.dir"),  # undecodable argv
+    ])
+    def test_a_value_config_txt_cannot_hold_exits_one_naming_its_key(self, argv, key, tmp_path,
+                                                                      monkeypatch, capsys):
+        # config.txt is UTF-8 text with one key per line
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 1
+        assert f"bad value for {key}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv, named", [
+        (["score", "", "p.csv"], ["TRUTH"]),
+        (["train", "--data", "none"], ["--data", "data.train_csv", "none"]),
+        (["cv", "--set", "data.train_csv="], ["--data", "data.train_csv", "none"]),
+        (["ablate", "--data", " "], ["--data", "data.train_csv", "none"]),
+    ])
+    def test_a_missing_input_names_how_the_command_takes_it(self, argv, named, tmp_path,
+                                                            capsys):
+        assert run(argv + ["--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert all(word in err for word in named), err
+        if argv[0] == "score":  # which takes neither
+            assert "--data" not in err and "data.train_csv" not in err
 
     @pytest.mark.parametrize("command, keys", [
         ("train", {"--out": "out.dir", "--data": "data.train_csv",
@@ -592,6 +678,36 @@ class TestSynthCommand:
 
     def test_usage_error_exits_one(self, capsys):
         assert run(["train", "--bogus-flag"]) == 1
+
+
+class TestRerunFromConfig:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seed", 3] + FAST,
+        ["cv", "--folds", 3, "--seed", 4] + FAST,
+        ["ablate", "--folds", 2, "--seeds", "0"] + FAST,  # the full grid
+        ["predict", "--round"],
+    ], ids=["train", "cv", "ablate", "predict"])
+    def test_a_runs_config_txt_reproduces_its_artifacts(self, argv, corpus_csv, tmp_path):
+        if argv[0] == "predict":
+            vocab = build_vocab(load_csv(corpus_csv))
+            spec = ModelSpec(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16)
+            save_checkpoint(str(tmp_path / "m.bin"), Model.build(spec, seed=0, vocab=vocab))
+            argv = argv + ["--checkpoint", tmp_path / "m.bin", "--input", corpus_csv]
+        else:
+            argv = argv + ["--data", corpus_csv]
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run(argv + ["--out", first]) == 0
+        assert run([argv[0], "--config", first / "config.txt", "--out", again]) == 0
+        assert sorted(os.listdir(again)) == sorted(os.listdir(first))
+        for name in os.listdir(first):
+            pair = [(root / name).read_bytes().splitlines() for root in (first, again)]
+            # out.dir and the seconds column are the two fields that may differ
+            if name == "config.txt":
+                pair = [[line for line in lines if not line.startswith(b"out.dir = ")]
+                        for lines in pair]
+            elif name.startswith("report"):
+                pair = [[line.rsplit(b",", 1)[0] for line in lines] for lines in pair]
+            assert pair[0] == pair[1], name
 
 
 class TestBadInputFiles:

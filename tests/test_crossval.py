@@ -1,5 +1,7 @@
+import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -349,6 +351,26 @@ class TestAblation:
         assert by_name["6ap+awp"].pooling_mode == by_name["6ap"].pooling_mode
         assert by_name["6ap+awp"].awp and not by_name["6ap"].awp
         assert len(variants) == 6
+
+    def test_a_failed_ordering_claims_no_margin_it_did_not_measure(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        # the six-head AWP cell scores worst, so the paper's ordering fails
+        worst = {"six_metric_attention": 0.9, "single_attention": 0.5, "mean": 0.6}
+
+        def scored_cv(records, spec, config, **kwargs):
+            score = worst[spec.pooling_mode] - (0.1 if config.adv_lr > 0 else 0.0)
+            return SimpleNamespace(pooled=SimpleNamespace(mcrmse=score), fold_mean_mcrmse=score)
+
+        monkeypatch.setattr(crossval, "run_cv", scored_cv)
+        data, out = tmp_path / "corpus.csv", tmp_path / "out"
+        write_csv(synth_corpus(12, seed=7), str(data))
+        assert cli.main(["ablate", "--data", str(data), "--out", str(out), "--folds", "2",
+                         "--seeds", "0"]) == 0
+        ordering = json.loads((out / "summary.json").read_text())["ordering"]
+        assert ordering["matched"] is False
+        note = "documented deviation: toy-scale ordering differs"
+        assert ordering["note"] == note
+        assert f"ablate: {note}\n" in capsys.readouterr().out
 
     def test_csv_emission(self, tmp_path, monkeypatch):
         records = synth_corpus(12, seed=7)

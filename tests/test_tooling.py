@@ -1,5 +1,6 @@
 """The benchmark's tracer still finds every name it patches in the program,
-and the CLI still takes the command lines the benchmark passes."""
+and the CLI still takes the command lines the benchmark passes and records
+each in a config.txt that reads back to it."""
 
 import importlib.util
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from rubric import cli, pool, training
-from rubric.config import render_config
+from rubric.config import load_run_config, render_config
 from rubric.data import build_vocab, synth_corpus, write_csv
 from rubric.encoder import ModelSpec
 from rubric.model import Model
@@ -29,7 +30,7 @@ def load_perfbench(monkeypatch, name):
     return module
 
 
-def test_the_benchmark_command_lines_parse_and_resolve(monkeypatch):
+def test_the_benchmark_command_lines_parse_and_resolve(monkeypatch, tmp_path):
     workloads = load_perfbench(monkeypatch, "workloads")
     cases = [
         (workloads.Train(5, "w").argv("corpus.csv", "run"),
@@ -48,8 +49,12 @@ def test_the_benchmark_command_lines_parse_and_resolve(monkeypatch):
     ]
     for argv, expected in cases:
         cfg = cli._resolve(cli.build_parser().parse_args([str(a) for a in argv]))
-        echo = set(render_config(cfg).splitlines())
-        assert {f"{key} = {value}" for key, value in expected.items()} <= echo, argv
+        text = render_config(cfg)
+        expected = {f"{key} = {value}" for key, value in expected.items()}
+        assert expected <= set(text.splitlines()), argv
+        # what the run records in its config.txt reads back to the same record
+        (tmp_path / "config.txt").write_text(text, encoding="utf-8")
+        assert render_config(load_run_config(str(tmp_path / "config.txt"), [])) == text, argv
 
 
 def test_every_traced_name_exists_and_is_patched(monkeypatch):
