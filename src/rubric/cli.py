@@ -94,6 +94,8 @@ def _resolve(args) -> RunConfig:
 
 
 def _prepare_out_dir(cfg: RunConfig, command: str) -> str:
+    # each command calls this once its inputs have loaded, so a run that
+    # fails on them leaves no config.txt describing it
     out_dir = cfg.resolved_out_dir(command)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
@@ -143,7 +145,6 @@ def _write_train_report(path: str, report: TrainReport) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    out_dir = _prepare_out_dir(cfg, "train")
     records = _load_labeled(cfg.train_csv)
     if cfg.valid_csv:
         train_recs, valid_recs = records, _load_labeled(cfg.valid_csv)
@@ -157,6 +158,7 @@ def cmd_train(cfg: RunConfig) -> int:
         )
     vocab = build_vocab(train_recs, min_count=cfg.min_count)
     model = Model.build(cfg.model_spec(vocab.size), seed=cfg.train.seed, vocab=vocab)
+    out_dir = _prepare_out_dir(cfg, "train")
     with fit_pool(cfg.train, len(train_recs)) as workers:  # one round of workers for both
         report = fit(model, train_recs, valid_recs, cfg.train, pool=workers)
         save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), model)
@@ -180,9 +182,9 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_cv(cfg: RunConfig) -> int:
-    out_dir = _prepare_out_dir(cfg, "cv")
     records = _load_labeled(cfg.train_csv)
     _check_folds(cfg, records)
+    out_dir = _prepare_out_dir(cfg, "cv")
     result = run_cv(
         records,
         cfg.model_spec(vocab_size=2),  # per-fold vocab replaces this
@@ -217,9 +219,9 @@ def cmd_cv(cfg: RunConfig) -> int:
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
-    out_dir = _prepare_out_dir(cfg, "ablate")
     records = _load_labeled(cfg.train_csv)
     _check_folds(cfg, records)
+    out_dir = _prepare_out_dir(cfg, "ablate")
     if cfg.ablate_full_grid:
         variants = default_variants()
     else:
@@ -254,7 +256,6 @@ def cmd_ablate(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
-    out_dir = _prepare_out_dir(cfg, "predict")
     if not cfg.predict_checkpoint:
         raise ConfigError("predict needs a checkpoint (set predict.checkpoint or --checkpoint)")
     if not cfg.input_csv:
@@ -265,6 +266,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     records = load_csv(cfg.input_csv)
     if not records:
         raise DataError(f"{cfg.input_csv}: no records")
+    out_dir = _prepare_out_dir(cfg, "predict")
     preds = model.predict_records(
         records, clip=True, round_to_lattice=cfg.predict_round
     )

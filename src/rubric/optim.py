@@ -1,4 +1,5 @@
-"""Adam with decoupled weight decay, plus gradient-norm clipping."""
+"""Adam with decoupled weight decay, and a global gradient-norm clip
+(``clip_grad_norm``) that training does not use."""
 
 from __future__ import annotations
 
@@ -80,26 +81,12 @@ class AdamW:
             p.grad = None
 
 
-def squared_norm(g: np.ndarray) -> float:
-    return float((g * g).sum())
-
-
-def clip_scale(squares, max_norm: float) -> tuple[float, float | None]:
-    """The global L2 norm of gradients whose squared norms are ``squares``,
-    added in order, and the factor that scales it to ``max_norm``, or None
-    when it is within it."""
-    total = 0.0
-    for square in squares:
-        total += square
-    total = total**0.5
-    return total, (max_norm / total if total > max_norm and total > 0.0 else None)
-
-
 def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients in place so their global L2 norm is <= max_norm."""
+    """Scale all gradients in place so their global L2 norm is <= max_norm;
+    returns the norm before scaling."""
     grads = [p.grad for p in params.values() if p.grad is not None]
-    total, scale = clip_scale([squared_norm(g) for g in grads], max_norm)
-    if scale is not None:
+    total = sum(float((g * g).sum()) for g in grads) ** 0.5
+    if total > max_norm and total > 0.0:
         for g in grads:
-            g *= scale
+            g *= max_norm / total
     return total

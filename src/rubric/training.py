@@ -30,7 +30,7 @@ from . import pool
 from .data import DataError, EssayRecord
 from .encoder import dropout_draws
 from .metrics import MetricsReport, mcrmse
-from .optim import ADAM_BETAS, ADAM_EPS, adamw_update, clip_scale, squared_norm
+from .optim import ADAM_BETAS, ADAM_EPS, adamw_update
 from .tensor import NumericError, Tensor
 
 if TYPE_CHECKING:  # model imports pool, which imports this module
@@ -57,7 +57,6 @@ class TrainConfig:
     adv_steps: int = 1
     seed: int = 0
     loss_kind: str = "smooth_l1"
-    grad_clip_norm: float | None = None
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -74,8 +73,6 @@ class TrainConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
-            raise ValueError("grad_clip_norm must be positive when set")
 
     @property
     def awp_enabled(self) -> bool:
@@ -219,9 +216,9 @@ class Shard:
     are views into the block; the AWP snapshot and the AdamW moments, flat
     over the shard's span of the block, belong to the shard. Its dense
     parameters lie between its embedding tables, if it has any, so they are
-    summed as one slice of the block, and the whole span is scaled and
-    stepped as one. ``run`` applies a list of operations, so one message to
-    a worker does a whole phase of a step.
+    summed as one slice of the block, and the whole span is stepped as
+    one. ``run`` applies a list of operations, so one message to a worker
+    does a whole phase of a step.
     """
 
     def __init__(self, block, names: list[str], params: dict[str, Tensor]):
@@ -283,14 +280,6 @@ class Shard:
     def restore(self) -> None:
         restore(self.params, self.snapshot)
         self.snapshot = {}
-
-    def norms(self) -> dict[str, float]:
-        """The squared norm of each parameter's gradient."""
-        return {name: squared_norm(p.grad) for name, p in self.params.items()}
-
-    def scale(self, factor: float) -> None:
-        a, b = self.span
-        self.block.grad[a:b] *= factor
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -407,12 +396,6 @@ class Trainer:
             ops.append(("restore",))
             self.awp_snapshots_created += 1
 
-        if cfg.grad_clip_norm is not None:
-            squares = {}
-            for shard in self.pool.shards(ops + [("norms",)]):
-                squares.update(shard)
-            _, factor = clip_scale([squares[name] for name in self.params], cfg.grad_clip_norm)
-            ops = [] if factor is None else [("scale", factor)]
         failed = set(self.pool.shards(ops + [("step",)])) - {None}
         if failed:
             name = next(name for name in self.params if name in failed)

@@ -59,7 +59,7 @@ NON_DEFAULT = {
     "train.epochs": "4", "train.batch_size": "3", "train.learning_rate": "0.001",
     "train.weight_decay": "0.01", "train.adv_lr": "0.5", "train.adv_eps": "0.02",
     "train.awp_start_epoch": "3", "train.adv_steps": "2",
-    "train.seed": "9", "train.loss_kind": "mse", "train.grad_clip_norm": "1.5",
+    "train.seed": "9", "train.loss_kind": "mse",
     "data.train_csv": "a.csv", "data.valid_csv": "b.csv", "data.input_csv": "c.csv",
     "data.valid_fraction": "0.3", "data.min_count": "2", "cv.k": "3",
     "ablate.seeds": "7,8", "ablate.full_grid": "false", "predict.checkpoint": "m.bin",
@@ -152,6 +152,16 @@ class TestConfig:
         assert code == 1
         assert "unknown configuration key 'model.n_targets'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["file", "set"])
+    def test_grad_clip_norm_is_an_unknown_key(self, source, corpus_csv, tmp_path, capsys):
+        # training does not clip, so a config that asks for it is refused
+        path = tmp_path / "run.cfg"
+        path.write_text("train.grad_clip_norm = 1.0\n")
+        given = ["--config", path] if source == "file" else ["--set", "train.grad_clip_norm=1"]
+        assert run(["train", "--data", corpus_csv, "--out", tmp_path / "o"] + given) == 1
+        assert "unknown configuration key 'train.grad_clip_norm'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_value_rejected(self):
         from rubric.config import ConfigError
 
@@ -175,7 +185,6 @@ class TestConfig:
     @pytest.mark.parametrize("key, raw", [
         ("train.learning_rate", "nan"),
         ("train.adv_eps", "inf"),
-        ("train.grad_clip_norm", "-inf"),
         ("model.dropout_p", "nan"),
         ("data.valid_fraction", "1.5"),
         ("data.valid_fraction", "0"),
@@ -338,6 +347,19 @@ class TestConfig:
         assert all(word in err for word in named), err
         if argv[0] == "score":  # which takes neither
             assert "--data" not in err and "data.train_csv" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "nope.csv"],
+        ["cv", "--data", "nope.csv"],
+        ["ablate", "--data", "nope.csv"],
+        ["predict", "--checkpoint", "nope.bin", "--input", "corpus.csv"],
+    ], ids=["train", "cv", "ablate", "predict"])
+    def test_an_input_that_fails_to_load_leaves_no_output_dir(self, argv, corpus_csv, tmp_path,
+                                                              monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv + ["--out", "o"]) == 1
+        assert "nope" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, keys", [
         ("train", {"--out": "out.dir", "--data": "data.train_csv",

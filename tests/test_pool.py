@@ -82,10 +82,9 @@ class TestSameBitsAtEveryWorkerCount:
             f"model.pooling_mode={mode}", f"train.adv_lr={adv_lr}", "train.awp_start_epoch=2",
             "model.dropout_p=0.1"])
 
-    def test_train_clipped_with_decay_and_two_adv_steps(self, monkeypatch, corpus, tmp_path):
+    def test_train_with_decay_and_two_adv_steps(self, monkeypatch, corpus, tmp_path):
         self.train_bits(monkeypatch, corpus, tmp_path, [
-            "train.grad_clip_norm=0.05", "train.adv_steps=2", "train.weight_decay=0.01",
-            "train.awp_start_epoch=1"])
+            "train.adv_steps=2", "train.weight_decay=0.01", "train.awp_start_epoch=1"])
 
     def test_cv(self, monkeypatch, corpus, tmp_path):
         names = ("fold_plan.json", "oof.csv", "cv_metrics.json", "report_fold0.csv",
