@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, pool
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config, render_config
-from .crossval import ORDERING_CELLS, default_variants, run_ablation, run_cv
+from .crossval import default_variants, run_ablation, run_cv
 from .data import (
     DataError,
     TARGETS,
@@ -94,8 +94,8 @@ def _resolve(args) -> RunConfig:
 
 
 def _prepare_out_dir(cfg: RunConfig, command: str) -> str:
-    # each command calls this once its inputs have loaded, so a run that
-    # fails on them leaves no config.txt describing it
+    # each command calls this once its run has returned, so a run that
+    # fails on its inputs or inside its checks leaves no directory at all
     out_dir = cfg.resolved_out_dir(command)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
@@ -158,9 +158,9 @@ def cmd_train(cfg: RunConfig) -> int:
         )
     vocab = build_vocab(train_recs, min_count=cfg.min_count)
     model = Model.build(cfg.model_spec(vocab.size), seed=cfg.train.seed, vocab=vocab)
-    out_dir = _prepare_out_dir(cfg, "train")
     with fit_pool(cfg.train, len(train_recs)) as workers:  # one round of workers for both
         report = fit(model, train_recs, valid_recs, cfg.train, pool=workers)
+        out_dir = _prepare_out_dir(cfg, "train")
         save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), model)
         train_metrics = evaluate_model(model, train_recs, pool=workers)
     _write_train_report(os.path.join(out_dir, "report.csv"), report)
@@ -184,7 +184,6 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_cv(cfg: RunConfig) -> int:
     records = _load_labeled(cfg.train_csv)
     _check_folds(cfg, records)
-    out_dir = _prepare_out_dir(cfg, "cv")
     result = run_cv(
         records,
         cfg.model_spec(vocab_size=2),  # per-fold vocab replaces this
@@ -193,6 +192,7 @@ def cmd_cv(cfg: RunConfig) -> int:
         seed=cfg.train.seed,
         min_count=cfg.min_count,
     )
+    out_dir = _prepare_out_dir(cfg, "cv")
     _write_json(os.path.join(out_dir, "fold_plan.json"), asdict(result.plan))
     ids = [r.text_id for r in records]
     write_predictions(
@@ -205,7 +205,7 @@ def cmd_cv(cfg: RunConfig) -> int:
         {
             "pooled": asdict(result.pooled),
             "fold_mean_mcrmse": result.fold_mean_mcrmse,
-            "folds": [asdict(r) for r in result.fold_reports],
+            "folds": [asdict(r.valid) for r in result.train_reports],
             "mean_baseline": asdict(result.baseline),
         },
     )
@@ -221,21 +221,16 @@ def cmd_cv(cfg: RunConfig) -> int:
 def cmd_ablate(cfg: RunConfig) -> int:
     records = _load_labeled(cfg.train_csv)
     _check_folds(cfg, records)
-    out_dir = _prepare_out_dir(cfg, "ablate")
-    if cfg.ablate_full_grid:
-        variants = default_variants()
-    else:
-        by_label = {v.name: v for v in default_variants()}
-        variants = [by_label[c] for c in ORDERING_CELLS]
     result = run_ablation(
         records,
         cfg.model_spec(vocab_size=2),
         cfg.train,
         k=cfg.cv_k,
         seeds=cfg.ablate_seeds,
-        variants=variants,
+        variants=default_variants(cfg.ablate_full_grid),
         min_count=cfg.min_count,
     )
+    out_dir = _prepare_out_dir(cfg, "ablate")
     write_rows(os.path.join(out_dir, "ablation.csv"),
                "variant,pooling,awp,seed,cv_pooled,cv_fold_mean".split(","),
                [(r.variant, r.pooling_mode, int(r.awp), r.seed, r.cv_pooled, r.cv_fold_mean)
@@ -266,10 +261,10 @@ def cmd_predict(cfg: RunConfig) -> int:
     records = load_csv(cfg.input_csv)
     if not records:
         raise DataError(f"{cfg.input_csv}: no records")
-    out_dir = _prepare_out_dir(cfg, "predict")
     preds = model.predict_records(
         records, clip=True, round_to_lattice=cfg.predict_round
     )
+    out_dir = _prepare_out_dir(cfg, "predict")
     out_path = os.path.join(out_dir, "predictions.csv")
     write_predictions(out_path, [r.text_id for r in records], preds)
     print(f"predict: wrote {len(records)} rows to {out_path}")

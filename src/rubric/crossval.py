@@ -299,12 +299,11 @@ def random_kfold(records: list[EssayRecord], k: int = 5, seed: int = 0) -> FoldP
 @dataclass
 class CvResult:
     plan: FoldPlan
-    fold_reports: list[MetricsReport]
+    train_reports: list[TrainReport]  # one per fold; its ``valid`` scores the fold
     pooled: MetricsReport  # MCRMSE over concatenated out-of-fold predictions
     fold_mean_mcrmse: float
     baseline: MetricsReport  # per-fold train-mean constant predictor
     oof: dict[str, tuple[float, ...]]
-    train_reports: list[TrainReport] = field(default_factory=list)
 
 
 def _fold_seed(seed: int, fold: int) -> int:
@@ -349,7 +348,6 @@ def run_cv(
         raise ValueError(f"fold plan is missing records: {sorted(missing)[:3]}")
 
     oof: dict[str, tuple[float, ...]] = {}
-    fold_reports: list[MetricsReport] = []
     train_reports: list[TrainReport] = []
     for fold in range(plan.k):
         train_recs = [r for r in records if plan.assignment[r.text_id] != fold]
@@ -361,7 +359,6 @@ def run_cv(
         config = replace(train_config, seed=fold_seed)
         report = fit(model, train_recs, valid_recs, config)
         train_reports.append(report)
-        fold_reports.append(report.valid)
         for rec, row in zip(valid_recs, report.valid_predictions):
             oof[rec.text_id] = tuple(float(v) for v in row)
 
@@ -369,12 +366,11 @@ def run_cv(
     pred_all = np.array([oof[r.text_id] for r in records], dtype=np.float64)
     return CvResult(
         plan=plan,
-        fold_reports=fold_reports,
+        train_reports=train_reports,
         pooled=mcrmse(truth_all, pred_all),
-        fold_mean_mcrmse=float(np.mean([r.mcrmse for r in fold_reports])),
+        fold_mean_mcrmse=float(np.mean([r.valid.mcrmse for r in train_reports])),
         baseline=mean_baseline_cv(records, plan),
         oof=oof,
-        train_reports=train_reports,
     )
 
 
@@ -382,10 +378,14 @@ def run_cv(
 # ablation grid
 
 
-VARIANT_LABELS = {
-    "six_metric_attention": "6ap",
-    "single_attention": "ap",
-    "mean": "mean",
+# the pooling x AWP grid in report order: label -> (pooling mode, AWP on)
+CELLS = {
+    "6ap+awp": ("six_metric_attention", True),
+    "6ap": ("six_metric_attention", False),
+    "ap+awp": ("single_attention", True),
+    "ap": ("single_attention", False),
+    "mean+awp": ("mean", True),
+    "mean": ("mean", False),
 }
 
 # the three cells whose ordering mirrors the reference comparison
@@ -399,13 +399,9 @@ class AblationVariant:
     awp: bool
 
 
-def default_variants() -> list[AblationVariant]:
-    variants = []
-    for mode in ("six_metric_attention", "single_attention", "mean"):
-        for awp in (True, False):
-            label = VARIANT_LABELS[mode] + ("+awp" if awp else "")
-            variants.append(AblationVariant(label, mode, awp))
-    return variants
+def default_variants(full_grid: bool = True) -> list[AblationVariant]:
+    """Every cell of ``CELLS`` in table order, or else ``ORDERING_CELLS`` in theirs."""
+    return [AblationVariant(n, *CELLS[n]) for n in (CELLS if full_grid else ORDERING_CELLS)]
 
 
 @dataclass
@@ -444,9 +440,7 @@ def run_ablation(
     if variants is None:
         variants = default_variants()
     cfg = train_config
-    if any(v.awp for v in variants) and (
-        not cfg.awp_enabled or cfg.awp_start_epoch > cfg.epochs
-    ):
+    if any(v.awp for v in variants) and not cfg.awp_active(cfg.epochs):
         raise ConfigError(
             "the AWP cells would never perturb: they need train.adv_lr > 0 and "
             f"train.adv_eps > 0 (got {cfg.adv_lr!r} and {cfg.adv_eps!r}) and "

@@ -79,6 +79,10 @@ class TrainConfig:
         # either knob at zero disables perturbation exactly
         return self.adv_lr > 0.0 and self.adv_eps > 0.0
 
+    def awp_active(self, epoch: int) -> bool:
+        """Whether training steps in ``epoch`` (counted from 1) perturb."""
+        return self.awp_enabled and epoch >= self.awp_start_epoch
+
 
 # A snapshot maps parameter path -> a copy of its original (pre-perturbation)
 # values. Perturbation writes the weights in place, wherever they live, and
@@ -325,9 +329,6 @@ class Trainer:
         pool.shards([("start", config.learning_rate, config.weight_decay)])
         self.opt: Shard | None = self.block.shard  # every parameter's; None on workers
 
-    def _awp_active(self, epoch: int) -> bool:
-        return self.config.awp_enabled and epoch >= self.config.awp_start_epoch
-
     def _backward_pass(
         self, batch: list[tuple[list[int], np.ndarray]], pass_idx: int, what: str
     ) -> float:
@@ -384,7 +385,7 @@ class Trainer:
             raise NumericError(self._diagnose(str(exc), epoch)) from None
         ops = [("reduce", len(batch), True)]
 
-        if self._awp_active(epoch):
+        if cfg.awp_active(epoch):
             try:
                 for adv_pass in range(cfg.adv_steps):
                     self.pool.shards(ops + [("perturb", cfg.adv_lr, cfg.adv_eps)])
@@ -484,7 +485,7 @@ def fit(
                     train_loss=train_loss,
                     valid_mcrmse=valid.mcrmse,
                     per_target_rmse=valid.per_target_rmse,
-                    awp_active=trainer._awp_active(epoch),
+                    awp_active=config.awp_active(epoch),
                     seconds=seconds,
                 )
             )

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import struct
 import zlib
 from pathlib import Path
@@ -361,6 +362,22 @@ class TestConfig:
         assert "nope" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, culprit", [
+        (["train", "--data", "a.csv", "--valid", "b.csv"], "overlap in 4 text_ids"),
+        (["ablate", "--data", "a.csv", "--folds", "2", "--set", "train.adv_lr=0"],
+         "train.adv_lr"),
+    ], ids=["train-overlapping-valid", "ablate-awp-never-perturbs"])
+    def test_a_run_that_fails_a_check_inside_it_leaves_no_output_dir(self, argv, culprit,
+                                                                     tmp_path, monkeypatch,
+                                                                     capsys):
+        monkeypatch.chdir(tmp_path)
+        records = synth_corpus(14, seed=17)
+        write_csv(records[:10], "a.csv")
+        write_csv(records[6:], "b.csv")  # shares four text_ids with a.csv
+        assert run(argv + ["--out", "o"] + FAST) == 1
+        assert culprit in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, keys", [
         ("train", {"--out": "out.dir", "--data": "data.train_csv",
                    "--valid": "data.valid_csv", "--seed": "train.seed"}),
@@ -392,6 +409,16 @@ class TestConfig:
         cfg = resolve_config(parse_config_file(str(path)))
         assert cfg.model["d_model"] == 64 and cfg.train.adv_lr == 1.0
         assert cfg.out_dir == "runs/example"
+
+    def test_the_readme_quickstart_commands_parse_and_resolve(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        block = re.search(r"## Quickstart\n\n```bash\n(.*?)```", readme, re.S).group(1)
+        argvs = [shlex.split(line)[1:] for line in block.splitlines()
+                 if line.startswith("rubric ")]
+        assert {argv[0] for argv in argvs} == set(COMMANDS)
+        parser = build_parser()
+        for argv in argvs:
+            _resolve(parser.parse_args(argv))  # runs nothing
 
     def test_a_key_set_twice_in_a_file_is_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -481,6 +508,7 @@ class TestTrainCommand:
         )
         assert code == 2
         assert "numeric" in capsys.readouterr().err.lower()
+        assert not (tmp_path / "boom").exists()
 
 
 class TestPredictScoreCommands:

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from rubric import cli, crossval
 from rubric.config import ConfigError
 from rubric.crossval import (
+    ORDERING_CELLS,
     SWAP_BLOCK,
     FoldPlan,
     _augmented,
@@ -259,14 +260,13 @@ class TestRunCv:
         records = synth_corpus(8, seed=6)
         result = run_cv(records, fast_spec(), fast_cfg(), k=2, seed=0)
         assert result.plan.fold_sizes == [4, 4]
-        assert len(result.fold_reports) == 2
         assert len(result.train_reports) == 2
         # out-of-fold predictions cover every record exactly once
         assert sorted(result.oof) == sorted(r.text_id for r in records)
         assert result.pooled.n_records == 8
         assert np.isfinite(result.pooled.mcrmse)
         assert abs(
-            result.fold_mean_mcrmse - np.mean([r.mcrmse for r in result.fold_reports])
+            result.fold_mean_mcrmse - np.mean([r.valid.mcrmse for r in result.train_reports])
         ) <= 1e-12
 
     def test_deterministic(self):
@@ -350,7 +350,14 @@ class TestAblation:
         by_name = {v.name: v for v in variants}
         assert by_name["6ap+awp"].pooling_mode == by_name["6ap"].pooling_mode
         assert by_name["6ap+awp"].awp and not by_name["6ap"].awp
-        assert len(variants) == 6
+        assert [(v.name, v.pooling_mode, v.awp) for v in variants] == [
+            ("6ap+awp", "six_metric_attention", True), ("6ap", "six_metric_attention", False),
+            ("ap+awp", "single_attention", True), ("ap", "single_attention", False),
+            ("mean+awp", "mean", True), ("mean", "mean", False),
+        ]
+        # the short grid runs the ordering's cells in the ordering's order
+        assert [v.name for v in default_variants(False)] == list(ORDERING_CELLS)
+        assert ORDERING_CELLS == ("6ap+awp", "ap+awp", "6ap")
 
     def test_a_failed_ordering_claims_no_margin_it_did_not_measure(self, tmp_path, monkeypatch,
                                                                    capsys):

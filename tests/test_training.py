@@ -54,6 +54,11 @@ class TestTrainConfig:
         assert not TrainConfig(adv_lr=0.0, adv_eps=0.5).awp_enabled
         assert not TrainConfig(adv_lr=0.5, adv_eps=0.0).awp_enabled
         assert TrainConfig(adv_lr=0.5, adv_eps=0.5).awp_enabled
+        # the one rule for when a step perturbs: enabled, from awp_start_epoch on
+        on = TrainConfig(adv_lr=0.5, adv_eps=0.5, awp_start_epoch=3)
+        assert not on.awp_active(2) and on.awp_active(3) and on.awp_active(4)
+        assert not TrainConfig(adv_lr=0.0, adv_eps=0.5, awp_start_epoch=1).awp_active(1)
+        assert not TrainConfig(adv_lr=0.5, adv_eps=0.0, awp_start_epoch=1).awp_active(1)
 
 
 class TestPerturb:
