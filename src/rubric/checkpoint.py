@@ -3,25 +3,23 @@
 Layout (all integers little-endian):
 
     magic     4 bytes  b"RBRC"
-    version   u32      currently 2
+    version   u32      currently 3
     hdr_len   u32      length of the UTF-8 JSON header
-    header    bytes    {"model_spec", "target_order" (always TARGETS),
-                        "vocab_tokens" (id order, ids start at 2) or null}
-    n_params  u32
-    then per parameter:
-      path_len u16, path utf-8,
-      ndim     u8,  dims u32 * ndim,
-      payload  float64 little-endian, C order
+    header    bytes    {"model_spec", "parameters" ([[name, shape], ...] in
+                        Model.named_parameters() order), "target_order"
+                        (always TARGETS), "vocab_tokens" (id order, ids start
+                        at 2) or null}
+    payload   float64 little-endian, every parameter's values in C order,
+              back to back in the header's order
     crc32     u32      zlib CRC32 of every preceding byte
 
-Parameter paths are "enc.*" for the encoder and "head.<name>.*" for the
+Parameter names are "enc.*" for the encoder and "head.<name>.*" for the
 pooling heads (per-target names in six_metric_attention mode, "shared"
 otherwise).
 """
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 import zlib
@@ -34,39 +32,32 @@ from .encoder import ModelSpec
 from .model import Model
 
 MAGIC = b"RBRC"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(ValueError):
     """Corrupt or incompatible checkpoint file."""
 
 
+def _parameter_list(model: Model) -> list:
+    """[[name, shape], ...] of ``model``'s parameters, as the header holds them."""
+    return [[name, list(p.data.shape)] for name, p in model.named_parameters().items()]
+
+
 def save_checkpoint(path: str, model: Model) -> None:
     header = {
         "model_spec": asdict(model.spec),
+        "parameters": _parameter_list(model),
         "target_order": list(TARGETS),
         "vocab_tokens": list(model.vocab.tokens) if model.vocab is not None else None,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    params = model.named_parameters()
-    parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(header_bytes)), header_bytes,
-             struct.pack("<I", len(params))]
-    for name, tensor in params.items():
-        encoded = name.encode("utf-8")
-        arr = np.ascontiguousarray(tensor.data, dtype="<f8")
-        parts += [struct.pack("<H", len(encoded)), encoded,
-                  struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes(order="C")]
-    body = b"".join(parts)
+    body = b"".join([MAGIC, struct.pack("<II", FORMAT_VERSION, len(header_bytes)), header_bytes]
+                    + [np.asarray(p.data, dtype="<f8").tobytes()
+                       for p in model.named_parameters().values()])
     with open(path, "wb") as fh:
         fh.write(body)
         fh.write(struct.pack("<I", zlib.crc32(body)))
-
-
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return buf
 
 
 def load_checkpoint(path: str) -> Model:
@@ -80,7 +71,8 @@ def load_checkpoint(path: str) -> Model:
 
 
 def _model_from_header(raw: bytes) -> Model:
-    """A freshly built model matching the header's spec and vocabulary."""
+    """A freshly built model matching the header's spec and vocabulary,
+    whose parameters the header lists, in order."""
     try:
         header = json.loads(raw.decode("utf-8"))
     except ValueError as exc:
@@ -98,53 +90,43 @@ def _model_from_header(raw: bytes) -> Model:
     try:
         spec = ModelSpec(**header["model_spec"])
         vocab = Vocabulary(tokens) if tokens is not None else None
-        return Model.build(spec, seed=0, vocab=vocab)
+        model = Model.build(spec, seed=0, vocab=vocab)
     except (TypeError, ValueError, MemoryError) as exc:
         raise CheckpointError(f"invalid model_spec or vocabulary in header: {exc}") from None
+    # in order: a reordered list would load same-shaped tensors into each other
+    listed, built = header.get("parameters"), _parameter_list(model)
+    if listed != built:
+        listed = listed if isinstance(listed, list) else []
+        i = next(i for i in range(len(built) + 1)
+                 if i in (len(listed), len(built)) or listed[i] != built[i])
+        raise CheckpointError(
+            f"header parameters list {listed[i] if i < len(listed) else 'nothing'} at entry "
+            f"{i}, where its model_spec builds {built[i] if i < len(built) else 'nothing'}"
+        )
+    return model
 
 
 def _read_model(data: bytes) -> Model:
-    fh = io.BytesIO(data)
-    if _read_exact(fh, 4, "magic") != MAGIC:
+    if data[:4] != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
-    (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+    if len(data) < 16:
+        raise CheckpointError(f"truncated checkpoint of {len(data)} bytes")
+    version, hdr_len = struct.unpack("<II", data[4:12])
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format version {version}")
-    if len(data) < 12 or zlib.crc32(data[:-4]) != struct.unpack("<I", data[-4:])[0]:
+    if zlib.crc32(data[:-4]) != struct.unpack("<I", data[-4:])[0]:
         raise CheckpointError("CRC32 mismatch: the file is truncated or corrupted")
-    fh = io.BytesIO(data[8:-4])
-    (hdr_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-    model = _model_from_header(_read_exact(fh, hdr_len, "header"))
+    model = _model_from_header(data[12:12 + hdr_len])
     params = model.named_parameters()
-
-    (n_params,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
-    seen = set()
-    for _ in range(n_params):
-        (path_len,) = struct.unpack("<H", _read_exact(fh, 2, "path length"))
-        name = _read_exact(fh, path_len, "path").decode("utf-8", errors="replace")
-        (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "ndim"))
-        shape = tuple(
-            struct.unpack("<I", _read_exact(fh, 4, "dim"))[0] for _ in range(ndim)
-        )
-        if name not in params:
-            raise CheckpointError(f"unknown parameter {name!r}")
-        if name in seen:
-            raise CheckpointError(f"duplicate parameter {name!r}")
-        if params[name].data.shape != shape:
-            raise CheckpointError(
-                f"parameter {name!r} has shape {shape}, "
-                f"model expects {params[name].data.shape}"
-            )
-        # shape is checked first, so corrupt dims never size this read
-        payload = _read_exact(fh, params[name].data.size * 8, f"payload of {name}")
-        arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
-        if not np.isfinite(arr).all():
+    # an hdr_len past the payload leaves it empty, which no model's parameters fit
+    payload = data[12 + hdr_len:-4]
+    sizes = [p.data.size for p in params.values()]
+    if len(payload) != 8 * sum(sizes):
+        raise CheckpointError(f"payload holds {len(payload)} bytes, "
+                              f"where the parameters take {8 * sum(sizes)}")
+    values = np.split(np.frombuffer(payload, dtype="<f8"), np.cumsum(sizes)[:-1])
+    for (name, p), flat in zip(params.items(), values):
+        if not np.isfinite(flat).all():
             raise CheckpointError(f"parameter {name!r} holds a non-finite value")
-        params[name].data = np.ascontiguousarray(arr, dtype=np.float64)
-        seen.add(name)
-    missing = set(params) - seen
-    if missing:
-        raise CheckpointError(f"missing parameters {sorted(missing)[:3]}")
-    if fh.read(1):
-        raise CheckpointError("trailing bytes after the last parameter")
+        p.data = np.ascontiguousarray(flat.reshape(p.data.shape), dtype=np.float64)
     return model

@@ -8,7 +8,7 @@ are handled by accumulating per-sequence losses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -92,20 +92,12 @@ class EncoderState:
     lnf_b: Tensor
 
     def named_parameters(self) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {
-            "enc.tok_emb": self.tok_emb,
-            "enc.pos_emb": self.pos_emb,
-        }
+        """Every parameter by name, in the order a checkpoint's payload holds them."""
+        params: dict[str, Tensor] = {"enc.tok_emb": self.tok_emb, "enc.pos_emb": self.pos_emb}
         for i, layer in enumerate(self.layers):
-            prefix = f"enc.layer{i}"
-            for name in (
-                "wq", "wk", "wv", "wo", "bq", "bv", "bo",
-                "ln1_g", "ln1_b", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2",
-            ):
-                params[f"{prefix}.{name}"] = getattr(layer, name)
-        params["enc.lnf_g"] = self.lnf_g
-        params["enc.lnf_b"] = self.lnf_b
-        return params
+            for field in fields(LayerState):
+                params[f"enc.layer{i}.{field.name}"] = getattr(layer, field.name)
+        return params | {"enc.lnf_g": self.lnf_g, "enc.lnf_b": self.lnf_b}
 
 
 INIT_STD = 0.02

@@ -204,7 +204,6 @@ class _Block:
                                     for (name, shape), (a, b) in zip(order, self.spans.values())}
                                    for flat in (self.weights, self.grad))
         self.shards = [self.names]  # the names each worker owns, set by the pool
-        self.shard = None  # this process's training.Shard, made when it gets the block
         self.slots = [(next(arrays), next(arrays), [(next(arrays), next(arrays)) for _ in tables])
                       for _ in range(n_slots)]  # (dense part, counts, [(ids, rows) per table])
 
@@ -342,8 +341,7 @@ def _child(requests, replies, inherited: list, model, block: _Block, index: int)
         params = model.named_parameters()
         for name, p in params.items():
             p.data = block.params[name]
-        block.shard = training.Shard(block, block.shards[index], params)
-        serve(requests, replies, model, block)
+        serve(requests, replies, model, training.Shard(block, block.shards[index], params))
         code = 0
     except BaseException:  # the parent learns of it from the exit code
         os.write(2, traceback.format_exc().encode())
@@ -360,7 +358,8 @@ class Pool:
     Each worker owns a shard of the model's training state: it sums its
     parameters' gradient slots, perturbs and restores them for AWP, and
     keeps their AdamW moments; with no workers, one shard in the parent
-    holds every parameter.
+    (``shard``) holds every parameter. A pool serves one model: the first
+    it binds.
     """
 
     def __init__(self, n_workers: int, n_slots: int = 0):
@@ -368,6 +367,8 @@ class Pool:
         self._workers: list[_Worker] = []
         self._selector = selectors.DefaultSelector() if n_workers else None  # an open fd
         self._block: _Block | None = None
+        self._model = None  # the one model the block was made for
+        self.shard: training.Shard | None = None  # every parameter's, with no workers
         self._closed = False
 
     def __enter__(self) -> Pool:
@@ -398,6 +399,9 @@ class Pool:
         onto it, each with its shard of the parameters (``partition``)."""
         if self._closed:
             raise PoolError("the pool is closed")
+        if self._block is not None and model is not self._model:
+            raise PoolError("a pool serves only the model it first bound; "
+                            "give another model a pool of its own")
         params = model.named_parameters()
         if self._block is None:
             shapes = tuple((name, p.shape) for name, p in params.items())
@@ -405,7 +409,7 @@ class Pool:
                 block = _Block((shapes, model.spec.max_seq_len, self._n_slots))
                 block.shards = partition(block, max(self._n_workers, 1))
                 if not self._n_workers:
-                    block.shard = training.Shard(block, block.names, params)
+                    self.shard = training.Shard(block, block.names, params)
                 for index in range(self._n_workers):
                     worker = _fork_worker(model, block, index)
                     self._workers.append(worker)
@@ -413,7 +417,7 @@ class Pool:
             except BaseException:
                 self.close(kill=True)
                 raise
-            self._block = block
+            self._block, self._model = block, model
         self._block.publish(params)
         return self._block
 
@@ -458,7 +462,7 @@ class Pool:
         if self._closed:
             raise PoolError("the pool is closed")
         if not self._n_workers:
-            return [_answer(job, model, self._block) for job in jobs]
+            return [_answer(job, model, self.shard) for job in jobs]
         order = sorted(range(len(jobs)), key=lambda i: -costs[i]) if costs else []
         replies = [None] * len(jobs)
         queued = {worker: collections.deque() for worker in self._workers}
@@ -503,31 +507,31 @@ class Pool:
         return PoolError(f"worker process {worker.pid} {how}; its job is lost")
 
 
-def _answer(job, model, block: _Block | None) -> tuple:
+def _answer(job, model, shard: training.Shard | None) -> tuple:
     """The job handler, which ``serve`` wraps with a worker's pipes and a
     pool with no workers calls in the parent: the reply to ``job``, less the
-    "ok" a worker sends before it, on ``model``, whose parameters are
-    ``block``'s while it trains, or on this process's shard of them."""
+    "ok" a worker sends before it, on ``model``, whose parameters are those
+    of ``shard``'s block while it trains, or on this process's ``shard``."""
     if job[0] == "grad":
         _, slot, ids, targets, loss_kind, scale, stream, offset = job
         loss, grads = training.sequence_gradients(model, ids, targets, loss_kind, scale,
                                                   training.dropout_stream(*stream, offset))
-        block.write_slot(slot, grads)
+        shard.block.write_slot(slot, grads)
         return (loss,)
     if job[0] == "shard":
-        return (block.shard.run(job[1]),)
+        return (shard.run(job[1]),)
     return (model.predict_ids(job[1]).tolist(),)  # "predict"
 
 
-def serve(requests, replies, model, block: _Block) -> None:
+def serve(requests, replies, model, shard: training.Shard) -> None:
     """A worker's main loop: answer the parent's jobs (``_answer``) on
-    ``model``, whose parameters are ``block``'s, read from the ``requests``
-    connection, on ``replies`` until the parent closes ``requests``. A
+    ``model``, whose parameters are in ``shard``'s block, read from
+    ``requests``, on ``replies`` until the parent closes ``requests``. A
     job's exception is reported back, for the parent to raise."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers itself
     while (job := _recv(requests)) is not None:
         try:
-            reply = ("ok", *_answer(job, model, block))
+            reply = ("ok", *_answer(job, model, shard))
         except Exception as exc:  # reported to the parent, which raises it there
             reply = ("error", type(exc).__name__, str(exc))
         _send(replies, reply)

@@ -327,7 +327,7 @@ class Trainer:
         self.pool = pool
         self.block = pool.bind(model)
         pool.shards([("start", config.learning_rate, config.weight_decay)])
-        self.opt: Shard | None = self.block.shard  # every parameter's; None on workers
+        self.opt: Shard | None = pool.shard  # every parameter's; None on workers
 
     def _backward_pass(
         self, batch: list[tuple[list[int], np.ndarray]], pass_idx: int, what: str

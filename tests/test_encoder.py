@@ -1,6 +1,8 @@
 import json
+import re
 import struct
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -280,56 +282,60 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(path))
 
-    @staticmethod
-    def _split(data):
-        """(header dict, parameter records) of a saved checkpoint's bytes."""
+    def test_the_header_lists_every_parameter_and_the_payload_holds_only_values(
+            self, tmp_path):
+        model = self._model()
+        path = tmp_path / "model.bin"
+        save_checkpoint(str(path), model)
+        data = path.read_bytes()
+        header, payload = self._split(data)
+        params = model.named_parameters()
+        assert header["parameters"] == [[n, list(p.data.shape)] for n, p in params.items()]
+        assert payload == b"".join(p.data.astype("<f8").tobytes() for p in params.values())
         (hdr_len,) = struct.unpack("<I", data[8:12])
-        header = json.loads(data[12 : 12 + hdr_len])
-        body = data[12 + hdr_len + 4 : -4]
-        records, pos = [], 0
-        while pos < len(body):
-            start = pos
-            (path_len,) = struct.unpack("<H", body[pos : pos + 2])
-            pos += 2 + path_len
-            ndim = body[pos]
-            dims = struct.unpack(f"<{ndim}I", body[pos + 1 : pos + 1 + 4 * ndim])
-            pos += 1 + 4 * ndim + 8 * int(np.prod(dims))
-            records.append(body[start:pos])
-        return header, records
+        assert len(data) == 16 + hdr_len + 8 * sum(p.data.size for p in params.values())
 
     @staticmethod
-    def _join(header_bytes, records, tail=b""):
-        """Checkpoint bytes around ``records``, with ``tail`` before a valid CRC32."""
+    def _split(data):
+        """(header dict, payload) of a saved checkpoint's bytes."""
+        (hdr_len,) = struct.unpack("<I", data[8:12])
+        return json.loads(data[12 : 12 + hdr_len]), data[12 + hdr_len : -4]
+
+    @staticmethod
+    def _join(header_bytes, payload):
+        """Checkpoint bytes of ``header_bytes`` and ``payload`` under a valid CRC32."""
         body = (b"RBRC" + struct.pack("<II", FORMAT_VERSION, len(header_bytes))
-                + header_bytes + struct.pack("<I", len(records)) + b"".join(records) + tail)
+                + header_bytes + payload)
         return body + struct.pack("<I", zlib.crc32(body))
 
     def _corrupted(self, tmp_path, case):
         path = tmp_path / "model.bin"
         save_checkpoint(str(path), self._model())
         data = path.read_bytes()
-        header, records = self._split(data)
-        assert self._join(json.dumps(header, sort_keys=True).encode(), records) == data
+        header, payload = self._split(data)
+        assert self._join(json.dumps(header, sort_keys=True).encode(), payload) == data
+        listed = header["parameters"]
         if case == "trailing":
-            data = self._join(json.dumps(header, sort_keys=True).encode(), records,
-                              tail=b"\x00")
+            payload += b"\x00"
+        elif case == "short":
+            payload = payload[:-1]
         elif case == "duplicate":
-            data = self._join(json.dumps(header, sort_keys=True).encode(),
-                              records + records[:1])
-        elif case == "not-json":
-            data = self._join(b"{not json", records)
+            listed.append(listed[0])
+        elif case == "reordered":  # two same-shaped tensors: the payload still fits
+            listed[2], listed[3] = listed[3], listed[2]
+        elif case == "reshaped":
+            listed[0][1].reverse()
         elif case == "target-order":
             header["target_order"].reverse()
-            data = self._join(json.dumps(header).encode(), records)
-        else:
+        elif case != "not-json":
             edit = {
                 "unknown-key": {"width": 3},
                 "bad-value": {"d_model": -8},
                 "vocab-size": {"vocab_size": 99},
             }[case]
             header["model_spec"].update(edit)
-            data = self._join(json.dumps(header).encode(), records)
-        path.write_bytes(data)
+        header_bytes = b"{not json" if case == "not-json" else json.dumps(header).encode()
+        path.write_bytes(self._join(header_bytes, payload))
         return path
 
     MALFORMED = {
@@ -337,8 +343,14 @@ class TestCheckpoint:
         "unknown-key": "width",
         "bad-value": "d_model must be positive",
         "vocab-size": "vocab size",
-        "trailing": "trailing bytes",
-        "duplicate": "duplicate parameter 'enc.tok_emb'",
+        "trailing": r"payload holds \d+ bytes, where the parameters take \d+$",
+        "short": r"payload holds \d+ bytes, where the parameters take \d+$",
+        "duplicate": re.escape("list ['enc.tok_emb', [23, 8]] at entry 52, "
+                               "where its model_spec builds nothing"),
+        "reordered": re.escape("list ['enc.layer0.wk', [8, 8]] at entry 2, "
+                               "where its model_spec builds ['enc.layer0.wq', [8, 8]]"),
+        "reshaped": re.escape("list ['enc.tok_emb', [8, 23]] at entry 0, "
+                              "where its model_spec builds ['enc.tok_emb', [23, 8]]"),
         "target-order": "target_order",
     }
 
@@ -349,17 +361,37 @@ class TestCheckpoint:
             load_checkpoint(str(path))
         assert str(path) in str(info.value)
 
+    def _older_format(self, version):
+        """The bytes of ``self._model()`` in format 1's or 2's layout: a
+        parameter count and, per parameter, its name, dims and values after
+        the header; format 2 ends in a CRC32."""
+        model = self._model()
+        header = {"model_spec": asdict(model.spec), "target_order": list(TARGETS),
+                  "vocab_tokens": list(model.vocab.tokens)}
+        if version == 1:
+            header["format_version"] = 1  # version 1 kept a copy in its header...
+        header_bytes = json.dumps(header).encode()
+        params = model.named_parameters()
+        body = (b"RBRC" + struct.pack("<II", version, len(header_bytes)) + header_bytes
+                + struct.pack("<I", len(params)))
+        for name, p in params.items():
+            body += (struct.pack("<H", len(name)) + name.encode()
+                     + struct.pack(f"<B{p.data.ndim}I", p.data.ndim, *p.data.shape)
+                     + p.data.astype("<f8").tobytes())
+        if version == 1:
+            return body  # ...and had no CRC32 trailer
+        return body + struct.pack("<I", zlib.crc32(body))
+
     def test_version_one_file_rejected_naming_the_version(self, tmp_path):
         path = tmp_path / "model.bin"
-        save_checkpoint(str(path), self._model())
-        header, records = self._split(path.read_bytes())
-        header["format_version"] = 1  # version 1 kept a copy in its header...
-        header_bytes = json.dumps(header).encode()
-        path.write_bytes(  # ...and had no CRC32 trailer
-            b"RBRC" + struct.pack("<II", 1, len(header_bytes)) + header_bytes
-            + struct.pack("<I", len(records)) + b"".join(records)
-        )
+        path.write_bytes(self._older_format(1))
         with pytest.raises(CheckpointError, match="unsupported format version 1"):
+            load_checkpoint(str(path))
+
+    def test_version_two_file_rejected_naming_the_version(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(self._older_format(2))
+        with pytest.raises(CheckpointError, match="unsupported format version 2"):
             load_checkpoint(str(path))
 
     def test_one_header_byte_changed_rejected(self, tmp_path):
@@ -398,10 +430,11 @@ class TestCheckpoint:
 
 
 ENCODER_NAMES = (
-    ["enc.tok_emb", "enc.pos_emb", "enc.lnf_g", "enc.lnf_b"]
+    ["enc.tok_emb", "enc.pos_emb"]
     + [f"enc.layer{i}.{name}" for i in range(2) for name in (
         "wq", "wk", "wv", "wo", "bq", "bv", "bo",
         "ln1_g", "ln1_b", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2")]
+    + ["enc.lnf_g", "enc.lnf_b"]
 )
 
 
@@ -412,7 +445,7 @@ ENCODER_NAMES = (
     ("mean", ["head.shared.out_w", "head.shared.out_b"]),
 ])
 def test_model_parameter_names_per_pooling_mode(mode, head_names):
+    # in order: a checkpoint's payload holds the values in this order
     names = list(Model.build(tiny_spec(pooling_mode=mode), seed=0).named_parameters())
-    assert len(names) == len(set(names))
-    assert set(names) == set(ENCODER_NAMES + head_names)
+    assert names == ENCODER_NAMES + head_names
     assert len(names) == {"six_metric_attention": 52, "single_attention": 37, "mean": 36}[mode]

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import errno
+import gc
 import os
 import resource
 import signal
@@ -12,6 +13,7 @@ import textwrap
 import threading
 import time
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -511,6 +513,52 @@ def test_a_fitted_model_holds_nothing_of_the_pools_block(monkeypatch, workers):
     fit(model, records[:9], records[9:], TrainConfig(epochs=1, batch_size=4))
     for p in model.named_parameters().values():  # private copies, and no gradients
         assert p.data.base is None and p.grad is None
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_a_finished_fits_block_is_freed_without_the_cyclic_collector(monkeypatch, workers):
+    monkeypatch.setattr(pool, "_forced_workers", workers)
+    blocks = []
+    bind = pool.Pool.bind
+
+    def recording_bind(self, model):
+        block = bind(self, model)
+        blocks.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(pool.Pool, "bind", recording_bind)
+    model, records = small_model(seed=6)
+    gc.collect()
+    gc.disable()  # only reference counting frees what the fit leaves
+    try:
+        fit(model, records[:9], records[9:], TrainConfig(epochs=1, batch_size=4))
+        assert blocks and all(block() is None for block in blocks)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_a_pool_refuses_a_second_model(workers):
+    first, records = small_model(seed=1)
+    second, _ = small_model(seed=2)  # the same spec
+    other = Model.build(dataclasses.replace(first.spec, pooling_mode="single_attention"),
+                        seed=3, vocab=first.vocab)
+    with pool.Pool(workers, 4) as shared:
+        Trainer(first, TrainConfig(batch_size=4, seed=1), shared)
+        before = parameter_bytes(first)
+        views = {name: p.data for name, p in first.named_parameters().items()}
+        for model in (second, other):
+            with pytest.raises(pool.PoolError, match="serves only the model it first bound"):
+                Trainer(model, TrainConfig(batch_size=4, seed=1), shared)
+            if workers:  # with none, a prediction binds nothing and reads the model's own
+                with pytest.raises(pool.PoolError, match="serves only the model it first bound"):
+                    model.predict_records(records, pool=shared)
+        assert parameter_bytes(first) == before
+        for name, p in first.named_parameters().items():
+            assert p.data is views[name], name
+        assert [parameter_bytes(m) for m in (second, other)] == [
+            parameter_bytes(small_model(seed=2)[0]),
+            parameter_bytes(Model.build(other.spec, seed=3, vocab=first.vocab))]
 
 
 @pytest.mark.parametrize("workers", [0, 2])

@@ -1,21 +1,24 @@
 """The benchmark's tracer still finds every name it patches in the program,
-and the CLI still takes the command lines the benchmark passes and records
-each in a config.txt that reads back to it."""
+the CLI still takes the command lines the benchmark passes and records
+each in a config.txt that reads back to it, and README's checkpoint layout
+names the format version the program writes."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from rubric import cli, pool, training
+from rubric import checkpoint, cli, pool, training
 from rubric.config import load_run_config, render_config
 from rubric.data import build_vocab, synth_corpus, write_csv
 from rubric.encoder import ModelSpec
 from rubric.model import Model
 from rubric.training import TrainConfig
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def load_perfbench(monkeypatch, name):
@@ -119,3 +122,9 @@ def test_a_traced_train_command_records_one_fit_and_one_training_set_score(
     names = [span[0] for span in recorder.spans]
     assert names.count("training.fit") == 1
     assert names.count("training.evaluate") == 1
+
+
+def test_the_readme_checkpoint_layout_gives_the_format_version():
+    readme = (ROOT / "README.md").read_text("utf-8")
+    layout = re.search(r"## Checkpoint format\n.*?```\n(.*?)```", readme, re.S).group(1)
+    assert re.findall(r"^version +u32 +(\d+)$", layout, re.M) == [str(checkpoint.FORMAT_VERSION)]
